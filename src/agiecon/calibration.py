@@ -7,14 +7,15 @@ detected at a relative singular-value cutoff of 1e-10; SVD keeps the fit
 deterministic for a fixed sample order and minimizes the log-space
 residual even on borderline designs.  No regularization: the target is
 exact identification on synthetic data, not econometric inference.
+
+numpy is imported inside ``fit_cobb_douglas``, its only user, so the
+other commands do not pay its import time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ContractViolationError, DomainError, RankDeficiencyError
 from .production import FactorBundle
@@ -62,6 +63,8 @@ def fit_cobb_douglas(samples: list[Sample], factor_names: list[str] | tuple[str,
         raise ContractViolationError(
             f"need at least {n_params} samples for {len(factor_names)} factors, got {len(samples)}"
         )
+
+    import numpy as np
 
     design = np.empty((len(samples), n_params), dtype=np.float64)
     target = np.empty(len(samples), dtype=np.float64)

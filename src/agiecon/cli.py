@@ -22,7 +22,8 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .calibration import Sample, fit_cobb_douglas
@@ -33,10 +34,10 @@ from .config import (
 )
 from .diagnostics import run_diagnostics
 from .errors import ConfigError, EconError, UndefinedBaselineError, UsageError
-from .formatting import format_number
+from .formatting import format_number, format_rows
 from .models import model_output, model_wages
 from .production import FactorBundle
-from .scenario import detect_collapse, run_scenario
+from .scenario import TimeSeriesRecord, detect_collapse, run_scenario
 from .svg import line_chart
 from .transition import power_curve
 
@@ -74,11 +75,6 @@ def _write(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _value_or_nan(x: float) -> str:
-    # undefined points stay on the grid as the literal token `nan`
-    return "nan" if math.isnan(x) else format_number(x)
-
-
 def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
     if parsed.model_id is None:
         raise ConfigError("eval needs a [model] section")
@@ -107,13 +103,9 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
     # The CSV schema has no lambda column, so it carries the first curve;
     # the SVG overlays the whole family.
-    lines = ["L_AGI,w_h,w_AGI,P_h"]
-    for point in curves[0][1]:
-        lines.append(
-            f"{format_number(point.l_agi)},{format_number(point.w_h)},"
-            f"{format_number(point.w_agi)},{_value_or_nan(point.p_h)}"
-        )
-    _write(out_dir / "power_curve.csv", "\n".join(lines) + "\n")
+    rows = [(p.l_agi, p.w_h, p.w_agi, p.p_h) for p in curves[0][1]]
+    body = format_rows(rows, nan_columns=(3,))  # P_h is nan where the index is undefined
+    _write(out_dir / "power_curve.csv", "L_AGI,w_h,w_AGI,P_h\n" + body)
 
     chart = line_chart(
         curves=[
@@ -128,34 +120,16 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
 
 _SERIES_HEADER = "t,s,beta1,beta2,K,K_AGI,L_h,L_AGI,Y,w_h,w_AGI,p_h_elastic,p_h_transition,wage_bill"
+_SERIES_FIELDS = attrgetter(*(f.name for f in fields(TimeSeriesRecord)))  # in header order
 
 
 def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
     cfg = build_scenario_config(parsed)
     series = run_scenario(cfg)
-    lines = [_SERIES_HEADER]
-    for r in series:
-        lines.append(
-            ",".join(
-                [
-                    str(r.t),
-                    format_number(r.s),
-                    format_number(r.beta1),
-                    format_number(r.beta2),
-                    format_number(r.K),
-                    format_number(r.K_AGI),
-                    format_number(r.L_h),
-                    format_number(r.L_AGI),
-                    format_number(r.Y),
-                    format_number(r.w_h),
-                    _value_or_nan(r.w_agi),
-                    format_number(r.p_h_elastic),
-                    _value_or_nan(r.p_h_transition),
-                    format_number(r.wage_bill),
-                ]
-            )
-        )
-    _write(out_dir / "series.csv", "\n".join(lines) + "\n")
+    rows = list(map(_SERIES_FIELDS, series))
+    # t is an integer; w_AGI and p_h_transition may be nan
+    body = format_rows(rows, integer_columns=(0,), nan_columns=(10, 12))
+    _write(out_dir / "series.csv", _SERIES_HEADER + "\n" + body)
     try:
         step = detect_collapse(series, cfg.collapse_threshold)
     except UndefinedBaselineError:

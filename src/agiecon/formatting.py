@@ -3,13 +3,37 @@
 Nine digits after the decimal point beat shortest-round-trip printing for
 golden files: shortest-round-trip output differs across language runtimes,
 fixed-digit output does not.
+
+``format_number`` writes one value.  ``format_rows`` writes whole CSV rows
+with the same definition: each row goes through a single ``%``-format
+(``%.9e`` per number cell), and the exponents of the whole table are then
+normalized by a few ``str.replace`` passes over the whole text, in place
+of one Python-level call per cell.  A row that formats to ``nan`` or
+``inf`` is rewritten cell by cell with ``format_number`` and
+``format_number_or_nan``, which accept or reject it exactly as they would
+alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Container, Sequence
 
 from .errors import SerializationError
+
+_NUMBER = "%.9e"
+
+
+def _normalize(text: str) -> str:
+    """Rewrite ``%.9e`` output into the artifact form: no signed zero, no
+    ``+`` and no zero padding in exponents (``e+05`` -> ``e5``, ``e-05`` ->
+    ``e-5``, ``e+00`` -> ``e0``)."""
+    return (
+        text.replace("-0.000000000e+00", "0.000000000e+00")
+        .replace("e+0", "e")
+        .replace("e+", "e")
+        .replace("e-0", "e-")
+    )
 
 
 def format_number(x: float) -> str:
@@ -22,6 +46,49 @@ def format_number(x: float) -> str:
     value = float(x)
     if not math.isfinite(value):
         raise SerializationError(f"cannot serialize non-finite value {x!r}")
-    value += 0.0  # normalize -0.0 so zero never carries a sign
-    mantissa, exponent = f"{value:.9e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
+    return _normalize(_NUMBER % value)
+
+
+def format_number_or_nan(x: float) -> str:
+    """``format_number``, except that NaN is written as the token ``nan``
+    (an undefined point that stays on the grid)."""
+    return "nan" if math.isnan(x) else format_number(x)
+
+
+def format_rows(
+    rows: Sequence[Sequence[float]],
+    integer_columns: Container[int] = (),
+    nan_columns: Container[int] = (),
+) -> str:
+    """CSV text of ``rows``, one ``\\n``-terminated line per row.
+
+    Every row has the length of the first.  A column listed in
+    ``integer_columns`` is written with ``%d``; every other cell is written
+    as ``format_number`` would write it, or as ``format_number_or_nan``
+    for a column listed in ``nan_columns``.  Raises SerializationError for
+    an infinite cell, or a NaN cell outside ``nan_columns``.
+    """
+    if not rows:
+        return ""
+    template = ",".join(
+        "%d" if i in integer_columns else _NUMBER for i in range(len(rows[0]))
+    ) + "\n"
+    lines = [template % row for row in rows]
+    text = "".join(lines)
+    # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold an "n"
+    if "n" in text:
+        for i, line in enumerate(lines):
+            if "n" in line:
+                lines[i] = _checked_line(rows[i], integer_columns, nan_columns)
+        text = "".join(lines)
+    return _normalize(text)
+
+
+def _checked_line(row, integer_columns, nan_columns) -> str:
+    cells = [
+        "%d" % value if i in integer_columns
+        else format_number_or_nan(value) if i in nan_columns
+        else format_number(value)
+        for i, value in enumerate(row)
+    ]
+    return ",".join(cells) + "\n"

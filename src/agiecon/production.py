@@ -120,9 +120,20 @@ def output(tech: CobbDouglasTechnology, bundle: FactorBundle) -> float:
 
     Every factor named by the technology must be present in the bundle.
     """
-    y = tech.tfp
-    for name, exponent in tech.elasticities:
-        x = bundle.quantity(name)
+    return product_of_terms(
+        tech.tfp, [(name, bundle.quantity(name), exponent) for name, exponent in tech.elasticities]
+    )
+
+
+def product_of_terms(tfp: float, terms) -> float:
+    """``tfp * prod x ** e`` over ``(name, x, e)`` terms, multiplied in order.
+
+    The evaluation core of ``output``, for callers that hold quantities and
+    exponents directly instead of a technology and a bundle; the
+    zero-quantity conventions and errors are those of the module docstring.
+    """
+    y = tfp
+    for name, x, exponent in terms:
         if x == 0.0:
             if exponent > 0.0:
                 y *= 0.0

@@ -18,12 +18,21 @@ prefactor convention: 0 when its elasticity is 0, NaN otherwise (the
 literal marginal product has no finite value there).  Because the human
 elasticity and the human labor quantity vanish together at s = 1, w_h is
 always a real number and ends at exactly 0.
+
+A step is evaluated in closed form, without building a parameter record,
+technology or bundle: Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t
+L_AGI^beta2_t once, through the same ordered product and zero-quantity
+conventions as ``production.output``, and each wage as e * Y / x, the
+identity ``production.marginal_product`` evaluates.  The records are
+therefore bit-identical to the generic model path.  The adoption path's
+step-independent terms (horizon checks, the logistic end points, the
+exp-saturating normalizer) are computed once per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import (
@@ -34,9 +43,13 @@ from .errors import (
     UndefinedBaselineError,
     UndefinedIndexError,
 )
-from .models import ModelId, ModelIIIParams, model_technology
-from .production import marginal_product, output
+from .models import ModelIIIParams
+from .production import product_of_terms
 from .transition import TransitionParams, human_power
+
+# unused by the step, kept importable: perfbench/tracer.py wraps these names here
+from .models import model_technology  # noqa: F401
+from .production import marginal_product, output  # noqa: F401
 
 
 class AdoptionKind(Enum):
@@ -104,22 +117,49 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def adoption_share(path: AdoptionPath, t: int, horizon: int) -> float:
-    """Share s(t) in [0, 1]; non-decreasing in t, 0 at t=0, 1 at t=horizon."""
+def _adoption_curve(path: AdoptionPath, horizon: int):
+    """Validate ``horizon`` for ``path`` and return t -> s(t).
+
+    Only the step-independent terms are computed up front; the per-step
+    expression is the path's formula with those terms substituted, so each
+    s(t) is the float a from-scratch evaluation gives.
+    """
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise DomainError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if path.kind is AdoptionKind.LINEAR:
+        return lambda t: t / horizon
+    if path.kind is AdoptionKind.LOGISTIC:
+        k, t0 = path.k, path.t0
+        if t0 > horizon:
+            raise DomainError(f"logistic midpoint t0={t0!r} exceeds horizon {horizon}")
+        low = _sigmoid(k * (0.0 - t0))
+        span = _sigmoid(k * (horizon - t0)) - low
+        if not span > 0.0:
+            raise DomainError(
+                f"logistic adoption with k={k!r}, t0={t0!r} does not rise over horizon"
+                f" {horizon}: s(horizon) - s(0) rounds to {span!r}"
+            )
+        return lambda t: (_sigmoid(k * (t - t0)) - low) / span
+    r = path.r
+    scale = 1.0 - math.exp(-r * horizon)
+    if not scale > 0.0:
+        raise DomainError(
+            f"exp_saturating adoption with r={r!r} does not rise over horizon {horizon}:"
+            f" 1 - exp(-r * horizon) rounds to {scale!r}"
+        )
+    return lambda t: (1.0 - math.exp(-r * t)) / scale
+
+
+def adoption_share(path: AdoptionPath, t: int, horizon: int) -> float:
+    """Share s(t) in [0, 1]; non-decreasing in t, 0 at t=0, 1 at t=horizon.
+
+    Raises DomainError when the path cannot rise over the horizon in
+    floating point (a rate so small that its normalizer rounds to 0).
+    """
+    curve = _adoption_curve(path, horizon)
     if not isinstance(t, int) or isinstance(t, bool) or not (0 <= t <= horizon):
         raise DomainError(f"step t must be an integer in [0, {horizon}], got {t!r}")
-    if path.kind is AdoptionKind.LINEAR:
-        return t / horizon
-    if path.kind is AdoptionKind.LOGISTIC:
-        if path.t0 > horizon:
-            raise DomainError(f"logistic midpoint t0={path.t0!r} exceeds horizon {horizon}")
-        low = _sigmoid(path.k * (0.0 - path.t0))
-        high = _sigmoid(path.k * (horizon - path.t0))
-        return (_sigmoid(path.k * (t - path.t0)) - low) / (high - low)
-    scale = 1.0 - math.exp(-path.r * horizon)
-    return (1.0 - math.exp(-path.r * t)) / scale
+    return curve(t)
 
 
 @dataclass(frozen=True)
@@ -153,10 +193,7 @@ class ScenarioConfig:
         if not (0.0 < theta <= 1.0):
             raise DomainError(f"collapse_threshold must lie in (0, 1], got {theta!r}")
         object.__setattr__(self, "collapse_threshold", theta)
-        if self.adoption.kind is AdoptionKind.LOGISTIC and self.adoption.t0 > self.horizon:
-            raise DomainError(
-                f"logistic midpoint t0={self.adoption.t0!r} exceeds horizon {self.horizon}"
-            )
+        _adoption_curve(self.adoption, self.horizon)
 
 
 @dataclass(frozen=True)
@@ -181,9 +218,21 @@ class TimeSeriesRecord:
     wage_bill: float
 
 
-def _factor_wage(tech, bundle, name: str, elasticity: float) -> float:
-    if bundle.quantity(name) > 0.0:
-        return marginal_product(tech, bundle, name)
+_RECORD_FIELDS = tuple(field.name for field in fields(TimeSeriesRecord))
+
+
+def _record(*values) -> TimeSeriesRecord:
+    """``TimeSeriesRecord(*values)`` at half the cost: the frozen dataclass
+    ``__init__`` makes one ``object.__setattr__`` call per field, this fills
+    the instance dict in one update.  The record has no ``__post_init__``."""
+    record = object.__new__(TimeSeriesRecord)
+    record.__dict__.update(zip(_RECORD_FIELDS, values))
+    return record
+
+
+def _factor_wage(y: float, x: float, elasticity: float) -> float:
+    if x > 0.0:
+        return elasticity * y / x  # marginal_product's e_f * Y / x_f
     # boundary share: the factor is absent; its wage is the prefactor value
     return 0.0 if elasticity == 0.0 else math.nan
 
@@ -198,50 +247,38 @@ def _step(cfg: ScenarioConfig, t: int, s: float) -> TimeSeriesRecord:
         k_agi = math.inf
     if not math.isfinite(k_agi):
         raise SimulationFailureError(f"step {t}: AGI capital overflowed")
-    params = ModelIIIParams(
-        A=p0.A,
-        K=p0.K,
-        K_AGI=k_agi,
-        L_h=1.0 - s,
-        L_AGI=s,
-        alpha=p0.alpha,
-        gamma=p0.gamma,
-        beta1=beta1_t,
-        beta2=beta2_t,
-    )
-    tech, bundle = model_technology(ModelId.MODEL_III, params)
+    if not (0.0 <= s <= 1.0):
+        raise DomainError(f"step {t}: adoption share must lie in [0, 1], got {s!r}")
+    l_h = 1.0 - s
     try:
-        y = output(tech, bundle)
-        w_h = _factor_wage(tech, bundle, "L_h", beta1_t)
-        w_agi = _factor_wage(tech, bundle, "L_AGI", beta2_t)
+        y = product_of_terms(
+            p0.A,
+            (
+                ("K", p0.K, p0.alpha),
+                ("K_AGI", k_agi, p0.gamma),
+                ("L_h", l_h, beta1_t),
+                ("L_AGI", s, beta2_t),
+            ),
+        )
     except NonFiniteOutputError as exc:
         raise SimulationFailureError(f"step {t}: {exc}") from exc
+    w_h = _factor_wage(y, l_h, beta1_t)
+    w_agi = _factor_wage(y, s, beta2_t)
     p_h_elastic = beta1_t / (beta1_t + beta2_t)
     try:
         p_h_transition = human_power(cfg.transition, s)
     except UndefinedIndexError:
         p_h_transition = math.nan
-    wage_bill = w_h * params.L_h
-    for label, value in (("Y", y), ("w_h", w_h), ("wage_bill", wage_bill)):
+    wage_bill = w_h * l_h
+    # product_of_terms has already rejected a non-finite Y
+    for label, value in (("w_h", w_h), ("wage_bill", wage_bill)):
         if not math.isfinite(value):
             raise SimulationFailureError(f"step {t}: {label} is not finite ({value!r})")
     if math.isinf(w_agi):
         raise SimulationFailureError(f"step {t}: w_agi is not finite ({w_agi!r})")
-    return TimeSeriesRecord(
-        t=t,
-        s=s,
-        beta1=beta1_t,
-        beta2=beta2_t,
-        K=p0.K,
-        K_AGI=k_agi,
-        L_h=params.L_h,
-        L_AGI=s,
-        Y=y,
-        w_h=w_h,
-        w_agi=w_agi,
-        p_h_elastic=p_h_elastic,
-        p_h_transition=p_h_transition,
-        wage_bill=wage_bill,
+    return _record(
+        t, s, beta1_t, beta2_t, p0.K, k_agi, l_h, s, y, w_h, w_agi, p_h_elastic, p_h_transition,
+        wage_bill,
     )
 
 
@@ -251,10 +288,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRecord]:
     Deterministic: every field is a closed-form function of (t, s(t)), so
     repeated runs serialize byte-identically.
     """
-    return [
-        _step(cfg, t, adoption_share(cfg.adoption, t, cfg.horizon))
-        for t in range(cfg.horizon + 1)
-    ]
+    share = _adoption_curve(cfg.adoption, cfg.horizon)
+    return [_step(cfg, t, share(t)) for t in range(cfg.horizon + 1)]
 
 
 def detect_collapse(series: list[TimeSeriesRecord], theta: float) -> int | None:

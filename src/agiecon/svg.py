@@ -8,7 +8,12 @@ the plot rectangle left after 10% margins on every side.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+
+
+def escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without its import, which loads urllib and http."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 _PALETTE = (
     "#1f77b4",

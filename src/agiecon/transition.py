@@ -75,14 +75,16 @@ def human_power(tp: TransitionParams, l_agi: float) -> float:
 
     Raises UndefinedIndexError where no labor income exists (for example
     w_inf = 0 at l_agi = 1): with both wage incomes zero the 0/0 form has
-    no safe imputation, so nothing is imputed.
+    no safe imputation, so nothing is imputed.  Any positive income, however
+    small, defines the index: the ratio of two non-negative floats with a
+    positive sum is always in [0, 1].
     """
     l_agi = _check_share(l_agi)
     decay = math.exp(-tp.lam * l_agi)
     human_income = tp.w0 * decay * (1.0 - l_agi)
     agi_income = tp.w_inf * (1.0 - decay) * l_agi
     total = human_income + agi_income
-    if total < 1e-300:
+    if total == 0.0:
         raise UndefinedIndexError(
             f"no labor income at l_agi={l_agi!r}: power index undefined"
         )

@@ -195,6 +195,23 @@ class TestExitCodes:
         config.write_text("[transition]\nlambdas = 2\n")
         assert run_cli("sweep", "--config", config, "--out", tmp_path / "out") == 1
 
+    @pytest.mark.parametrize(
+        "adoption",
+        ["adoption = exp_saturating\nr = 1e-300\n", "adoption = logistic\nk = 1e-300\nt0 = 5\n"],
+        ids=["exp_saturating", "logistic"],
+    )
+    def test_vanishing_adoption_rate_is_a_config_error(self, tmp_path, capsys, adoption):
+        # a rate whose normalizer rounds to 0 used to escape as ZeroDivisionError
+        config = tmp_path / "vanishing.ini"
+        config.write_text(
+            "[model]\nid = model_iii\nA = 1\nK = 1\nK_AGI = 1\nL_h = 1\nL_AGI = 0\n"
+            "alpha = 0.3\ngamma = 0.2\nbeta1 = 0.4\nbeta2 = 0\n"
+            "[scenario]\nhorizon = 10\n" + adoption
+        )
+        assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
 
 def test_module_entry_point(tmp_path):
     # exercise the installed entry path end to end in a real process

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agiecon import SerializationError, format_number
+from agiecon.formatting import format_number_or_nan, format_rows
 
 PATTERN = re.compile(r"^-?\d\.\d{9}e-?(0|[1-9]\d*)$")
 
@@ -52,3 +53,68 @@ def test_shape_and_accuracy(x):
 @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
 def test_deterministic(x):
     assert format_number(x) == format_number(x)
+
+
+def split_exponent_oracle(x):
+    """An independent single-value definition: split at "e", reparse the exponent."""
+    mantissa, exponent = f"{float(x) + 0.0:.9e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+# signed zeros, subnormals, the ends of the range, and ninth-digit round-ups
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1e-308, -1e-308, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.999999999951, -0.999999999951, 9.9999999995e-1, 9.9999999995e99, 1e-5, 12.0,
+)
+finite = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(finite)
+def test_format_number_matches_split_exponent_oracle(x):
+    assert format_number(x) == split_exponent_oracle(x)
+
+
+# rows laid out like series.csv: an integer step, numbers, and nan-able columns
+INTEGER_COLUMNS = (0,)
+NAN_COLUMNS = (2, 4)
+rows_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),
+        finite,
+        st.one_of(finite, st.just(math.nan)),
+        finite,
+        st.one_of(finite, st.just(math.nan)),
+    ),
+    max_size=20,
+)
+
+
+def per_cell(rows):
+    return "".join(
+        ",".join(
+            [str(row[0]), format_number(row[1]), format_number_or_nan(row[2]),
+             format_number(row[3]), format_number_or_nan(row[4])]
+        ) + "\n"
+        for row in rows
+    )
+
+
+@given(rows_strategy)
+def test_format_rows_matches_per_cell_formatting(rows):
+    text = format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS)
+    assert text == per_cell(rows)
+
+
+@given(rows_strategy.filter(bool), st.data())
+def test_format_rows_rejects_non_finite_cells(rows, data):
+    index = data.draw(st.integers(0, len(rows) - 1))
+    column = data.draw(st.sampled_from((1, 2, 3, 4)))
+    # nan is accepted only in NAN_COLUMNS; inf nowhere
+    rejected = (math.inf, -math.inf) if column in NAN_COLUMNS else (math.inf, -math.inf, math.nan)
+    bad = data.draw(st.sampled_from(rejected))
+    row = list(rows[index])
+    row[column] = bad
+    rows[index] = tuple(row)
+    with pytest.raises(SerializationError):
+        format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS)

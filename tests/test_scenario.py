@@ -3,21 +3,29 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agiecon import (
     AdoptionKind,
     AdoptionPath,
     DomainError,
+    ModelId,
     ModelIIIParams,
     ScenarioConfig,
     SimulationFailureError,
     TransitionParams,
     UndefinedBaselineError,
+    UndefinedIndexError,
     adoption_share,
     detect_collapse,
+    human_power,
+    marginal_product,
+    model_technology,
+    output,
     run_scenario,
 )
-from agiecon.scenario import _step
+from agiecon.scenario import _sigmoid, _step
 
 mpmath.mp.dps = 50
 
@@ -79,6 +87,19 @@ class TestAdoptionShare:
             adoption_share(AdoptionPath.linear(), 11, 10)
         with pytest.raises(DomainError):
             adoption_share(AdoptionPath.linear(), -1, 10)
+
+    @pytest.mark.parametrize(
+        "path",
+        [AdoptionPath.exp_saturating(r=1e-300), AdoptionPath.logistic(k=1e-300, t0=5.0)],
+        ids=["exp_saturating", "logistic"],
+    )
+    def test_vanishing_rate_is_a_domain_error(self, path):
+        # the normalizer s(horizon) - s(0) rounds to 0; dividing by it used
+        # to escape as a ZeroDivisionError
+        with pytest.raises(DomainError, match="does not rise"):
+            adoption_share(path, 3, 10)
+        with pytest.raises(DomainError, match="does not rise"):
+            make_config(adoption=path, horizon=10)
 
     def test_path_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -224,3 +245,93 @@ class TestDetectCollapse:
         series = run_scenario(make_config(horizon=3))
         with pytest.raises(DomainError):
             detect_collapse(series, 1.5)
+
+
+def same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def literal_share(path, t, horizon):
+    """s(t) written out per call, with no term shared between steps."""
+    if path.kind is AdoptionKind.LINEAR:
+        return t / horizon
+    if path.kind is AdoptionKind.LOGISTIC:
+        low = _sigmoid(path.k * (0.0 - path.t0))
+        high = _sigmoid(path.k * (horizon - path.t0))
+        return (_sigmoid(path.k * (t - path.t0)) - low) / (high - low)
+    return (1.0 - math.exp(-path.r * t)) / (1.0 - math.exp(-path.r * horizon))
+
+
+def reference_step(cfg, t, s):
+    """(K_AGI, Y, w_h, w_agi, wage_bill) through the generic model path."""
+    p0 = cfg.initial_model3
+    params = ModelIIIParams(
+        A=p0.A, K=p0.K, K_AGI=p0.K_AGI * (1.0 + cfg.agi_capital_growth) ** t,
+        L_h=1.0 - s, L_AGI=s, alpha=p0.alpha, gamma=p0.gamma,
+        beta1=p0.beta1 * (1.0 - s), beta2=p0.beta2 + p0.beta1 * s,
+    )
+    tech, bundle = model_technology(ModelId.MODEL_III, params)
+
+    def wage(name, elasticity):
+        if bundle.quantity(name) > 0.0:
+            return marginal_product(tech, bundle, name)
+        return 0.0 if elasticity == 0.0 else math.nan
+
+    w_h = wage("L_h", params.beta1)
+    return params.K_AGI, output(tech, bundle), w_h, wage("L_AGI", params.beta2), w_h * params.L_h
+
+
+@st.composite
+def scenario_configs(draw):
+    horizon = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(AdoptionKind))
+    if kind is AdoptionKind.LOGISTIC:
+        adoption = AdoptionPath.logistic(
+            k=draw(st.floats(0.05, 3.0)), t0=draw(st.floats(0.0, float(horizon)))
+        )
+    elif kind is AdoptionKind.EXP_SATURATING:
+        adoption = AdoptionPath.exp_saturating(r=draw(st.floats(0.01, 2.0)))
+    else:
+        adoption = AdoptionPath.linear()
+    params = ModelIIIParams(
+        A=draw(st.floats(0.1, 10.0)),
+        K=draw(st.floats(0.1, 10.0)),
+        K_AGI=draw(st.floats(0.1, 10.0)),
+        L_h=1.0,
+        L_AGI=0.0,
+        alpha=draw(st.floats(-0.5, 1.0)),
+        gamma=draw(st.floats(-0.5, 1.0)),
+        beta1=draw(st.floats(0.01, 1.0)),
+        beta2=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))),
+    )
+    return ScenarioConfig(
+        horizon=horizon,
+        initial_model3=params,
+        adoption=adoption,
+        agi_capital_growth=draw(st.floats(0.0, 0.5)),
+        transition=TransitionParams(
+            w0=draw(st.floats(0.1, 10.0)),
+            w_inf=draw(st.one_of(st.just(0.0), st.floats(0.1, 10.0))),
+            lam=draw(st.floats(0.1, 20.0)),
+        ),
+    )
+
+
+@given(scenario_configs())
+def test_closed_form_step_matches_the_generic_model_path_exactly(cfg):
+    series = run_scenario(cfg)
+    assert [record.t for record in series] == list(range(cfg.horizon + 1))
+    for record in series:
+        s = literal_share(cfg.adoption, record.t, cfg.horizon)
+        assert record.s == s and record.L_AGI == s and record.L_h == 1.0 - s
+        k_agi, y, w_h, w_agi, wage_bill = reference_step(cfg, record.t, s)
+        assert record.K_AGI == k_agi
+        assert record.Y == y
+        assert record.w_h == w_h
+        assert same(record.w_agi, w_agi)
+        assert record.wage_bill == wage_bill
+        try:
+            p_h = human_power(cfg.transition, s)
+        except UndefinedIndexError:
+            p_h = math.nan
+        assert same(record.p_h_transition, p_h)

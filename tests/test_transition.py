@@ -98,6 +98,13 @@ class TestHumanPower:
         with pytest.raises(UndefinedIndexError):
             human_power(TransitionParams(w0=1, w_inf=0, lam=2), 1.0)
 
+    def test_tiny_income_is_still_defined(self):
+        # only an exact zero total leaves the index undefined; an absolute
+        # cutoff (total < 1e-300) used to reject this point, whose index is 1
+        tp = TransitionParams(w0=1e-305, w_inf=0.0, lam=2.0)
+        assert human_power(tp, 0.0) == 1.0
+        assert power_curve(tp, 3)[0].p_h == 1.0
+
     def test_degenerate_asymptote_stays_at_one(self):
         tp = TransitionParams(w0=1, w_inf=0, lam=3)
         for l in (0.0, 0.25, 0.5, 0.99):
