@@ -164,8 +164,10 @@ def _read_samples(path: Path, factor_names: tuple[str, ...]) -> list[Sample]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"sample file {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"sample file {path} is empty")
     header = [cell.strip() for cell in rows[0]]

@@ -3,11 +3,8 @@
 Sections and keys (`#` starts a comment, unknown keys are rejected, every
 numeric value must parse as a finite decimal):
 
-[model]       id = model_i | model_ii | model_iii, plus that model's
-              parameters by symbol name:
-                model_i:   A K K_AGI L alpha beta
-                model_ii:  A K L1 L2 alpha beta1 beta2
-                model_iii: A K K_AGI L_h L_AGI alpha gamma beta1 beta2
+[model]       id = model_i | model_ii | model_iii, plus every field of that
+              model's params dataclass (all required), by symbol name
 [transition]  w0 (default 1), w_inf (default 1), lambda (default 2),
               n_points (default 101)
 [scenario]    horizon (required), adoption = linear|logistic|exp_saturating
@@ -24,18 +21,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, DomainError
-from .models import ModelId, ModelIIIParams, ModelIIParams, ModelIParams, ModelParams
+from .models import PARAM_TYPES, ModelId, ModelParams
 from .scenario import AdoptionKind, AdoptionPath, ScenarioConfig
 from .transition import TransitionParams
-
-_MODEL_PARAM_KEYS: dict[ModelId, tuple[str, ...]] = {
-    ModelId.MODEL_I: ("A", "K", "K_AGI", "L", "alpha", "beta"),
-    ModelId.MODEL_II: ("A", "K", "L1", "L2", "alpha", "beta1", "beta2"),
-    ModelId.MODEL_III: ("A", "K", "K_AGI", "L_h", "L_AGI", "alpha", "gamma", "beta1", "beta2"),
-}
 
 _SECTIONS = ("model", "transition", "scenario", "fit")
 
@@ -45,7 +36,10 @@ DEFAULT_COLLAPSE_THRESHOLD = 0.5
 
 
 class _SectionReader:
-    """Pops validated values out of one section; leftovers are unknown keys."""
+    """Pops validated values out of one section; leftovers are unknown keys.
+
+    A key taken without a default is required.
+    """
 
     def __init__(self, name: str, mapping) -> None:
         self.name = name
@@ -54,18 +48,17 @@ class _SectionReader:
     def _where(self, key: str) -> str:
         return f"[{self.name}].{key}"
 
-    def take(self, key: str, default: str | None = None) -> str | None:
-        return self.pending.pop(key, default)
-
-    def take_required(self, key: str) -> str:
-        if key not in self.pending:
+    def take(self, key: str, default: str | None = None) -> str:
+        if key in self.pending:
+            return self.pending.pop(key)
+        if default is None:
             raise ConfigError(f"{self._where(key)}: missing required key")
-        return self.pending.pop(key)
+        return default
 
-    def take_float(self, key: str, default: float | None = None) -> float | None:
-        if key not in self.pending:
+    def take_float(self, key: str, default: float | None = None) -> float:
+        if default is not None and key not in self.pending:
             return default
-        raw = self.pending.pop(key)
+        raw = self.take(key)
         try:
             value = float(raw)
         except ValueError:
@@ -74,15 +67,10 @@ class _SectionReader:
             raise ConfigError(f"{self._where(key)}: value must be finite, got {raw!r}")
         return value
 
-    def take_required_float(self, key: str) -> float:
-        if key not in self.pending:
-            raise ConfigError(f"{self._where(key)}: missing required key")
-        return self.take_float(key)
-
-    def take_int(self, key: str, default: int | None = None) -> int | None:
-        if key not in self.pending:
+    def take_int(self, key: str, default: int | None = None) -> int:
+        if default is not None and key not in self.pending:
             return default
-        raw = self.pending.pop(key)
+        raw = self.take(key)
         try:
             return int(raw)
         except ValueError:
@@ -119,19 +107,15 @@ class ParsedConfig:
 
 
 def _parse_model(reader: _SectionReader) -> tuple[ModelId, ModelParams]:
-    raw_id = reader.take_required("id").strip()
+    raw_id = reader.take("id").strip()
     try:
         model_id = ModelId(raw_id)
     except ValueError:
         choices = ", ".join(m.value for m in ModelId)
         raise ConfigError(f"[model].id: expected one of {choices}, got {raw_id!r}") from None
-    values = {key: reader.take_required_float(key) for key in _MODEL_PARAM_KEYS[model_id]}
+    param_type = PARAM_TYPES[model_id]
+    values = {field.name: reader.take_float(field.name) for field in fields(param_type)}
     reader.finish()
-    param_type = {
-        ModelId.MODEL_I: ModelIParams,
-        ModelId.MODEL_II: ModelIIParams,
-        ModelId.MODEL_III: ModelIIIParams,
-    }[model_id]
     try:
         return model_id, param_type(**values)
     except DomainError as exc:
@@ -154,11 +138,9 @@ def _parse_transition(reader: _SectionReader) -> tuple[TransitionParams, int]:
 
 def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
     horizon = reader.take_int("horizon")
-    if horizon is None:
-        raise ConfigError("[scenario].horizon: missing required key")
     if horizon < 1:
         raise ConfigError(f"[scenario].horizon: must be >= 1, got {horizon}")
-    kind_raw = (reader.take("adoption", "linear") or "").strip()
+    kind_raw = reader.take("adoption", "linear").strip()
     try:
         kind = AdoptionKind(kind_raw)
     except ValueError:
@@ -166,13 +148,13 @@ def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
         raise ConfigError(f"[scenario].adoption: expected one of {choices}, got {kind_raw!r}") from None
     try:
         if kind is AdoptionKind.LOGISTIC:
-            k = reader.take_required_float("k")
-            t0 = reader.take_required_float("t0")
+            k = reader.take_float("k")
+            t0 = reader.take_float("t0")
             adoption = AdoptionPath.logistic(k=k, t0=t0)
             if t0 > horizon:
                 raise ConfigError(f"[scenario].t0: must lie in [0, horizon={horizon}], got {t0}")
         elif kind is AdoptionKind.EXP_SATURATING:
-            adoption = AdoptionPath.exp_saturating(r=reader.take_required_float("r"))
+            adoption = AdoptionPath.exp_saturating(r=reader.take_float("r"))
         else:
             adoption = AdoptionPath.linear()
     except DomainError as exc:
@@ -190,13 +172,13 @@ def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
 
 
 def _parse_fit(reader: _SectionReader) -> FitSpec:
-    factors_raw = reader.take_required("factors")
+    factors_raw = reader.take("factors")
     names = tuple(name.strip() for name in factors_raw.split(",") if name.strip())
     if not names:
         raise ConfigError("[fit].factors: expected a comma-separated list of factor names")
     if len(set(names)) != len(names):
         raise ConfigError("[fit].factors: factor names must be unique")
-    input_path = reader.take_required("input").strip()
+    input_path = reader.take("input").strip()
     if not input_path:
         raise ConfigError("[fit].input: path must not be empty")
     reader.finish()
@@ -251,7 +233,7 @@ def parse_config_file(path) -> ParsedConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -285,8 +267,8 @@ def render_config(parsed: ParsedConfig) -> str:
     if parsed.model_id is not None:
         lines.append("[model]")
         lines.append(f"id = {parsed.model_id.value}")
-        for key in _MODEL_PARAM_KEYS[parsed.model_id]:
-            lines.append(f"{key} = {getattr(parsed.model_params, key)!r}")
+        for field in fields(parsed.model_params):
+            lines.append(f"{field.name} = {getattr(parsed.model_params, field.name)!r}")
         lines.append("")
     lines.append("[transition]")
     lines.append(f"w0 = {parsed.transition.w0!r}")

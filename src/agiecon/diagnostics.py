@@ -65,6 +65,20 @@ def _random_instance(rng: random.Random) -> tuple[CobbDouglasTechnology, FactorB
     return tech, bundle
 
 
+def _random_model3(rng: random.Random) -> ModelIIIParams:
+    return ModelIIIParams(
+        A=rng.uniform(0.5, 3.0),
+        K=rng.uniform(0.1, 10.0),
+        K_AGI=rng.uniform(0.1, 10.0),
+        L_h=rng.uniform(0.1, 10.0),
+        L_AGI=rng.uniform(0.1, 10.0),
+        alpha=rng.uniform(0.05, 1.0),
+        gamma=rng.uniform(0.05, 1.0),
+        beta1=rng.uniform(0.05, 1.0),
+        beta2=rng.uniform(0.05, 1.0),
+    )
+
+
 def _euler_sweep(n: int, seed: int) -> float:
     rng = random.Random(seed)
     worst = 0.0
@@ -113,17 +127,7 @@ def _power_index_sweep(n: int, seed: int) -> float:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(n):
-        params = ModelIIIParams(
-            A=rng.uniform(0.5, 3.0),
-            K=rng.uniform(0.1, 10.0),
-            K_AGI=rng.uniform(0.1, 10.0),
-            L_h=rng.uniform(0.1, 10.0),
-            L_AGI=rng.uniform(0.1, 10.0),
-            alpha=rng.uniform(0.05, 1.0),
-            gamma=rng.uniform(0.05, 1.0),
-            beta1=rng.uniform(0.05, 1.0),
-            beta2=rng.uniform(0.05, 1.0),
-        )
+        params = _random_model3(rng)
         expected = params.beta1 / (params.beta1 + params.beta2)
         worst = max(worst, abs(power_index_model3(params) - expected))
     return worst

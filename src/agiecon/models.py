@@ -20,6 +20,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 
 from .errors import (
     ContractViolationError,
@@ -43,22 +45,35 @@ class ModelId(Enum):
     MODEL_III = "model_iii"
 
 
-def _validate_fields(record, positive: tuple[str, ...], nonnegative: tuple[str, ...]) -> None:
-    for field in dataclasses.fields(record):
-        value = float(getattr(record, field.name))
-        if not math.isfinite(value):
-            raise DomainError(f"{type(record).__name__}.{field.name} must be finite, got {value!r}")
-        object.__setattr__(record, field.name, value)
-    for name in positive:
-        if getattr(record, name) <= 0.0:
-            raise DomainError(f"{type(record).__name__}.{name} must be > 0")
-    for name in nonnegative:
-        if getattr(record, name) < 0.0:
-            raise DomainError(f"{type(record).__name__}.{name} must be >= 0")
+class _ModelParams:
+    """Each params record states its economy once, in two class attributes
+    left unannotated so they are not dataclass fields.  TERMS lists
+    (factor, base fields, exponent field) in multiplication order; a
+    factor's quantity is its base fields summed with ``+`` in table order.
+    LABOR names the factors paid a competitive wage.  Validation, the
+    technology, wages, limits and config keys all derive from the two.
+    """
+
+    TERMS: tuple[tuple[str, tuple[str, ...], str], ...]
+    LABOR: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        name = type(self).__name__
+        for field in dataclasses.fields(self):
+            value = float(getattr(self, field.name))
+            if not math.isfinite(value):
+                raise DomainError(f"{name}.{field.name} must be finite, got {value!r}")
+            object.__setattr__(self, field.name, value)
+        if self.A <= 0.0:
+            raise DomainError(f"{name}.A must be > 0")
+        for _, bases, _ in self.TERMS:
+            for base in bases:
+                if getattr(self, base) < 0.0:
+                    raise DomainError(f"{name}.{base} must be >= 0")
 
 
 @dataclass(frozen=True)
-class ModelIParams:
+class ModelIParams(_ModelParams):
     A: float
     K: float
     K_AGI: float
@@ -66,17 +81,12 @@ class ModelIParams:
     alpha: float
     beta: float
 
-    def __post_init__(self) -> None:
-        _validate_fields(self, positive=("A",), nonnegative=("K", "K_AGI", "L"))
-
-    @property
-    def combined_capital(self) -> float:
-        # K_new is derived, never stored, so K_new = K + K_AGI holds by construction
-        return self.K + self.K_AGI
+    TERMS = (("K_total", ("K", "K_AGI"), "alpha"), ("L", ("L",), "beta"))
+    LABOR = ("L",)
 
 
 @dataclass(frozen=True)
-class ModelIIParams:
+class ModelIIParams(_ModelParams):
     A: float
     K: float
     L1: float
@@ -85,12 +95,12 @@ class ModelIIParams:
     beta1: float
     beta2: float
 
-    def __post_init__(self) -> None:
-        _validate_fields(self, positive=("A",), nonnegative=("K", "L1", "L2"))
+    TERMS = (("K", ("K",), "alpha"), ("L1", ("L1",), "beta1"), ("L2", ("L2",), "beta2"))
+    LABOR = ("L1", "L2")
 
 
 @dataclass(frozen=True)
-class ModelIIIParams:
+class ModelIIIParams(_ModelParams):
     A: float
     K: float
     K_AGI: float
@@ -101,40 +111,26 @@ class ModelIIIParams:
     beta1: float
     beta2: float
 
-    def __post_init__(self) -> None:
-        _validate_fields(self, positive=("A",), nonnegative=("K", "K_AGI", "L_h", "L_AGI"))
+    TERMS = (
+        ("K", ("K",), "alpha"),
+        ("K_AGI", ("K_AGI",), "gamma"),
+        ("L_h", ("L_h",), "beta1"),
+        ("L_AGI", ("L_AGI",), "beta2"),
+    )
+    LABOR = ("L_h", "L_AGI")
 
 
 ModelParams = ModelIParams | ModelIIParams | ModelIIIParams
 
-_PARAM_TYPES: dict[ModelId, type] = {
+PARAM_TYPES: dict[ModelId, type[ModelParams]] = {
     ModelId.MODEL_I: ModelIParams,
     ModelId.MODEL_II: ModelIIParams,
     ModelId.MODEL_III: ModelIIIParams,
 }
 
-# Multiplicative structure of each model: ((base fields), exponent field).
-# Model I's capital term sums two fields; everything else is a single factor.
-_MODEL_TERMS: dict[ModelId, tuple[tuple[tuple[str, ...], str], ...]] = {
-    ModelId.MODEL_I: ((("K", "K_AGI"), "alpha"), (("L",), "beta")),
-    ModelId.MODEL_II: ((("K",), "alpha"), (("L1",), "beta1"), (("L2",), "beta2")),
-    ModelId.MODEL_III: (
-        (("K",), "alpha"),
-        (("K_AGI",), "gamma"),
-        (("L_h",), "beta1"),
-        (("L_AGI",), "beta2"),
-    ),
-}
-
-_LABOR_FACTORS: dict[ModelId, tuple[str, ...]] = {
-    ModelId.MODEL_I: ("L",),
-    ModelId.MODEL_II: ("L1", "L2"),
-    ModelId.MODEL_III: ("L_h", "L_AGI"),
-}
-
 
 def _require_params(model: ModelId, params: ModelParams) -> None:
-    expected = _PARAM_TYPES[model]
+    expected = PARAM_TYPES[model]
     if type(params) is not expected:
         raise ContractViolationError(
             f"{model.value} expects {expected.__name__}, got {type(params).__name__}"
@@ -144,27 +140,15 @@ def _require_params(model: ModelId, params: ModelParams) -> None:
 def model_technology(model: ModelId, params: ModelParams) -> tuple[CobbDouglasTechnology, FactorBundle]:
     """The (technology, bundle) pair a model delegates to."""
     _require_params(model, params)
-    if model is ModelId.MODEL_I:
-        tech = CobbDouglasTechnology(params.A, (("K_total", params.alpha), ("L", params.beta)))
-        bundle = FactorBundle.of(K_total=params.combined_capital, L=params.L)
-    elif model is ModelId.MODEL_II:
-        tech = CobbDouglasTechnology(
-            params.A, (("K", params.alpha), ("L1", params.beta1), ("L2", params.beta2))
+    tech = CobbDouglasTechnology(
+        params.A, tuple((factor, getattr(params, exponent)) for factor, _, exponent in params.TERMS)
+    )
+    bundle = FactorBundle(
+        tuple(
+            (factor, reduce(add, (getattr(params, base) for base in bases)))
+            for factor, bases, _ in params.TERMS
         )
-        bundle = FactorBundle.of(K=params.K, L1=params.L1, L2=params.L2)
-    else:
-        tech = CobbDouglasTechnology(
-            params.A,
-            (
-                ("K", params.alpha),
-                ("K_AGI", params.gamma),
-                ("L_h", params.beta1),
-                ("L_AGI", params.beta2),
-            ),
-        )
-        bundle = FactorBundle.of(
-            K=params.K, K_AGI=params.K_AGI, L_h=params.L_h, L_AGI=params.L_AGI
-        )
+    )
     return tech, bundle
 
 
@@ -182,9 +166,7 @@ def model_wages(model: ModelId, params: ModelParams) -> dict[str, float]:
     be strictly positive.
     """
     tech, bundle = model_technology(model, params)
-    return {
-        factor: marginal_product(tech, bundle, factor) for factor in _LABOR_FACTORS[model]
-    }
+    return {factor: marginal_product(tech, bundle, factor) for factor in params.LABOR}
 
 
 def power_index_model3(params: ModelIIIParams) -> float:
@@ -273,13 +255,12 @@ def classify_limit(
     LimitProbeError rather than returning a guess.
     """
     _require_params(model, params)
-    terms = _MODEL_TERMS[model]
-    quantity_fields = tuple(field for bases, _ in terms for field in bases)
-    exponent_fields = tuple(field for _, field in terms)
+    quantity_fields = tuple(field for _, bases, _ in params.TERMS for field in bases)
+    exponent_fields = tuple(field for _, _, field in params.TERMS)
     if target not in quantity_fields and target not in exponent_fields:
         raise ContractViolationError(f"{target!r} is not part of the {model.value} expression")
     wage_factor = observable.factor if observable.kind == "wage" else None
-    if wage_factor is not None and wage_factor not in _LABOR_FACTORS[model]:
+    if wage_factor is not None and wage_factor not in params.LABOR:
         raise ContractViolationError(f"{model.value} has no wage for factor {wage_factor!r}")
     for field in quantity_fields:
         if field != target and getattr(params, field) <= 0.0:
@@ -287,14 +268,14 @@ def classify_limit(
                 f"classify_limit needs all non-target quantities strictly positive; {field} is not"
             )
 
-    kind, value = _symbolic_limit(params, terms, target, direction, wage_factor)
-    _confirm_numeric(params, terms, target, direction, wage_factor, kind, value)
+    kind, value = _symbolic_limit(params, target, direction, wage_factor)
+    _confirm_numeric(params, target, direction, wage_factor, kind, value)
     if kind is LimitKind.FINITE:
         return LimitClassification(kind, value)
     return LimitClassification(kind)
 
 
-def _symbolic_limit(params, terms, target, direction, wage_factor):
+def _symbolic_limit(params, target, direction, wage_factor):
     """Reduce the observable to C * v**p * r**v and classify its limit."""
     const = params.A
     poly = 0.0  # net exponent p of the target variable v
@@ -302,14 +283,14 @@ def _symbolic_limit(params, terms, target, direction, wage_factor):
     shifted: list[tuple[float, float]] = []  # (offset, exponent) for (offset + v)**e
 
     if wage_factor is not None:
-        prefactor_field = next(field for bases, field in terms if wage_factor in bases)
+        prefactor_field = next(field for factor, _, field in params.TERMS if factor == wage_factor)
         if target == prefactor_field:
             poly += 1.0
         else:
             const *= getattr(params, prefactor_field)
 
-    for bases, exponent_field in terms:
-        own = wage_factor is not None and wage_factor in bases
+    for factor, bases, exponent_field in params.TERMS:
+        own = factor == wage_factor
         exponent = getattr(params, exponent_field)
         if target == exponent_field:
             base = math.fsum(getattr(params, field) for field in bases)
@@ -349,7 +330,7 @@ def _symbolic_limit(params, terms, target, direction, wage_factor):
     return LimitKind.FINITE, const
 
 
-def _log_magnitude(params, terms, target, wage_factor, v):
+def _log_magnitude(params, target, wage_factor, v):
     """Literal observable at target value v, as (sign, log |value|)."""
     sign = 1.0
     logmag = math.log(params.A)
@@ -358,7 +339,7 @@ def _log_magnitude(params, terms, target, wage_factor, v):
         return v if field == target else getattr(params, field)
 
     if wage_factor is not None:
-        prefactor_field = next(field for bases, field in terms if wage_factor in bases)
+        prefactor_field = next(field for factor, _, field in params.TERMS if factor == wage_factor)
         prefactor = value_of(prefactor_field)
         if prefactor == 0.0:
             return 0.0, -math.inf
@@ -366,8 +347,8 @@ def _log_magnitude(params, terms, target, wage_factor, v):
             sign = -sign
         logmag += math.log(abs(prefactor))
 
-    for bases, exponent_field in terms:
-        own = wage_factor is not None and wage_factor in bases
+    for factor, bases, exponent_field in params.TERMS:
+        own = factor == wage_factor
         exponent = value_of(exponent_field)
         if own:
             exponent -= 1.0
@@ -376,9 +357,9 @@ def _log_magnitude(params, terms, target, wage_factor, v):
     return sign, logmag
 
 
-def _confirm_numeric(params, terms, target, direction, wage_factor, kind, value):
+def _confirm_numeric(params, target, direction, wage_factor, kind, value):
     probes = _PROBES[direction]
-    evaluated = [_log_magnitude(params, terms, target, wage_factor, v) for v in probes]
+    evaluated = [_log_magnitude(params, target, wage_factor, v) for v in probes]
     magnitudes = [logmag for _, logmag in evaluated]
     m0, m1, m2 = magnitudes
 

@@ -1,9 +1,9 @@
 import random
 
-import pytest
 from hypothesis import strategies as st
 
 from agiecon import CobbDouglasTechnology, FactorBundle
+from agiecon.diagnostics import _random_instance
 
 FACTOR_POOL = ("K", "K_AGI", "L_h", "L_AGI", "M")
 
@@ -24,18 +24,4 @@ def seeded_instances(n: int, seed: int):
     """Deterministic random technologies/bundles, quantities in [0.1, 10],
     exponents in [0.05, 1]."""
     rng = random.Random(seed)
-    instances = []
-    for _ in range(n):
-        count = rng.randint(2, 5)
-        names = [f"x{i}" for i in range(count)]
-        tech = CobbDouglasTechnology(
-            rng.uniform(0.5, 3.0), tuple((n_, rng.uniform(0.05, 1.0)) for n_ in names)
-        )
-        bundle = FactorBundle(tuple((n_, rng.uniform(0.1, 10.0)) for n_ in names))
-        instances.append((tech, bundle))
-    return instances
-
-
-@pytest.fixture
-def make_instances():
-    return seeded_instances
+    return [_random_instance(rng) for _ in range(n)]

@@ -40,6 +40,7 @@ from agiecon import (
     run_scenario,
 )
 from agiecon.cli import main
+from agiecon.diagnostics import _random_model3
 from conftest import seeded_instances
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,17 +160,7 @@ def test_criterion_07_power_index_identity():
     rng = random.Random(7)
     worst = 0.0
     for _ in range(500):
-        params = ModelIIIParams(
-            A=rng.uniform(0.5, 3.0),
-            K=rng.uniform(0.1, 10.0),
-            K_AGI=rng.uniform(0.1, 10.0),
-            L_h=rng.uniform(0.1, 10.0),
-            L_AGI=rng.uniform(0.1, 10.0),
-            alpha=rng.uniform(0.05, 1.0),
-            gamma=rng.uniform(0.05, 1.0),
-            beta1=rng.uniform(0.05, 1.0),
-            beta2=rng.uniform(0.05, 1.0),
-        )
+        params = _random_model3(rng)
         expected = params.beta1 / (params.beta1 + params.beta2)
         worst = max(worst, abs(power_index_model3(params) - expected))
     report(7, "wage-based power index equals beta1/(beta1+beta2) within 1e-12 on 500 instances",

@@ -213,6 +213,31 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+class TestUnreadableInput:
+    """Undecodable or oversized input is a one-line config error, not a traceback."""
+
+    def assert_config_error(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(b"[transition]\nlambda = 2\xff\n")
+        self.assert_config_error(capsys, ("sweep", "--config", config, "--out", tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [b"Y,K,L\n1.0,1.0,1.0\xff\n", b"Y,K,L\n" + b"1" * 200_000 + b",1.0,1.0\n"],
+        ids=["undecodable", "oversized-cell"],
+    )
+    def test_unreadable_sample_file(self, tmp_path, capsys, samples):
+        (tmp_path / "samples.csv").write_bytes(samples)
+        config = tmp_path / "fit.ini"
+        config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
+        self.assert_config_error(capsys, ("fit", "--config", config, "--out", tmp_path / "out"))
+
+
 def test_module_entry_point(tmp_path):
     # exercise the installed entry path end to end in a real process
     result = subprocess.run(

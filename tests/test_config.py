@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,8 +13,12 @@ from agiecon.config import (
     parse_config_text,
     render_config,
 )
-from agiecon.models import ModelIIIParams
+from agiecon.models import PARAM_TYPES
 from agiecon.transition import TransitionParams
+
+
+def _keys(model):
+    return [field.name for field in fields(PARAM_TYPES[model])]
 
 
 class TestTransitionSection:
@@ -88,6 +94,21 @@ class TestModelSection:
         with pytest.raises(ConfigError, match=r"\[model\]\.id"):
             parse_config_text("[model]\nid = model_iv\n")
 
+    @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+    @pytest.mark.parametrize("key", sorted({key for model in ModelId for key in _keys(model)}))
+    def test_keys_are_the_params_fields(self, model, key):
+        keys = _keys(model)
+        values = {name: "0.5" for name in keys}
+        if key in keys:
+            del values[key]  # a field of this model is required
+            match = rf"\[model\]\.{key}: missing required key"
+        else:
+            values[key] = "0.5"  # a field of another model is foreign
+            match = rf"\[model\]\.{key}: unknown key"
+        text = f"[model]\nid = {model.value}\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(text)
+
     def test_invariant_violation_located(self):
         text = "[model]\nid = model_i\nA = 0\nK = 1\nK_AGI = 1\nL = 1\nalpha = 0.5\nbeta = 0.5\n"
         with pytest.raises(ConfigError, match=r"\[model\]"):
@@ -156,17 +177,18 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def parsed_configs(draw):
-    params = ModelIIIParams(
-        A=draw(st.floats(0.1, 10.0, **finite)),
-        K=draw(st.floats(0.1, 10.0, **finite)),
-        K_AGI=draw(st.floats(0.1, 10.0, **finite)),
-        L_h=draw(st.floats(0.0, 10.0, **finite)),
-        L_AGI=draw(st.floats(0.0, 10.0, **finite)),
-        alpha=draw(st.floats(-1.0, 1.0, **finite)),
-        gamma=draw(st.floats(-1.0, 1.0, **finite)),
-        beta1=draw(st.floats(0.01, 1.0, **finite)),
-        beta2=draw(st.floats(0.0, 1.0, **finite)),
-    )
+    model_id = draw(st.sampled_from(list(ModelId)))
+    param_type = PARAM_TYPES[model_id]
+    quantities = {base for _, bases, _ in param_type.TERMS for base in bases}
+
+    def value(key):
+        if key == "A":
+            return draw(st.floats(0.1, 10.0, **finite))
+        if key in quantities:
+            return draw(st.floats(0.0, 10.0, **finite))
+        return draw(st.floats(-1.0, 1.0, **finite))  # an exponent
+
+    params = param_type(**{key: value(key) for key in _keys(model_id)})
     transition = TransitionParams(
         w0=draw(st.floats(0.1, 10.0, **finite)),
         w_inf=draw(st.floats(0.0, 10.0, **finite)),
@@ -195,7 +217,7 @@ def parsed_configs(draw):
         )
     )
     return ParsedConfig(
-        model_id=ModelId.MODEL_III,
+        model_id=model_id,
         model_params=params,
         transition=transition,
         n_points=draw(st.integers(2, 500)),

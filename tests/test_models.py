@@ -27,6 +27,7 @@ from agiecon import (
     output,
     power_index_model3,
 )
+from agiecon.diagnostics import _random_model3
 
 mpmath.mp.dps = 50
 
@@ -88,20 +89,6 @@ class TestModelWages:
         params = ModelIParams(A=1, K=1, K_AGI=1, L=0, alpha=0.5, beta=0.5)
         with pytest.raises(NonFiniteDerivativeError):
             model_wages(ModelId.MODEL_I, params)
-
-
-def _random_model3(rng):
-    return ModelIIIParams(
-        A=rng.uniform(0.5, 3.0),
-        K=rng.uniform(0.1, 10.0),
-        K_AGI=rng.uniform(0.1, 10.0),
-        L_h=rng.uniform(0.1, 10.0),
-        L_AGI=rng.uniform(0.1, 10.0),
-        alpha=rng.uniform(0.05, 1.0),
-        gamma=rng.uniform(0.05, 1.0),
-        beta1=rng.uniform(0.05, 1.0),
-        beta2=rng.uniform(0.05, 1.0),
-    )
 
 
 class TestDelegation:
