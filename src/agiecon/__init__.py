@@ -7,7 +7,7 @@ the AGI labor share, time-stepped displacement scenarios, and log-space
 least-squares recovery of technology parameters.
 """
 
-from .calibration import FitResult, Sample, fit_cobb_douglas
+from .calibration import FitResult, Sample, SampleTable, fit_cobb_douglas
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -93,6 +93,7 @@ __all__ = [
     "PowerCurvePoint",
     "RankDeficiencyError",
     "Sample",
+    "SampleTable",
     "ScenarioConfig",
     "SerializationError",
     "SimulationFailureError",

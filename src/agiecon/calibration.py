@@ -8,6 +8,15 @@ deterministic for a fixed sample order and minimizes the log-space
 residual even on borderline designs.  No regularization: the target is
 exact identification on synthetic data, not econometric inference.
 
+The fit reads its samples by column from a ``SampleTable``: the output
+column and one column per named factor, validated once when the table is
+built.  A list of ``Sample`` rows is turned into a table first, so the CLI
+reader and library callers share one path into the solver.  The log-design
+matrix is filled one column at a time with ``math.log`` per value, not with
+``numpy.log``, whose vectorized kernel may round differently from libm in
+the last place; the fitted values are therefore the same bits as a row-by-row
+fill.
+
 numpy is imported inside ``fit_cobb_douglas``, its only user, so the
 other commands do not pay its import time.
 """
@@ -40,6 +49,59 @@ class Sample:
                 raise DomainError(f"sample factor {name!r} must be > 0 (log-transformable)")
 
 
+def _all_positive_finite(column: list[float]) -> bool:
+    """A sufficient test that every value is finite and > 0, in C-level passes.
+
+    ``min`` is nan or <= 0 when some value is; the sum is nan or inf when
+    some value is nan or inf.  The sum can also overflow on valid values,
+    so False only means "look row by row".
+    """
+    return not column or (min(column) > 0.0 and math.isfinite(sum(column)))
+
+
+@dataclass(frozen=True)
+class SampleTable:
+    """Samples by column: the output and one column per named factor.
+
+    Every value must be finite and > 0.  Where the column test fails, the
+    rows are checked in order as ``Sample``s, so the error raised is the one
+    the first bad row's ``FactorBundle`` or ``Sample`` raises.
+    """
+
+    output: list[float]
+    factors: dict[str, list[float]]
+
+    def __post_init__(self) -> None:
+        columns = (self.output, *self.factors.values())
+        if any(len(column) != len(self.output) for column in columns):
+            raise ContractViolationError("sample table columns differ in length")
+        if not all(map(_all_positive_finite, columns)):
+            names = tuple(self.factors)
+            for output, *quantities in zip(*columns):
+                Sample(FactorBundle(tuple(zip(names, quantities))), output)
+
+    def __len__(self) -> int:
+        return len(self.output)
+
+    @classmethod
+    def of(
+        cls, samples: "SampleTable | list[Sample]", factor_names: tuple[str, ...]
+    ) -> "SampleTable":
+        """The table itself, or the named factor columns of a list of samples."""
+        if isinstance(samples, SampleTable):
+            for name in factor_names:
+                if name not in samples.factors:
+                    raise ContractViolationError(f"sample table has no factor {name!r}")
+            return samples
+        return cls(
+            output=[sample.output for sample in samples],
+            factors={
+                name: [sample.bundle.quantity(name) for sample in samples]
+                for name in factor_names
+            },
+        )
+
+
 @dataclass(frozen=True)
 class FitResult:
     tfp_estimate: float
@@ -48,12 +110,15 @@ class FitResult:
     sample_count: int
 
 
-def fit_cobb_douglas(samples: list[Sample], factor_names: list[str] | tuple[str, ...]) -> FitResult:
+def fit_cobb_douglas(
+    samples: SampleTable | list[Sample], factor_names: list[str] | tuple[str, ...]
+) -> FitResult:
     """Least-squares fit of (A, elasticities) over the named factors.
 
     Needs at least len(factor_names) + 1 samples, each carrying every named
-    factor.  Raises RankDeficiencyError when the log design matrix is
-    numerically singular (collinear or constant factors).
+    factor, given as a ``SampleTable`` or a list of ``Sample``s.  Raises
+    RankDeficiencyError when the log design matrix is numerically singular
+    (collinear or constant factors).
     """
     factor_names = tuple(factor_names)
     if not factor_names:
@@ -64,15 +129,15 @@ def fit_cobb_douglas(samples: list[Sample], factor_names: list[str] | tuple[str,
             f"need at least {n_params} samples for {len(factor_names)} factors, got {len(samples)}"
         )
 
+    table = SampleTable.of(samples, factor_names)
+
     import numpy as np
 
-    design = np.empty((len(samples), n_params), dtype=np.float64)
-    target = np.empty(len(samples), dtype=np.float64)
-    for row, sample in enumerate(samples):
-        design[row, 0] = 1.0
-        for col, name in enumerate(factor_names, start=1):
-            design[row, col] = math.log(sample.bundle.quantity(name))
-        target[row] = math.log(sample.output)
+    design = np.empty((len(table), n_params), dtype=np.float64)
+    design[:, 0] = 1.0
+    for col, name in enumerate(factor_names, start=1):
+        design[:, col] = list(map(math.log, table.factors[name]))
+    target = np.array(list(map(math.log, table.output)), dtype=np.float64)
 
     coefficients, _, rank, _ = np.linalg.lstsq(design, target, rcond=_RANK_RCOND)
     if rank < n_params:
@@ -86,5 +151,5 @@ def fit_cobb_douglas(samples: list[Sample], factor_names: list[str] | tuple[str,
             name: float(coefficients[i]) for i, name in enumerate(factor_names, start=1)
         },
         residual_sum_squares=float(residuals @ residuals),
-        sample_count=len(samples),
+        sample_count=len(table),
     )

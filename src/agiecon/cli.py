@@ -21,12 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
+from collections import Counter
 from dataclasses import fields, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .calibration import Sample, fit_cobb_douglas
+from .calibration import Sample, SampleTable, fit_cobb_douglas
 from .config import (
     ParsedConfig,
     build_scenario_config,
@@ -71,8 +73,19 @@ def _build_parser() -> _Parser:
 
 
 def _write(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+
+    A failed write leaves no partial artifact; each command computes every
+    artifact's text before it writes the first one.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
@@ -105,8 +118,6 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     # the SVG overlays the whole family.
     rows = [(p.l_agi, p.w_h, p.w_agi, p.p_h) for p in curves[0][1]]
     body = format_rows(rows, nan_columns=(3,))  # P_h is nan where the index is undefined
-    _write(out_dir / "power_curve.csv", "L_AGI,w_h,w_AGI,P_h\n" + body)
-
     chart = line_chart(
         curves=[
             (f"lambda={lam:g}", [(p.l_agi, p.p_h) for p in points]) for lam, points in curves
@@ -115,6 +126,7 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
         x_label="AGI labor share",
         y_label="human share of labor income",
     )
+    _write(out_dir / "power_curve.csv", "L_AGI,w_h,w_AGI,P_h\n" + body)
     _write(out_dir / "power_curve.svg", chart)
     return 0
 
@@ -148,8 +160,8 @@ def _cmd_fit(parsed: ParsedConfig, out_dir: Path, args) -> int:
     input_path = Path(parsed.fit.input_path)
     if not input_path.is_absolute():
         input_path = Path(args.config).resolve().parent / input_path
-    samples = _read_samples(input_path, parsed.fit.factor_names)
-    result = fit_cobb_douglas(samples, parsed.fit.factor_names)
+    table = _read_samples(input_path, parsed.fit.factor_names)
+    result = fit_cobb_douglas(table, parsed.fit.factor_names)
     lines = ["parameter,value", f"A,{format_number(result.tfp_estimate)}"]
     lines += [
         f"e_{name},{format_number(value)}" for name, value in result.elasticity_estimates.items()
@@ -160,7 +172,7 @@ def _cmd_fit(parsed: ParsedConfig, out_dir: Path, args) -> int:
     return 0
 
 
-def _read_samples(path: Path, factor_names: tuple[str, ...]) -> list[Sample]:
+def _read_samples(path: Path, factor_names: tuple[str, ...]) -> SampleTable:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
@@ -173,22 +185,46 @@ def _read_samples(path: Path, factor_names: tuple[str, ...]) -> list[Sample]:
     header = [cell.strip() for cell in rows[0]]
     if not header or header[0] != "Y":
         raise ConfigError(f"sample file {path}: first column must be Y")
+    duplicates = sorted(name for name, count in Counter(header).items() if count > 1)
+    if duplicates:
+        raise ConfigError(f"sample file {path}: duplicate columns {duplicates}")
     missing = [name for name in factor_names if name not in header[1:]]
     if missing:
         raise ConfigError(f"sample file {path}: missing factor columns {missing}")
-    samples: list[Sample] = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    body = [row for row in rows[1:] if row]
+    columns = _float_columns(header, body)
+    if columns is None:
+        _scan_rows(path, header, rows[1:], factor_names)  # raises at the first bad row
+    return SampleTable(
+        output=columns["Y"], factors={name: columns[name] for name in factor_names}
+    )
+
+
+def _float_columns(header: list[str], body: list[list[str]]) -> dict[str, list[float]] | None:
+    """Each column of ``body`` as floats by header name; None if a row is
+    the wrong width or a cell is not a number."""
+    if not set(map(len, body)) <= {len(header)}:
+        return None
+    try:
+        return {
+            name: list(map(float, map(itemgetter(col), body))) for col, name in enumerate(header)
+        }
+    except ValueError:
+        return None
+
+
+def _scan_rows(path: Path, header: list[str], rows: list[list[str]], factor_names) -> None:
+    """Check the data rows in file order and raise the first row's error."""
+    for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(header):
             raise ConfigError(f"sample file {path}: row {line_no} has {len(row)} cells")
         try:
-            values = {name: float(cell) for name, cell in zip(header, row)}
+            values = dict(zip(header, map(float, row)))
         except ValueError as exc:
             raise ConfigError(f"sample file {path}: row {line_no}: {exc}") from None
-        bundle = FactorBundle(tuple((name, values[name]) for name in factor_names))
-        samples.append(Sample(bundle=bundle, output=values["Y"]))
-    return samples
+        Sample(FactorBundle(tuple((name, values[name]) for name in factor_names)), values["Y"])
 
 
 def _cmd_check(parsed: ParsedConfig, out_dir: Path, args) -> int:

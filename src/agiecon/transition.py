@@ -81,14 +81,21 @@ def human_power(tp: TransitionParams, l_agi: float) -> float:
     """
     l_agi = _check_share(l_agi)
     decay = math.exp(-tp.lam * l_agi)
-    human_income = tp.w0 * decay * (1.0 - l_agi)
-    agi_income = tp.w_inf * (1.0 - decay) * l_agi
-    total = human_income + agi_income
-    if total == 0.0:
-        raise UndefinedIndexError(
-            f"no labor income at l_agi={l_agi!r}: power index undefined"
-        )
-    return human_income / total
+    # Both incomes are taken relative to w0, so subnormal wages keep their
+    # precision.  The zero weights are settled first: then an overflowing
+    # w_inf / w0 never meets a zero weight (inf * 0 is nan), and an
+    # underflowing one never hides the positive AGI income at l_agi = 1.
+    human_income = decay * (1.0 - l_agi)
+    agi_weight = (1.0 - decay) * l_agi
+    if human_income == 0.0:
+        if agi_weight == 0.0 or tp.w_inf == 0.0:
+            raise UndefinedIndexError(
+                f"no labor income at l_agi={l_agi!r}: power index undefined"
+            )
+        return 0.0
+    if agi_weight == 0.0:
+        return 1.0
+    return human_income / (human_income + tp.w_inf / tp.w0 * agi_weight)
 
 
 def power_curve(tp: TransitionParams, n_points: int) -> list[PowerCurvePoint]:

@@ -1,16 +1,23 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agiecon import (
     ContractViolationError,
     DomainError,
+    EconError,
     FactorBundle,
     RankDeficiencyError,
     Sample,
+    SampleTable,
     fit_cobb_douglas,
 )
+from agiecon.cli import _read_samples
 
 
 def generate_samples(n, seed, tfp, elasticities, quantity_range=(0.5, 5.0), noise_sigma=0.0):
@@ -135,3 +142,69 @@ class TestSampleValidation:
     def test_rejects_zero_quantity(self):
         with pytest.raises(DomainError):
             Sample(FactorBundle.of(K=0.0), 1.0)
+
+
+def fit_outcome(samples, factor_names):
+    try:
+        return fit_cobb_douglas(samples, factor_names)
+    except EconError as exc:
+        return type(exc), str(exc)
+
+
+class TestSampleTable:
+    def test_of_is_the_identity_on_a_table(self):
+        table = SampleTable(output=[1.0, 2.0], factors={"K": [1.0, 3.0], "L": [2.0, 4.0]})
+        assert SampleTable.of(table, ("L",)) is table
+
+    def test_of_needs_every_named_factor(self):
+        table = SampleTable(output=[1.0, 2.0, 3.0], factors={"K": [1.0, 3.0, 5.0]})
+        with pytest.raises(ContractViolationError, match="no factor 'L'"):
+            fit_cobb_douglas(table, ["K", "L"])
+
+    def test_of_samples_takes_the_named_columns(self):
+        samples = [Sample(FactorBundle.of(K=1.0, L=2.0, M=5.0), 3.0),
+                   Sample(FactorBundle.of(L=4.0, K=6.0), 7.0)]
+        table = SampleTable.of(samples, ("L", "K"))
+        assert table == SampleTable(output=[3.0, 7.0], factors={"L": [2.0, 4.0], "K": [1.0, 6.0]})
+        assert len(table) == 2
+
+    @pytest.mark.parametrize("column", ["Y", "K", "L"])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_rejects_as_the_first_bad_row_would(self, column, bad):
+        columns = {"Y": [2.0, 3.0, 4.0, 5.0], "K": [1.0, 2.0, 3.0, 4.0], "L": [4.0, 3.0, 2.0, 1.0]}
+        columns[column][2] = bad
+        columns["L"][3] = -1.0  # a later bad row must not be the one reported
+        with pytest.raises(DomainError) as expected:
+            Sample(FactorBundle((("K", columns["K"][2]), ("L", columns["L"][2]))), columns["Y"][2])
+        with pytest.raises(DomainError) as got:
+            SampleTable(output=columns["Y"], factors={"K": columns["K"], "L": columns["L"]})
+        assert str(got.value) == str(expected.value)
+
+    def test_overflowing_column_sum_is_still_valid(self):
+        # the column test is only sufficient: a sum that overflows sends the
+        # table to the row scan, which finds every row valid
+        table = SampleTable(output=[1e308, 1e308, 1.0], factors={"K": [1.0, 2.0, 3.0]})
+        assert len(table) == 3
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(ContractViolationError):
+            SampleTable(output=[1.0, 2.0], factors={"K": [1.0]})
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+            min_size=0,
+            max_size=30,
+        ),
+        st.sampled_from([("K", "L"), ("L", "K"), ("K",)]),
+    )
+    def test_sample_list_and_cli_table_fit_the_same_bits(self, rows, factor_names):
+        samples = [Sample(FactorBundle.of(K=k, L=l), y) for y, k, l in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            lines = ["Y,K,L"] + [",".join(map(repr, row)) for row in rows]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            table = _read_samples(path, factor_names)
+        assert table == SampleTable.of(samples, factor_names)
+        assert fit_outcome(table, factor_names) == fit_outcome(samples, factor_names)

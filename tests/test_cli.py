@@ -1,12 +1,21 @@
+import contextlib
+import csv
+import io
 import math
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agiecon.cli import main
+from agiecon import FactorBundle, Sample, SerializationError, cli
+from agiecon.cli import _write, main
+from agiecon.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -102,6 +111,16 @@ class TestSweep:
         assert first_x == pytest.approx(0.1 * 800, abs=0.01)
         assert first_y == pytest.approx(0.1 * 600, abs=0.01)
 
+    def test_failed_chart_writes_no_csv(self, tmp_path, monkeypatch):
+        # the CSV used to be written before the chart was built
+        def failing_chart(**kwargs):
+            raise SerializationError("chart failed")
+
+        monkeypatch.setattr(cli, "line_chart", failing_chart)
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", out) == 2
+        assert list(out.iterdir()) == []
+
     def test_bad_points_flag(self, tmp_path):
         assert (
             run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path, "--points", 1)
@@ -158,6 +177,128 @@ class TestFit:
         config = tmp_path / "fit.ini"
         config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
         assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 1
+
+    def test_duplicate_column_is_a_config_error(self, tmp_path, capsys):
+        # the later K used to shadow the earlier one, which surfaced as a
+        # rank error (exit 2) about a constant column the user never meant
+        data = tmp_path / "samples.csv"
+        rows = ["Y,K,L,K"] + [f"{1.0 + k},{k},{3.0 + k * k},9" for k in (0.5, 1.0, 1.5, 2.0)]
+        data.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "fit.ini"
+        config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "duplicate columns ['K']" in err
+
+    def test_reads_columns_not_sample_rows(self, tmp_path, monkeypatch):
+        built = []
+        for cls in (FactorBundle, Sample):
+            original = cls.__post_init__
+
+            def counting(self, original=original):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        assert run_cli("fit", "--config", CONFIGS / "fit_demo.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
+        assert built == []
+
+
+def reference_read_samples(path, factor_names):
+    """The row-by-row sample reader: one ``Sample`` per data row, in file order."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"sample file {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"sample file {path} is empty")
+    header = [cell.strip() for cell in rows[0]]
+    if not header or header[0] != "Y":
+        raise ConfigError(f"sample file {path}: first column must be Y")
+    missing = [name for name in factor_names if name not in header[1:]]
+    if missing:
+        raise ConfigError(f"sample file {path}: missing factor columns {missing}")
+    samples = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ConfigError(f"sample file {path}: row {line_no} has {len(row)} cells")
+        try:
+            values = {name: float(cell) for name, cell in zip(header, row)}
+        except ValueError as exc:
+            raise ConfigError(f"sample file {path}: row {line_no}: {exc}") from None
+        bundle = FactorBundle(tuple((name, values[name]) for name in factor_names))
+        samples.append(Sample(bundle=bundle, output=values["Y"]))
+    return samples
+
+
+_GOOD_CELLS = st.floats(0.1, 10.0).map(repr)
+_BAD_CELLS = st.sampled_from(
+    ["abc", "", "nan", "inf", "-inf", "1e999", "0", "-0.0", "-1.5", "5e-324", " 2.5 ",
+     '"3.5"', '"1,5"']
+)
+
+
+@st.composite
+def sample_files(draw):
+    """A small sample CSV with defects injected: widths, cells and blank lines."""
+    header = ["Y", "K", "L"] + (["Z"] if draw(st.booleans()) else [])
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(" ")
+        else:
+            width = len(header) + (kind == 2) - (kind == 3)
+            bad = draw(st.integers(-1, 4 * width - 1))  # one odd cell in about a quarter of rows
+            cells = [draw(_BAD_CELLS if i == bad else _GOOD_CELLS) for i in range(width)]
+            lines.append(",".join(cells))
+    factors = draw(st.sampled_from(["K, L", "L, K", "K"]))
+    return "\n".join(lines) + "\n", factors
+
+
+def run_fit_capturing(config, out):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["fit", "--config", str(config), "--out", str(out)])
+    fit = out / "fit.csv"
+    return code, stderr.getvalue(), fit.read_bytes() if fit.exists() else None
+
+
+class TestSampleReader:
+    @settings(max_examples=150, deadline=None)
+    @given(sample_files())
+    def test_matches_row_by_row_reference(self, drawn):
+        text, factors = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "samples.csv").write_text(text, encoding="utf-8")
+            config = root / "fit.ini"
+            config.write_text(f"[fit]\nfactors = {factors}\ninput = samples.csv\n")
+            got = run_fit_capturing(config, root / "columns")
+            with mock.patch.object(cli, "_read_samples", reference_read_samples):
+                want = run_fit_capturing(config, root / "rows")
+        assert got == want
+        assert got[1].count("\n") == (0 if got[0] == 0 else 1)
+
+
+class TestWrite:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # the file used to be truncated before the failing write
+        target = tmp_path / "fit.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write(target, "new\ud800\n")
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestCheck:

@@ -105,6 +105,22 @@ class TestHumanPower:
         assert human_power(tp, 0.0) == 1.0
         assert power_curve(tp, 3)[0].p_h == 1.0
 
+    def test_subnormal_wages_keep_precision(self):
+        # incomes formed before the ratio lost precision here: 0.36759
+        tp = TransitionParams(w0=1e-320, w_inf=1e-320, lam=2.0)
+        assert human_power(tp, 0.5) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        ("w0", "w_inf", "l", "expected"),
+        [
+            (1e-320, 1e10, 0.0, 1.0),  # w_inf / w0 overflows against a zero weight
+            (1e-320, 1e10, 1.0, 0.0),
+            (1e10, 1e-320, 1.0, 0.0),  # w_inf / w0 underflows, yet AGI income is positive
+        ],
+    )
+    def test_extreme_wage_ratios_keep_the_endpoints(self, w0, w_inf, l, expected):
+        assert human_power(TransitionParams(w0=w0, w_inf=w_inf, lam=2.0), l) == expected
+
     def test_degenerate_asymptote_stays_at_one(self):
         tp = TransitionParams(w0=1, w_inf=0, lam=3)
         for l in (0.0, 0.25, 0.5, 0.99):
