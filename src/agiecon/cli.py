@@ -24,8 +24,8 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import fields, replace
-from operator import attrgetter, itemgetter
+from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 from .calibration import Sample, SampleTable, fit_cobb_douglas
@@ -39,11 +39,9 @@ from .errors import ConfigError, EconError, UndefinedBaselineError, UsageError
 from .formatting import format_number, format_rows
 from .models import model_output, model_wages
 from .production import FactorBundle
-from .scenario import TimeSeriesRecord, detect_collapse, run_scenario
+from .scenario import detect_collapse, run_scenario
 from .svg import line_chart
 from .transition import power_curve
-
-_COMMANDS = ("eval", "sweep", "simulate", "fit", "check")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="agiecon", description=__doc__, add_help=True)
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", required=True, help="path to the config file")
         sub.add_argument("--out", required=True, help="directory for emitted artifacts")
@@ -76,16 +74,24 @@ def _write(path: Path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
 
     A failed write leaves no partial artifact; each command computes every
-    artifact's text before it writes the first one.
+    artifact's text before it writes the first one.  An ``OSError`` becomes
+    a ``UsageError`` naming ``path``.
     """
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(temp, path)
+    except OSError as exc:
+        temp.unlink(missing_ok=True)
+        raise _cannot_write(path, exc) from exc
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def _cannot_write(path: Path, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
@@ -115,9 +121,8 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     ]
 
     # The CSV schema has no lambda column, so it carries the first curve;
-    # the SVG overlays the whole family.
-    rows = [(p.l_agi, p.w_h, p.w_agi, p.p_h) for p in curves[0][1]]
-    body = format_rows(rows, nan_columns=(3,))  # P_h is nan where the index is undefined
+    # the SVG overlays the whole family.  Each point is its own row.
+    body = format_rows(curves[0][1], nan_columns=(3,))  # P_h is nan where the index is undefined
     chart = line_chart(
         curves=[
             (f"lambda={lam:g}", [(p.l_agi, p.p_h) for p in points]) for lam, points in curves
@@ -132,15 +137,14 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
 
 _SERIES_HEADER = "t,s,beta1,beta2,K,K_AGI,L_h,L_AGI,Y,w_h,w_AGI,p_h_elastic,p_h_transition,wage_bill"
-_SERIES_FIELDS = attrgetter(*(f.name for f in fields(TimeSeriesRecord)))  # in header order
 
 
 def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
     cfg = build_scenario_config(parsed)
     series = run_scenario(cfg)
-    rows = list(map(_SERIES_FIELDS, series))
-    # t is an integer; w_AGI and p_h_transition may be nan
-    body = format_rows(rows, integer_columns=(0,), nan_columns=(10, 12))
+    # each record is a row in header order; t is an integer, and w_AGI and
+    # p_h_transition may be nan
+    body = format_rows(series, integer_columns=(0,), nan_columns=(10, 12))
     _write(out_dir / "series.csv", _SERIES_HEADER + "\n" + body)
     try:
         step = detect_collapse(series, cfg.collapse_threshold)
@@ -248,7 +252,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         parsed = parse_config_file(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _cannot_write(out_dir, exc) from exc
         return _DISPATCH[args.command](parsed, out_dir, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

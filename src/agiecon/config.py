@@ -5,11 +5,12 @@ numeric value must parse as a finite decimal):
 
 [model]       id = model_i | model_ii | model_iii, plus every field of that
               model's params dataclass (all required), by symbol name
-[transition]  w0 (default 1), w_inf (default 1), lambda (default 2),
+[transition]  w0, w_inf, lambda (defaults: the TransitionParams fields),
               n_points (default 101)
 [scenario]    horizon (required), adoption = linear|logistic|exp_saturating
-              (default linear), k and t0 (logistic only), r (exp_saturating
-              only), growth (default 0.05), collapse_threshold (default 0.5)
+              (default linear), the keys scenario.ADOPTION_PARAMS gives that
+              path (all required), growth and collapse_threshold (defaults:
+              the ScenarioConfig fields)
 [fit]         factors = comma-separated factor names, input = sample CSV
               path (resolved relative to the config file)
 
@@ -25,14 +26,12 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, DomainError
 from .models import PARAM_TYPES, ModelId, ModelParams
-from .scenario import AdoptionKind, AdoptionPath, ScenarioConfig
+from .scenario import ADOPTION_PARAMS, AdoptionKind, AdoptionPath, ScenarioConfig
 from .transition import TransitionParams
 
 _SECTIONS = ("model", "transition", "scenario", "fit")
 
 DEFAULT_N_POINTS = 101
-DEFAULT_GROWTH = 0.05
-DEFAULT_COLLAPSE_THRESHOLD = 0.5
 
 
 class _SectionReader:
@@ -123,9 +122,10 @@ def _parse_model(reader: _SectionReader) -> tuple[ModelId, ModelParams]:
 
 
 def _parse_transition(reader: _SectionReader) -> tuple[TransitionParams, int]:
-    w0 = reader.take_float("w0", 1.0)
-    w_inf = reader.take_float("w_inf", 1.0)
-    lam = reader.take_float("lambda", 2.0)
+    # a dataclass field's default is its class attribute
+    w0 = reader.take_float("w0", TransitionParams.w0)
+    w_inf = reader.take_float("w_inf", TransitionParams.w_inf)
+    lam = reader.take_float("lambda", TransitionParams.lam)
     n_points = reader.take_int("n_points", DEFAULT_N_POINTS)
     reader.finish()
     if n_points < 2:
@@ -146,21 +146,15 @@ def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
     except ValueError:
         choices = ", ".join(k.value for k in AdoptionKind)
         raise ConfigError(f"[scenario].adoption: expected one of {choices}, got {kind_raw!r}") from None
+    values = {key: reader.take_float(key) for key in ADOPTION_PARAMS[kind]}
     try:
-        if kind is AdoptionKind.LOGISTIC:
-            k = reader.take_float("k")
-            t0 = reader.take_float("t0")
-            adoption = AdoptionPath.logistic(k=k, t0=t0)
-            if t0 > horizon:
-                raise ConfigError(f"[scenario].t0: must lie in [0, horizon={horizon}], got {t0}")
-        elif kind is AdoptionKind.EXP_SATURATING:
-            adoption = AdoptionPath.exp_saturating(r=reader.take_float("r"))
-        else:
-            adoption = AdoptionPath.linear()
+        adoption = AdoptionPath(kind, **values)
     except DomainError as exc:
         raise ConfigError(f"[scenario]: {exc}") from exc
-    growth = reader.take_float("growth", DEFAULT_GROWTH)
-    threshold = reader.take_float("collapse_threshold", DEFAULT_COLLAPSE_THRESHOLD)
+    if adoption.t0 is not None and adoption.t0 > horizon:
+        raise ConfigError(f"[scenario].t0: must lie in [0, horizon={horizon}], got {adoption.t0}")
+    growth = reader.take_float("growth", ScenarioConfig.agi_capital_growth)
+    threshold = reader.take_float("collapse_threshold", ScenarioConfig.collapse_threshold)
     reader.finish()
     if growth < 0.0:
         raise ConfigError(f"[scenario].growth: must be >= 0, got {growth}")
@@ -279,12 +273,10 @@ def render_config(parsed: ParsedConfig) -> str:
     if parsed.scenario is not None:
         lines.append("[scenario]")
         lines.append(f"horizon = {parsed.scenario.horizon}")
-        lines.append(f"adoption = {parsed.scenario.adoption.kind.value}")
-        if parsed.scenario.adoption.kind is AdoptionKind.LOGISTIC:
-            lines.append(f"k = {parsed.scenario.adoption.k!r}")
-            lines.append(f"t0 = {parsed.scenario.adoption.t0!r}")
-        elif parsed.scenario.adoption.kind is AdoptionKind.EXP_SATURATING:
-            lines.append(f"r = {parsed.scenario.adoption.r!r}")
+        adoption = parsed.scenario.adoption
+        lines.append(f"adoption = {adoption.kind.value}")
+        for key in ADOPTION_PARAMS[adoption.kind]:
+            lines.append(f"{key} = {getattr(adoption, key)!r}")
         lines.append(f"growth = {parsed.scenario.growth!r}")
         lines.append(f"collapse_threshold = {parsed.scenario.collapse_threshold!r}")
         lines.append("")

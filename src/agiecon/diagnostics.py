@@ -79,6 +79,17 @@ def _random_model3(rng: random.Random) -> ModelIIIParams:
     )
 
 
+def _central_difference(tech: CobbDouglasTechnology, bundle: FactorBundle, name: str) -> float:
+    """Two-sided difference quotient of ``output`` in factor ``name``, step 1e-6 * x."""
+    x = bundle.quantity(name)
+    h = 1e-6 * x
+
+    def output_at(value: float) -> float:
+        return output(tech, FactorBundle(tuple({**dict(bundle.entries), name: value}.items())))
+
+    return (output_at(x + h) - output_at(x - h)) / (2.0 * h)
+
+
 def _euler_sweep(n: int, seed: int) -> float:
     rng = random.Random(seed)
     worst = 0.0
@@ -95,16 +106,7 @@ def _gradient_sweep(n: int, seed: int) -> float:
     for _ in range(n):
         tech, bundle = _random_instance(rng)
         name = rng.choice(tech.factor_names())
-        x = bundle.quantity(name)
-        h = 1e-6 * x
-        up = dict(bundle.entries)
-        down = dict(bundle.entries)
-        up[name] = x + h
-        down[name] = x - h
-        numeric = (
-            output(tech, FactorBundle(tuple(up.items())))
-            - output(tech, FactorBundle(tuple(down.items())))
-        ) / (2.0 * h)
+        numeric = _central_difference(tech, bundle, name)
         analytic = marginal_product(tech, bundle, name)
         worst = max(worst, abs(numeric - analytic) / abs(analytic))
     return worst

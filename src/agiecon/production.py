@@ -61,9 +61,6 @@ class FactorBundle:
     def of(cls, **quantities: float) -> "FactorBundle":
         return cls(tuple(quantities.items()))
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
     def quantity(self, name: str) -> float:
         for factor, value in self.entries:
             if factor == name:

@@ -32,8 +32,9 @@ exp-saturating normalizer) are computed once per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     ContractViolationError,
@@ -58,6 +59,16 @@ class AdoptionKind(Enum):
     EXP_SATURATING = "exp_saturating"
 
 
+# The parameters each adoption path takes, in config order; a path is
+# validated and a [scenario] section is read and written through this table.
+ADOPTION_PARAMS = {
+    AdoptionKind.LINEAR: (),
+    AdoptionKind.LOGISTIC: ("k", "t0"),
+    AdoptionKind.EXP_SATURATING: ("r",),
+}
+_PATH_PARAMS = tuple(name for takes in ADOPTION_PARAMS.values() for name in takes)
+
+
 @dataclass(frozen=True)
 class AdoptionPath:
     """Exogenous adoption share path; s(0) = 0 and s(horizon) = 1 for all kinds.
@@ -74,28 +85,22 @@ class AdoptionPath:
     r: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is AdoptionKind.LOGISTIC:
-            if self.k is None or self.t0 is None:
-                raise DomainError("logistic adoption needs k and t0")
-            object.__setattr__(self, "k", float(self.k))
-            object.__setattr__(self, "t0", float(self.t0))
-            if not math.isfinite(self.k) or self.k <= 0.0:
-                raise DomainError(f"logistic steepness k must be > 0, got {self.k!r}")
-            if not math.isfinite(self.t0) or self.t0 < 0.0:
-                raise DomainError(f"logistic midpoint t0 must be finite and >= 0, got {self.t0!r}")
-            if self.r is not None:
-                raise DomainError("logistic adoption does not take r")
-        elif self.kind is AdoptionKind.EXP_SATURATING:
-            if self.r is None:
-                raise DomainError("exp_saturating adoption needs r")
-            object.__setattr__(self, "r", float(self.r))
-            if not math.isfinite(self.r) or self.r <= 0.0:
-                raise DomainError(f"exp_saturating rate r must be > 0, got {self.r!r}")
-            if self.k is not None or self.t0 is not None:
-                raise DomainError("exp_saturating adoption does not take k or t0")
-        else:
-            if self.k is not None or self.t0 is not None or self.r is not None:
-                raise DomainError("linear adoption takes no parameters")
+        takes = ADOPTION_PARAMS[self.kind]
+        if any(getattr(self, name) is None for name in takes):
+            raise DomainError(f"{self.kind.value} adoption needs {' and '.join(takes)}")
+        foreign = [
+            name for name in _PATH_PARAMS if name not in takes and getattr(self, name) is not None
+        ]
+        if foreign:
+            raise DomainError(f"{self.kind.value} adoption does not take {' or '.join(foreign)}")
+        for name in takes:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.k is not None and (not math.isfinite(self.k) or self.k <= 0.0):
+            raise DomainError(f"logistic steepness k must be > 0, got {self.k!r}")
+        if self.t0 is not None and (not math.isfinite(self.t0) or self.t0 < 0.0):
+            raise DomainError(f"logistic midpoint t0 must be finite and >= 0, got {self.t0!r}")
+        if self.r is not None and (not math.isfinite(self.r) or self.r <= 0.0):
+            raise DomainError(f"exp_saturating rate r must be > 0, got {self.r!r}")
 
     @classmethod
     def linear(cls) -> "AdoptionPath":
@@ -176,8 +181,7 @@ class ScenarioConfig:
     collapse_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) or self.horizon < 1:
-            raise DomainError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        _adoption_curve(self.adoption, self.horizon)  # checks the horizon too
         p0 = self.initial_model3
         if p0.beta1 <= 0.0:
             raise DomainError("initial beta1 must be > 0 so there is elasticity to transfer")
@@ -193,11 +197,9 @@ class ScenarioConfig:
         if not (0.0 < theta <= 1.0):
             raise DomainError(f"collapse_threshold must lie in (0, 1], got {theta!r}")
         object.__setattr__(self, "collapse_threshold", theta)
-        _adoption_curve(self.adoption, self.horizon)
 
 
-@dataclass(frozen=True)
-class TimeSeriesRecord:
+class TimeSeriesRecord(NamedTuple):
     """One simulation step.  w_agi is NaN at s = 0 when beta2_0 > 0 (vanished
     factor with positive elasticity); p_h_transition is NaN where the
     exogenous index is undefined."""
@@ -216,18 +218,6 @@ class TimeSeriesRecord:
     p_h_elastic: float
     p_h_transition: float
     wage_bill: float
-
-
-_RECORD_FIELDS = tuple(field.name for field in fields(TimeSeriesRecord))
-
-
-def _record(*values) -> TimeSeriesRecord:
-    """``TimeSeriesRecord(*values)`` at half the cost: the frozen dataclass
-    ``__init__`` makes one ``object.__setattr__`` call per field, this fills
-    the instance dict in one update.  The record has no ``__post_init__``."""
-    record = object.__new__(TimeSeriesRecord)
-    record.__dict__.update(zip(_RECORD_FIELDS, values))
-    return record
 
 
 def _factor_wage(y: float, x: float, elasticity: float) -> float:
@@ -276,7 +266,7 @@ def _step(cfg: ScenarioConfig, t: int, s: float) -> TimeSeriesRecord:
             raise SimulationFailureError(f"step {t}: {label} is not finite ({value!r})")
     if math.isinf(w_agi):
         raise SimulationFailureError(f"step {t}: w_agi is not finite ({w_agi!r})")
-    return _record(
+    return TimeSeriesRecord(
         t, s, beta1_t, beta2_t, p0.K, k_agi, l_h, s, y, w_h, w_agi, p_h_elastic, p_h_transition,
         wage_bill,
     )

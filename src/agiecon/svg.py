@@ -27,24 +27,25 @@ _PALETTE = (
 
 _TICKS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
+_WIDTH = 800
+_HEIGHT = 600
+
 
 def line_chart(
     curves: list[tuple[str, list[tuple[float, float]]]],
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 800,
-    height: int = 600,
 ) -> str:
     """Chart of unit-square data (x and y both in [0, 1]).
 
     One polyline per (label, points) curve plus a legend entry for each;
     NaN points are skipped.  Axes carry six labeled ticks.
     """
-    left = 0.1 * width
-    right = 0.9 * width
-    top = 0.1 * height
-    bottom = 0.9 * height
+    left = 0.1 * _WIDTH
+    right = 0.9 * _WIDTH
+    top = 0.1 * _HEIGHT
+    bottom = 0.9 * _HEIGHT
 
     def px(x: float) -> float:
         return left + x * (right - left)
@@ -53,10 +54,10 @@ def line_chart(
         return bottom - y * (bottom - top)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text class="title" x="{width / 2:.2f}" y="{top - 18:.2f}" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text class="title" x="{_WIDTH / 2:.2f}" y="{top - 18:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="18">{escape(title)}</text>',
         f'<line class="axis" x1="{left:.2f}" y1="{bottom:.2f}" x2="{right:.2f}" y2="{bottom:.2f}" '
         f'stroke="#000000" stroke-width="1.5"/>',

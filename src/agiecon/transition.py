@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, UndefinedIndexError
 
@@ -41,8 +42,7 @@ class TransitionParams:
             raise DomainError(f"lambda must be a positive finite real, got {self.lam!r}")
 
 
-@dataclass(frozen=True)
-class PowerCurvePoint:
+class PowerCurvePoint(NamedTuple):
     """One grid point; p_h is NaN where the index is undefined (0/0)."""
 
     l_agi: float

@@ -40,7 +40,7 @@ from agiecon import (
     run_scenario,
 )
 from agiecon.cli import main
-from agiecon.diagnostics import _random_model3
+from agiecon.diagnostics import _central_difference, _random_model3
 from conftest import seeded_instances
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,14 +142,7 @@ def test_criterion_06_gradient_correctness():
     rng = random.Random(6)
     for tech, bundle in seeded_instances(1000, seed=6):
         name = rng.choice(tech.factor_names())
-        x = bundle.quantity(name)
-        h = 1e-6 * x
-        up, down = dict(bundle.entries), dict(bundle.entries)
-        up[name], down[name] = x + h, x - h
-        numeric = (
-            output(tech, FactorBundle(tuple(up.items())))
-            - output(tech, FactorBundle(tuple(down.items())))
-        ) / (2.0 * h)
+        numeric = _central_difference(tech, bundle, name)
         analytic = marginal_product(tech, bundle, name)
         worst = max(worst, abs(numeric - analytic) / abs(analytic))
     report(6, "analytic marginal products match central differences within 1e-6",

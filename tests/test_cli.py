@@ -354,6 +354,30 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a one-line usage error, not a traceback."""
+
+    def assert_cannot_write(self, capsys, argv, path):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {path}: ") and err.count("\n") == 1
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        # out_dir.mkdir used to escape as a FileExistsError traceback
+        out = tmp_path / "F"
+        out.write_text("kept\n")
+        argv = ("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", out)
+        self.assert_cannot_write(capsys, argv, out)
+        assert out.read_text() == "kept\n"
+
+    def test_artifact_path_is_a_directory(self, tmp_path, capsys):
+        target = tmp_path / "power_curve.csv"
+        target.mkdir()
+        argv = ("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path)
+        self.assert_cannot_write(capsys, argv, target)
+        assert list(tmp_path.iterdir()) == [target]  # no temp file, no SVG
+
+
 class TestUnreadableInput:
     """Undecodable or oversized input is a one-line config error, not a traceback."""
 

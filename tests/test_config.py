@@ -14,6 +14,7 @@ from agiecon.config import (
     render_config,
 )
 from agiecon.models import PARAM_TYPES
+from agiecon.scenario import ADOPTION_PARAMS
 from agiecon.transition import TransitionParams
 
 
@@ -129,6 +130,23 @@ class TestScenarioSection:
     def test_inapplicable_path_parameter_rejected(self):
         with pytest.raises(ConfigError, match=r"\[scenario\]\.r"):
             parse_config_text("[scenario]\nhorizon = 10\nadoption = linear\nr = 0.5\n")
+
+    @pytest.mark.parametrize("kind", list(AdoptionKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("key", ["k", "t0", "r"])
+    def test_keys_are_the_adoption_params(self, kind, key):
+        takes = ADOPTION_PARAMS[kind]
+        values = {name: "0.5" for name in takes}
+        if key in takes:
+            del values[key]  # a parameter the path takes is required
+            match = rf"\[scenario\]\.{key}: missing required key"
+        else:
+            values[key] = "0.5"  # a parameter of another path is foreign
+            match = rf"\[scenario\]\.{key}: unknown key"
+        text = f"[scenario]\nhorizon = 10\nadoption = {kind.value}\n" + "".join(
+            f"{k} = {v}\n" for k, v in values.items()
+        )
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(text)
 
     def test_t0_must_fit_horizon(self):
         text = "[scenario]\nhorizon = 10\nadoption = logistic\nk = 1\nt0 = 11\n"

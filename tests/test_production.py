@@ -19,6 +19,7 @@ from agiecon import (
     NonFiniteOutputError,
     output,
 )
+from agiecon.diagnostics import _central_difference
 from conftest import seeded_instances, tech_bundles
 
 mpmath.mp.dps = 50
@@ -30,19 +31,6 @@ def mp_output(tech, bundle):
     for name, e in tech.elasticities:
         y *= mpmath.mpf(bundle.quantity(name)) ** mpmath.mpf(e)
     return float(y)
-
-
-def central_difference(tech, bundle, name, rel_step=1e-6):
-    x = bundle.quantity(name)
-    h = rel_step * x
-    up = dict(bundle.entries)
-    down = dict(bundle.entries)
-    up[name] = x + h
-    down[name] = x - h
-    return (
-        output(tech, FactorBundle(tuple(up.items())))
-        - output(tech, FactorBundle(tuple(down.items())))
-    ) / (2.0 * h)
 
 
 class TestOutput:
@@ -92,7 +80,7 @@ class TestMarginalProduct:
         bundle = FactorBundle.of(K=4.0, L=9.0)
         mp = marginal_product(tech, bundle, "L")
         assert mp == pytest.approx(0.5 * 12.0 / 9.0, rel=1e-15)
-        assert mp == pytest.approx(central_difference(tech, bundle, "L"), rel=1e-8)
+        assert mp == pytest.approx(_central_difference(tech, bundle, "L"), rel=1e-8)
 
     def test_zero_quantity_raises(self):
         tech = CobbDouglasTechnology.of(1.0, K=0.5)
@@ -199,4 +187,4 @@ def test_gradient_matches_central_difference(tech_bundle, index):
     names = tech.factor_names()
     name = names[index % len(names)]
     analytic = marginal_product(tech, bundle, name)
-    assert analytic == pytest.approx(central_difference(tech, bundle, name), rel=1e-6)
+    assert analytic == pytest.approx(_central_difference(tech, bundle, name), rel=1e-6)

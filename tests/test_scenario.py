@@ -25,7 +25,7 @@ from agiecon import (
     output,
     run_scenario,
 )
-from agiecon.scenario import _sigmoid, _step
+from agiecon.scenario import ADOPTION_PARAMS, _sigmoid, _step
 
 mpmath.mp.dps = 50
 
@@ -109,6 +109,20 @@ class TestAdoptionShare:
         with pytest.raises(DomainError):
             AdoptionPath(AdoptionKind.LINEAR, k=1.0)
 
+    @pytest.mark.parametrize("kind", list(AdoptionKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("key", ["k", "t0", "r"])
+    def test_parameters_are_the_adoption_params(self, kind, key):
+        takes = ADOPTION_PARAMS[kind]
+        values = {name: 0.5 for name in takes}
+        if key in takes:
+            del values[key]
+            match = rf"^{kind.value} adoption needs {' and '.join(takes)}$"
+        else:
+            values[key] = 0.5
+            match = rf"^{kind.value} adoption does not take {key}$"
+        with pytest.raises(DomainError, match=match):
+            AdoptionPath(kind, **values)
+
 
 class TestRunScenario:
     def test_first_record_reproduces_initial_params(self):
@@ -173,9 +187,9 @@ class TestRunScenario:
         # with g = 0 the record depends on t only through s
         cfg = make_config(growth=0.0, horizon=50)
         records = [_step(cfg, t, 0.0) for t in range(5)]
-        reference = dataclasses.asdict(records[0])
+        reference = records[0]._asdict()
         for record in records[1:]:
-            current = dataclasses.asdict(record)
+            current = record._asdict()
             assert {k: v for k, v in current.items() if k != "t"} == {
                 k: v for k, v in reference.items() if k != "t"
             }
@@ -212,7 +226,7 @@ class TestRunScenario:
 class TestDetectCollapse:
     def test_constant_series_never_collapses(self):
         series = run_scenario(make_config(growth=0.0, horizon=8))
-        constant = [dataclasses.replace(r, w_h=0.4) for r in series]
+        constant = [r._replace(w_h=0.4) for r in series]
         assert detect_collapse(constant, 0.5) is None
 
     def test_first_crossing_located(self):

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from agiecon import (
@@ -54,9 +54,14 @@ class TestHumanWage:
             human_wage(TransitionParams(), 1.5)
 
     @given(transition_params, st.floats(0.0, 1.0), st.floats(0.001, 0.5))
+    @example(TransitionParams(w0=1.0, w_inf=1.0, lam=0.5), 0.9999999999999999, 0.5)
     def test_strictly_decreasing(self, tp, l, step):
+        # upper is clipped to 1, which can be one ulp above l; exp(-lam * l)
+        # then rounds to the same float at both ends, so strictness is only
+        # asked of steps that move the exponent by far more than an ulp
         upper = min(l + step, 1.0)
-        if upper > l:
+        assert human_wage(tp, upper) <= human_wage(tp, l)
+        if upper - l >= 1e-9:
             assert human_wage(tp, upper) < human_wage(tp, l)
 
 
