@@ -19,6 +19,7 @@ flags and the config file.  Repeated runs emit byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -30,6 +31,7 @@ from pathlib import Path
 
 from .calibration import Sample, SampleTable, fit_cobb_douglas
 from .config import (
+    MAX_N_POINTS,
     ParsedConfig,
     build_scenario_config,
     parse_config_file,
@@ -71,23 +73,54 @@ def _build_parser() -> _Parser:
 
 
 def _write(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+    """Write one artifact through ``_write_all``."""
+    _write_all({path: text})
 
-    A failed write leaves no partial artifact; each command computes every
-    artifact's text before it writes the first one.  An ``OSError`` becomes
-    a ``UsageError`` naming ``path``.
+
+def _write_all(artifacts: dict[Path, str]) -> None:
+    """Write every artifact or, on failure, leave each path as it was.
+
+    Each text goes to a temp file beside its path; only once all are written
+    are they renamed into place, in order.  If a rename fails, those already
+    done are undone: a file that was there before is restored from a hard
+    link taken just before its rename, and a new one is removed (as is one
+    whose old file could not be linked).  Each command computes every
+    artifact's text before it calls this.  An ``OSError`` becomes a
+    ``UsageError`` naming the path it struck.
     """
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    pid = os.getpid()
+    staged = [(path, path.with_name(f".{path.name}.{pid}.tmp")) for path in artifacts]
+    backups: list[Path] = []
+    placed: list[tuple[Path, Path | None]] = []
     try:
-        with open(temp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(temp, path)
-    except OSError as exc:
-        temp.unlink(missing_ok=True)
-        raise _cannot_write(path, exc) from exc
-    except BaseException:
-        temp.unlink(missing_ok=True)
+        for path, temp in staged:
+            failing = path
+            with open(temp, "w", encoding="utf-8", newline="") as handle:
+                handle.write(artifacts[path])
+        for path, temp in staged:
+            failing = path
+            backup: Path | None = path.with_name(f".{path.name}.{pid}.old")
+            try:
+                os.link(path, backup, follow_symlinks=False)
+            except OSError:  # no old file, or one that cannot be linked
+                backup = None
+            else:
+                backups.append(backup)
+            os.replace(temp, path)
+            placed.append((path, backup))
+    except BaseException as exc:
+        for path, backup in reversed(placed):
+            with contextlib.suppress(OSError):  # the first failure is the one reported
+                if backup is None:
+                    path.unlink()
+                else:
+                    os.replace(backup, path)
+        if isinstance(exc, OSError):
+            raise _cannot_write(failing, exc) from exc
         raise
+    finally:
+        for path in [temp for _, temp in staged] + backups:
+            path.unlink(missing_ok=True)
 
 
 def _cannot_write(path: Path, exc: OSError) -> UsageError:
@@ -108,8 +141,8 @@ def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
 def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     n_points = parsed.n_points
     if args.points is not None:
-        if args.points < 2:
-            raise UsageError(f"--points must be >= 2, got {args.points}")
+        if not 2 <= args.points <= MAX_N_POINTS:
+            raise UsageError(f"--points must lie in [2, {MAX_N_POINTS}], got {args.points}")
         n_points = args.points
     lambdas = args.lambdas if args.lambdas else [parsed.transition.lam]
     for lam in lambdas:
@@ -131,8 +164,12 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
         x_label="AGI labor share",
         y_label="human share of labor income",
     )
-    _write(out_dir / "power_curve.csv", "L_AGI,w_h,w_AGI,P_h\n" + body)
-    _write(out_dir / "power_curve.svg", chart)
+    _write_all(
+        {
+            out_dir / "power_curve.csv": "L_AGI,w_h,w_AGI,P_h\n" + body,
+            out_dir / "power_curve.svg": chart,
+        }
+    )
     return 0
 
 

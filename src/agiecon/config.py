@@ -6,7 +6,7 @@ numeric value must parse as a finite decimal):
 [model]       id = model_i | model_ii | model_iii, plus every field of that
               model's params dataclass (all required), by symbol name
 [transition]  w0, w_inf, lambda (defaults: the TransitionParams fields),
-              n_points (default 101)
+              n_points (default 101, at most MAX_N_POINTS)
 [scenario]    horizon (required), adoption = linear|logistic|exp_saturating
               (default linear), the keys scenario.ADOPTION_PARAMS gives that
               path (all required), growth and collapse_threshold (defaults:
@@ -32,6 +32,9 @@ from .transition import TransitionParams
 _SECTIONS = ("model", "transition", "scenario", "fit")
 
 DEFAULT_N_POINTS = 101
+# A grid point and its CSV row take a few hundred bytes, so this bound keeps
+# one curve within a few GB; a larger value is an error, not a MemoryError.
+MAX_N_POINTS = 10_000_000
 
 
 class _SectionReader:
@@ -128,8 +131,10 @@ def _parse_transition(reader: _SectionReader) -> tuple[TransitionParams, int]:
     lam = reader.take_float("lambda", TransitionParams.lam)
     n_points = reader.take_int("n_points", DEFAULT_N_POINTS)
     reader.finish()
-    if n_points < 2:
-        raise ConfigError(f"[transition].n_points: must be >= 2, got {n_points}")
+    if not 2 <= n_points <= MAX_N_POINTS:
+        raise ConfigError(
+            f"[transition].n_points: must lie in [2, {MAX_N_POINTS}], got {n_points}"
+        )
     try:
         return TransitionParams(w0=w0, w_inf=w_inf, lam=lam), n_points
     except DomainError as exc:

@@ -85,6 +85,8 @@ class AdoptionPath:
     r: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, AdoptionKind):
+            raise DomainError(f"adoption kind must be an AdoptionKind, got {self.kind!r}")
         takes = ADOPTION_PARAMS[self.kind]
         if any(getattr(self, name) is None for name in takes):
             raise DomainError(f"{self.kind.value} adoption needs {' and '.join(takes)}")

@@ -31,6 +31,31 @@ _WIDTH = 800
 _HEIGHT = 600
 
 
+def _pixel_extremes(points: list[tuple[float, float]], columns: list[int]) -> list:
+    """The points of each run of consecutive equal ``columns`` that can change a pixel.
+
+    M4 aggregation (Jugel et al., PVLDB 7(10), 2014): a run of more than four
+    points keeps its first, last, lowest-y and highest-y point (the earliest
+    of tied extremes), in their original order; a shorter run is kept whole.
+    A polyline through the kept points spans each pixel column over the same
+    vertical extent, and joins neighbouring columns by the same segments, as
+    one through every point.
+    """
+    kept = []
+    start = 0
+    ends = [i for i in range(1, len(columns)) if columns[i] != columns[i - 1]]
+    for end in [*ends, len(columns)]:
+        run = points[start:end]
+        if len(run) <= 4:
+            kept += run
+        else:
+            ys = [y for _, y in run]
+            picks = {0, ys.index(min(ys)), ys.index(max(ys)), len(run) - 1}
+            kept += [run[i] for i in sorted(picks)]
+        start = end
+    return kept
+
+
 def line_chart(
     curves: list[tuple[str, list[tuple[float, float]]]],
     title: str,
@@ -40,7 +65,10 @@ def line_chart(
     """Chart of unit-square data (x and y both in [0, 1]).
 
     One polyline per (label, points) curve plus a legend entry for each;
-    NaN points are skipped.  Axes carry six labeled ticks.
+    NaN points are skipped.  Axes carry six labeled ticks.  Of each run of
+    consecutive points in one pixel column, floor(px(x)), at most the first,
+    last, lowest and highest are drawn, so a dense curve costs about four
+    vertices per column; a run of at most four points is drawn whole.
     """
     left = 0.1 * _WIDTH
     right = 0.9 * _WIDTH
@@ -97,10 +125,10 @@ def line_chart(
 
     for index, (label, points) in enumerate(curves):
         color = _PALETTE[index % len(_PALETTE)]
+        drawn = [(x, y) for x, y in points if not (math.isnan(x) or math.isnan(y))]
         coords = " ".join(
             f"{px(x):.2f},{py(y):.2f}"
-            for x, y in points
-            if not (math.isnan(x) or math.isnan(y))
+            for x, y in _pixel_extremes(drawn, [math.floor(px(x)) for x, _ in drawn])
         )
         lines.append(
             f'<polyline class="curve" fill="none" stroke="{color}" stroke-width="2" '

@@ -104,22 +104,31 @@ def power_curve(tp: TransitionParams, n_points: int) -> list[PowerCurvePoint]:
     Points where the index is undefined carry p_h = NaN instead of
     poisoning the whole curve.  The grid is uniform on purpose: output is
     deterministic and golden-file friendly.
+
+    Each point is the tuple (l_agi, human_wage, agi_wage, human_power or
+    NaN), bit for bit: the loop evaluates one exp per point and derives all
+    three values from it with the single-point functions' expressions, in
+    their order.  The grid needs no share check, since i / (n - 1) lies in
+    [0, 1].
     """
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 2:
         raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
+    w0, w_inf, neg_lam = tp.w0, tp.w_inf, -tp.lam
+    wage_ratio = w_inf / w0  # human_power's w_inf / w0 * agi_weight, left to right
+    exp, nan, last = math.exp, math.nan, n_points - 1
+    make = tuple.__new__  # skips PowerCurvePoint's keyword handling
     points: list[PowerCurvePoint] = []
+    append = points.append
     for i in range(n_points):
-        l_agi = i / (n_points - 1)
-        try:
-            p_h = human_power(tp, l_agi)
-        except UndefinedIndexError:
-            p_h = math.nan
-        points.append(
-            PowerCurvePoint(
-                l_agi=l_agi,
-                w_h=human_wage(tp, l_agi),
-                w_agi=agi_wage(tp, l_agi),
-                p_h=p_h,
-            )
-        )
+        l_agi = i / last
+        decay = exp(neg_lam * l_agi)
+        human_income = decay * (1.0 - l_agi)
+        agi_weight = (1.0 - decay) * l_agi
+        if human_income == 0.0:
+            p_h = nan if agi_weight == 0.0 or w_inf == 0.0 else 0.0
+        elif agi_weight == 0.0:
+            p_h = 1.0
+        else:
+            p_h = human_income / (human_income + wage_ratio * agi_weight)
+        append(make(PowerCurvePoint, (l_agi, w0 * decay, w_inf * (1.0 - decay), p_h)))
     return points

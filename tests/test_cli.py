@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from agiecon import FactorBundle, Sample, SerializationError, cli
 from agiecon.cli import _write, main
+from agiecon.config import MAX_N_POINTS
 from agiecon.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +127,17 @@ class TestSweep:
             run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path, "--points", 1)
             == 1
         )
+
+    def test_points_above_the_bound_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(cli, "power_curve", no_grid)
+        argv = ("--config", CONFIGS / "sweep_default.ini", "--out", tmp_path)
+        assert run_cli("sweep", *argv, "--points", MAX_N_POINTS + 1) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: --points must lie in [2, {MAX_N_POINTS}], got {MAX_N_POINTS + 1}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -376,6 +388,21 @@ class TestUnwritableOutput:
         argv = ("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path)
         self.assert_cannot_write(capsys, argv, target)
         assert list(tmp_path.iterdir()) == [target]  # no temp file, no SVG
+
+    @pytest.mark.parametrize("old_csv", [None, "old\n"], ids=["fresh", "existing"])
+    def test_second_artifact_failing_undoes_the_first(self, tmp_path, capsys, old_csv):
+        # the CSV used to be renamed into place before the SVG rename failed
+        csv_path, svg_path = tmp_path / "power_curve.csv", tmp_path / "power_curve.svg"
+        svg_path.mkdir()
+        if old_csv is not None:
+            csv_path.write_text(old_csv)
+        argv = ("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path)
+        self.assert_cannot_write(capsys, argv, svg_path)
+        if old_csv is None:
+            assert sorted(tmp_path.iterdir()) == [svg_path]
+        else:
+            assert sorted(tmp_path.iterdir()) == [csv_path, svg_path]
+            assert csv_path.read_text() == old_csv
 
 
 class TestUnreadableInput:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from agiecon import AdoptionKind, AdoptionPath, ConfigError, ModelId
 from agiecon.config import (
+    MAX_N_POINTS,
     FitSpec,
     ParsedConfig,
     ScenarioSection,
@@ -49,6 +50,13 @@ class TestTransitionSection:
     def test_n_points_minimum(self):
         with pytest.raises(ConfigError, match="n_points"):
             parse_config_text("[transition]\nn_points = 1\n")
+
+    def test_n_points_maximum(self):
+        # parsing allocates no grid, so the bound itself can be tested
+        parsed = parse_config_text(f"[transition]\nn_points = {MAX_N_POINTS}\n")
+        assert parsed.n_points == MAX_N_POINTS
+        with pytest.raises(ConfigError, match=rf"n_points: must lie in \[2, {MAX_N_POINTS}\]"):
+            parse_config_text(f"[transition]\nn_points = {MAX_N_POINTS + 1}\n")
 
 
 MODEL3_TEXT = """

@@ -109,6 +109,11 @@ class TestAdoptionShare:
         with pytest.raises(DomainError):
             AdoptionPath(AdoptionKind.LINEAR, k=1.0)
 
+    def test_kind_must_be_an_adoption_kind(self):
+        # the string used to escape as a KeyError from the ADOPTION_PARAMS lookup
+        with pytest.raises(DomainError, match="AdoptionKind, got 'linear'"):
+            AdoptionPath("linear")
+
     @pytest.mark.parametrize("kind", list(AdoptionKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("key", ["k", "t0", "r"])
     def test_parameters_are_the_adoption_params(self, kind, key):

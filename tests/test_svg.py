@@ -1,0 +1,102 @@
+import math
+import re
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from agiecon import TransitionParams, power_curve
+from agiecon.svg import line_chart
+
+# the plot rectangle inside the chart's 10 % margins, by the chart's own expressions
+LEFT, RIGHT = 0.1 * 800, 0.9 * 800
+TOP, BOTTOM = 0.1 * 600, 0.9 * 600
+
+
+def chart_vertices(points):
+    """The "x,y" vertices of the one polyline a chart of ``points`` draws."""
+    svg = line_chart(curves=[("c", points)], title="t", x_label="x", y_label="y")
+    (coords,) = re.findall(r'<polyline class="curve"[^>]* points="([^"]*)"', svg)
+    return coords.split()
+
+
+def full_polyline(points):
+    """Every non-NaN point as (pixel column, "x,y" vertex, py): the undecimated polyline."""
+    return [
+        (
+            math.floor(LEFT + x * (RIGHT - LEFT)),
+            f"{LEFT + x * (RIGHT - LEFT):.2f},{BOTTOM - y * (BOTTOM - TOP):.2f}",
+            BOTTOM - y * (BOTTOM - TOP),
+        )
+        for x, y in points
+        if not (math.isnan(x) or math.isnan(y))
+    ]
+
+
+def column_runs(full):
+    """Index ranges of the runs of consecutive vertices in one pixel column."""
+    runs, start = [], 0
+    for i in range(1, len(full) + 1):
+        if i == len(full) or full[i][0] != full[start][0]:
+            runs.append(range(start, i))
+            start = i
+    return runs
+
+
+@st.composite
+def dense_curves(draw):
+    """Curves on a grid of 1/64000 steps: 100 grid x per pixel column, so each
+    vertex string is unique and the SVG can be read back point by point."""
+    step = draw(st.sampled_from([1, 2, 3, 7, 30, 101]))
+    n = draw(st.integers(1, min(2000, 64000 // step + 1)))
+    start = draw(st.integers(0, 64000 - step * (n - 1)))
+    xs = [(start + step * i) / 64000 for i in range(n)]
+    kind = draw(st.sampled_from(["rising", "falling", "any"]))
+    ys = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    if kind != "any":
+        ys.sort(reverse=kind == "falling")
+    points = list(zip(xs, ys))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n // 10)):
+        x, y = points[i]
+        points[i] = (math.nan, y) if i % 2 else (x, math.nan)
+    return points
+
+
+def assert_columns_keep_ends_and_extremes(points):
+    """In each pixel column the chart keeps the undecimated polyline's first
+    and last vertex and its lowest and highest py, and nothing else."""
+    full = full_polyline(points)
+    index = {vertex: i for i, (_, vertex, _) in enumerate(full)}
+    assert len(index) == len(full)
+    kept = [index[vertex] for vertex in chart_vertices(points)]
+    assert kept == sorted(set(kept))  # a subsequence of the undecimated polyline
+    kept_set = set(kept)
+    for run in column_runs(full):
+        mine = [i for i in run if i in kept_set]
+        if len(run) <= 4:
+            assert mine == list(run)
+            continue
+        assert len(mine) <= 4
+        assert mine[0] == run[0] and mine[-1] == run[-1]
+        assert min(full[i][2] for i in mine) == min(full[i][2] for i in run)
+        assert max(full[i][2] for i in mine) == max(full[i][2] for i in run)
+
+
+@given(dense_curves())
+def test_each_pixel_column_keeps_its_ends_and_extremes(points):
+    assert_columns_keep_ends_and_extremes(points)
+
+
+@pytest.mark.parametrize("n", [2, 101, 641])
+@pytest.mark.parametrize("w_inf", [0.0, 1.0])
+def test_at_most_641_grid_points_are_drawn_whole(n, w_inf):
+    # a uniform grid this coarse puts at most 4 points in a pixel column
+    for lam in (0.5, 2.0, 10.0):
+        points = [(p.l_agi, p.p_h) for p in power_curve(TransitionParams(1.0, w_inf, lam), n)]
+        assert chart_vertices(points) == [vertex for _, vertex, _ in full_polyline(points)]
+
+
+def test_dense_power_curve_keeps_at_most_four_vertices_per_column():
+    points = [(p.l_agi, p.p_h) for p in power_curve(TransitionParams(1.0, 2.0, 3.0), 50000)]
+    assert_columns_keep_ends_and_extremes(points)
+    assert len(chart_vertices(points)) <= 4 * 641

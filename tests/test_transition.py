@@ -1,4 +1,5 @@
 import math
+import struct
 
 import mpmath
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from agiecon import (
     DomainError,
+    PowerCurvePoint,
     TransitionParams,
     UndefinedIndexError,
     agi_wage,
@@ -181,6 +183,39 @@ class TestPowerCurve:
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
             power_curve(TransitionParams(), 1)
+
+
+def reference_point(tp, l):
+    """One grid point through the public single-point functions."""
+    try:
+        p_h = human_power(tp, l)
+    except UndefinedIndexError:
+        p_h = math.nan
+    return (l, human_wage(tp, l), agi_wage(tp, l), p_h)
+
+
+# the extremes make w_inf / w0 overflow or underflow, and lam = 1000 makes
+# the decay underflow to 0 from l = 0.746 on, before the grid reaches l = 1
+wide_transition_params = st.builds(
+    TransitionParams,
+    w0=st.one_of(st.floats(0.1, 10.0), st.sampled_from([1e-320, 1e10])),
+    w_inf=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.sampled_from([1e-320, 1e10])),
+    lam=st.one_of(st.floats(0.1, 20.0), st.just(1000.0)),
+)
+
+
+@given(wide_transition_params, st.integers(2, 400))
+@example(TransitionParams(w0=1, w_inf=0, lam=2), 2)
+@example(TransitionParams(w0=1, w_inf=0, lam=1000), 101)
+@example(TransitionParams(w0=1, w_inf=1, lam=1000), 2)
+def test_fused_curve_matches_the_single_point_functions_exactly(tp, n):
+    points = power_curve(tp, n)
+    assert len(points) == n
+    for i, point in enumerate(points):
+        assert type(point) is PowerCurvePoint
+        want = reference_point(tp, i / (n - 1))
+        # bit for bit: 0.0 and -0.0 differ, and nan matches only nan
+        assert struct.pack("<4d", *point) == struct.pack("<4d", *want)
 
 
 class TestParamValidation:
