@@ -12,10 +12,10 @@ The fit reads its samples by column from a ``SampleTable``: the output
 column and one column per named factor, validated once when the table is
 built.  A list of ``Sample`` rows is turned into a table first, so the CLI
 reader and library callers share one path into the solver.  The log-design
-matrix is filled one column at a time with ``math.log`` per value, not with
-``numpy.log``, whose vectorized kernel may round differently from libm in
-the last place; the fitted values are therefore the same bits as a row-by-row
-fill.
+matrix is filled one column at a time by ``numpy.fromiter`` over
+``map(math.log, column)``, with no intermediate list, not with ``numpy.log``,
+whose vectorized kernel may round differently from libm in the last place;
+the fitted values are therefore the same bits as a row-by-row fill.
 
 numpy is imported inside ``fit_cobb_douglas``, its only user, so the
 other commands do not pay its import time.
@@ -26,7 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractViolationError, DomainError, RankDeficiencyError
+from .errors import (
+    ContractViolationError,
+    DomainError,
+    NonFiniteOutputError,
+    RankDeficiencyError,
+)
 from .production import FactorBundle
 
 _RANK_RCOND = 1e-10
@@ -118,7 +123,8 @@ def fit_cobb_douglas(
     Needs at least len(factor_names) + 1 samples, each carrying every named
     factor, given as a ``SampleTable`` or a list of ``Sample``s.  Raises
     RankDeficiencyError when the log design matrix is numerically singular
-    (collinear or constant factors).
+    (collinear or constant factors), and NonFiniteOutputError when the
+    fitted ln A is too large for A to be a finite float.
     """
     factor_names = tuple(factor_names)
     if not factor_names:
@@ -133,11 +139,12 @@ def fit_cobb_douglas(
 
     import numpy as np
 
-    design = np.empty((len(table), n_params), dtype=np.float64)
+    n = len(table)
+    design = np.empty((n, n_params), dtype=np.float64)
     design[:, 0] = 1.0
     for col, name in enumerate(factor_names, start=1):
-        design[:, col] = list(map(math.log, table.factors[name]))
-    target = np.array(list(map(math.log, table.output)), dtype=np.float64)
+        design[:, col] = np.fromiter(map(math.log, table.factors[name]), np.float64, n)
+    target = np.fromiter(map(math.log, table.output), np.float64, n)
 
     coefficients, _, rank, _ = np.linalg.lstsq(design, target, rcond=_RANK_RCOND)
     if rank < n_params:
@@ -145,8 +152,15 @@ def fit_cobb_douglas(
             f"design matrix rank {rank} < {n_params}: collinear or constant log-factors"
         )
     residuals = design @ coefficients - target
+    log_tfp = float(coefficients[0])
+    try:
+        tfp = math.exp(log_tfp)
+    except OverflowError:
+        raise NonFiniteOutputError(
+            f"fitted ln A = {log_tfp!r} overflows a float: A has no finite value"
+        ) from None
     return FitResult(
-        tfp_estimate=math.exp(float(coefficients[0])),
+        tfp_estimate=tfp,
         elasticity_estimates={
             name: float(coefficients[i]) for i, name in enumerate(factor_names, start=1)
         },

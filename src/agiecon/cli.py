@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import math
 import os
 import sys
 from collections import Counter
 from dataclasses import replace
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 
 from .calibration import Sample, SampleTable, fit_cobb_douglas
@@ -213,45 +214,106 @@ def _cmd_fit(parsed: ParsedConfig, out_dir: Path, args) -> int:
     return 0
 
 
+# The flat reader splits a file this many characters at a time (a few
+# thousand lines), so it never holds a list of every line or row.
+_CHUNK_CHARS = 1 << 16
+
+
 def _read_samples(path: Path, factor_names: tuple[str, ...]) -> SampleTable:
+    """The named columns of a sample CSV, read in one flat pass if it can be.
+
+    A file without ``"``, ``\\r`` or NUL (the only characters on which the
+    csv module's excel dialect and ``str.split`` differ), with a good header
+    and only numbers in well-formed rows, is read by ``_plain_chunks``.  Any
+    other file goes through ``csv.reader`` and ``_scan_rows``, so its error
+    is the one the first bad row raises.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
+    values = None
+    if not ('"' in text or "\r" in text or "\0" in text):
+        header_line = text.partition("\n")[0]
+        header = [cell.strip() for cell in header_line.split(",")]
+        if (
+            len(header_line) <= csv.field_size_limit()
+            and _header_problem(header, factor_names) is None
+        ):
+            values = _flat_floats(_plain_chunks(text, len(header_line) + 1, len(header)))
+    if values is None:
+        header, values = _csv_values(path, text, factor_names)
+    width = len(header)
+    return SampleTable(
+        output=values[0::width],
+        factors={name: values[header.index(name) :: width] for name in factor_names},
+    )
+
+
+def _header_problem(header: list[str], factor_names: tuple[str, ...]) -> str | None:
+    """What is wrong with a sample file's header, or None."""
+    if not header or header[0] != "Y":
+        return "first column must be Y"
+    duplicates = sorted(name for name, count in Counter(header).items() if count > 1)
+    if duplicates:
+        return f"duplicate columns {duplicates}"
+    missing = [name for name in factor_names if name not in header[1:]]
+    if missing:
+        return f"missing factor columns {missing}"
+    return None
+
+
+def _plain_chunks(text: str, start: int, width: int):
+    """The cells of the non-empty lines of ``text`` from ``start``, a chunk at
+    a time; raises ValueError at a chunk with a line of other than ``width``
+    cells or one longer than the csv module's field size limit."""
+    commas, limit = width - 1, csv.field_size_limit()
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS)
+        if end < 0:
+            end = len(text)
+        lines = list(filter(None, text[start:end].split("\n")))
+        start = end + 1
+        if set(map(str.count, lines, repeat(","))) - {commas}:
+            raise ValueError("a line has the wrong cell count")
+        if max(map(len, lines), default=0) > limit:
+            raise ValueError("a line is longer than the csv module takes")
+        yield ",".join(lines).split(",")
+
+
+def _flat_floats(chunks) -> list[float] | None:
+    """Every cell of every chunk of cells, in order, as one list of floats;
+    None if a cell is not a number or a chunk raises ValueError."""
+    values: list[float] = []
+    try:
+        for cells in chunks:
+            values += map(float, cells)
+    except ValueError:
+        return None
+    return values
+
+
+def _csv_values(
+    path: Path, text: str, factor_names: tuple[str, ...]
+) -> tuple[list[str], list[float]]:
+    """The header and the row-major cells of ``text`` read by ``csv.reader``;
+    raises the error of the header or of the first bad row."""
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise ConfigError(f"sample file {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"sample file {path} is empty")
     header = [cell.strip() for cell in rows[0]]
-    if not header or header[0] != "Y":
-        raise ConfigError(f"sample file {path}: first column must be Y")
-    duplicates = sorted(name for name, count in Counter(header).items() if count > 1)
-    if duplicates:
-        raise ConfigError(f"sample file {path}: duplicate columns {duplicates}")
-    missing = [name for name in factor_names if name not in header[1:]]
-    if missing:
-        raise ConfigError(f"sample file {path}: missing factor columns {missing}")
+    problem = _header_problem(header, factor_names)
+    if problem is not None:
+        raise ConfigError(f"sample file {path}: {problem}")
     body = [row for row in rows[1:] if row]
-    columns = _float_columns(header, body)
-    if columns is None:
+    values = _flat_floats(body) if set(map(len, body)) <= {len(header)} else None
+    if values is None:
         _scan_rows(path, header, rows[1:], factor_names)  # raises at the first bad row
-    return SampleTable(
-        output=columns["Y"], factors={name: columns[name] for name in factor_names}
-    )
-
-
-def _float_columns(header: list[str], body: list[list[str]]) -> dict[str, list[float]] | None:
-    """Each column of ``body`` as floats by header name; None if a row is
-    the wrong width or a cell is not a number."""
-    if not set(map(len, body)) <= {len(header)}:
-        return None
-    try:
-        return {
-            name: list(map(float, map(itemgetter(col), body))) for col, name in enumerate(header)
-        }
-    except ValueError:
-        return None
+    return header, values
 
 
 def _scan_rows(path: Path, header: list[str], rows: list[list[str]], factor_names) -> None:

@@ -7,10 +7,10 @@ numeric value must parse as a finite decimal):
               model's params dataclass (all required), by symbol name
 [transition]  w0, w_inf, lambda (defaults: the TransitionParams fields),
               n_points (default 101, at most MAX_N_POINTS)
-[scenario]    horizon (required), adoption = linear|logistic|exp_saturating
-              (default linear), the keys scenario.ADOPTION_PARAMS gives that
-              path (all required), growth and collapse_threshold (defaults:
-              the ScenarioConfig fields)
+[scenario]    horizon (required, at most MAX_HORIZON), adoption =
+              linear|logistic|exp_saturating (default linear), the keys
+              scenario.ADOPTION_PARAMS gives that path (all required), growth
+              and collapse_threshold (defaults: the ScenarioConfig fields)
 [fit]         factors = comma-separated factor names, input = sample CSV
               path (resolved relative to the config file)
 
@@ -35,6 +35,10 @@ DEFAULT_N_POINTS = 101
 # A grid point and its CSV row take a few hundred bytes, so this bound keeps
 # one curve within a few GB; a larger value is an error, not a MemoryError.
 MAX_N_POINTS = 10_000_000
+# A scenario step peaks at about 1.3 kB of heap (its record, its floats and
+# its share of the CSV text), so this bound keeps one run near 1.3 GB; a
+# larger horizon is an error, not a MemoryError or an hours-long run.
+MAX_HORIZON = 1_000_000
 
 
 class _SectionReader:
@@ -143,8 +147,8 @@ def _parse_transition(reader: _SectionReader) -> tuple[TransitionParams, int]:
 
 def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
     horizon = reader.take_int("horizon")
-    if horizon < 1:
-        raise ConfigError(f"[scenario].horizon: must be >= 1, got {horizon}")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ConfigError(f"[scenario].horizon: must lie in [1, {MAX_HORIZON}], got {horizon}")
     kind_raw = reader.take("adoption", "linear").strip()
     try:
         kind = AdoptionKind(kind_raw)
@@ -193,7 +197,8 @@ def parse_config_text(text: str) -> ParsedConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+        # configparser's message spans lines; the CLI reports errors in one
+        raise ConfigError(f"malformed config: {' '.join(str(exc).split())}") from exc
     if parser.defaults():
         raise ConfigError("[DEFAULT] section is not supported")
     for section in parser.sections():

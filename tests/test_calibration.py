@@ -12,6 +12,7 @@ from agiecon import (
     DomainError,
     EconError,
     FactorBundle,
+    NonFiniteOutputError,
     RankDeficiencyError,
     Sample,
     SampleTable,
@@ -97,6 +98,15 @@ class TestFit:
         ]
         with pytest.raises(RankDeficiencyError):
             fit_cobb_douglas(samples, ["K", "L"])
+
+    def test_tfp_past_the_float_range_is_an_error(self):
+        # ln A = 744.4 / ln 1.5 * ln 2, far past ln of the largest float
+        samples = [
+            Sample(FactorBundle.of(K=3.0), 5e-324),
+            Sample(FactorBundle.of(K=2.0), 1.0),
+        ]
+        with pytest.raises(NonFiniteOutputError, match="overflows a float"):
+            fit_cobb_douglas(samples, ["K"])
 
     def test_residual_optimality(self):
         truth = {"K": 0.5, "L": 0.3}

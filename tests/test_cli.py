@@ -2,21 +2,33 @@ import contextlib
 import csv
 import io
 import math
+import random
 import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agiecon import FactorBundle, Sample, SerializationError, cli
+from agiecon import (
+    AdoptionKind,
+    FactorBundle,
+    ModelId,
+    Sample,
+    SampleTable,
+    SerializationError,
+    cli,
+)
 from agiecon.cli import _write, main
-from agiecon.config import MAX_N_POINTS
+from agiecon.config import MAX_HORIZON, MAX_N_POINTS
 from agiecon.errors import ConfigError
+from agiecon.models import PARAM_TYPES
+from agiecon.scenario import ADOPTION_PARAMS
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -160,6 +172,21 @@ class TestSimulate:
         config.write_text("[scenario]\nhorizon = 5\n")
         assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 1
 
+    def test_horizon_above_the_bound_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the scenario must not run")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        config = tmp_path / "long.ini"
+        text = (CONFIGS / "simulate_demo.ini").read_text()
+        config.write_text(text.replace("horizon = 20", f"horizon = {MAX_HORIZON + 1}"))
+        assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: [scenario].horizon: must lie in [1, {MAX_HORIZON}],"
+            f" got {MAX_HORIZON + 1}\n"
+        )
+
 
 class TestFit:
     def test_golden_bytes(self, tmp_path):
@@ -253,28 +280,42 @@ def reference_read_samples(path, factor_names):
 _GOOD_CELLS = st.floats(0.1, 10.0).map(repr)
 _BAD_CELLS = st.sampled_from(
     ["abc", "", "nan", "inf", "-inf", "1e999", "0", "-0.0", "-1.5", "5e-324", " 2.5 ",
-     '"3.5"', '"1,5"']
+     '"3.5"', '"1,5"', "1.5\0", "\0"]
 )
+# A file whose every line ends in LF takes the flat reader; CR ends send it
+# through the csv module.
+_LINE_ENDS = st.sampled_from([("\n",)] * 3 + [("\r\n",), ("\r",), ("\n", "\r\n", "\r")])
 
 
 @st.composite
 def sample_files(draw):
-    """A small sample CSV with defects injected: widths, cells and blank lines."""
-    header = ["Y", "K", "L"] + (["Z"] if draw(st.booleans()) else [])
+    """A small sample CSV with defects injected: widths, cells, quotes, NULs,
+    line ends, blank lines and lines of only spaces or only commas."""
+    names = ["Y", "K", "L"] + (["Z"] if draw(st.booleans()) else [])
+    width = len(names)
+    # a quoted header cell, sometimes one that holds a comma
+    quoted = st.sampled_from(['"{}"', '"{}"', '"{},Q"'])
+    header = [draw(quoted).format(n) if draw(st.integers(0, 7)) == 0 else n for n in names]
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.integers(0, 15))
+        kind = draw(st.integers(0, 17))
         if kind == 0:
             lines.append("")
         elif kind == 1:
-            lines.append(" ")
+            lines.append(" " * draw(st.integers(1, 3)))
+        elif kind == 2:
+            lines.append("," * draw(st.integers(1, width)))
         else:
-            width = len(header) + (kind == 2) - (kind == 3)
-            bad = draw(st.integers(-1, 4 * width - 1))  # one odd cell in about a quarter of rows
-            cells = [draw(_BAD_CELLS if i == bad else _GOOD_CELLS) for i in range(width)]
+            row_width = width + (kind == 3) - (kind == 4)
+            bad = draw(st.integers(-1, 4 * row_width - 1))  # one odd cell in about a quarter of rows
+            cells = [draw(_BAD_CELLS if i == bad else _GOOD_CELLS) for i in range(row_width)]
             lines.append(",".join(cells))
+    line_ends = st.sampled_from(draw(_LINE_ENDS))
+    ends = [draw(line_ends) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final newline
     factors = draw(st.sampled_from(["K, L", "L, K", "K"]))
-    return "\n".join(lines) + "\n", factors
+    return "".join(line + end for line, end in zip(lines, ends)), factors
 
 
 def run_fit_capturing(config, out):
@@ -285,21 +326,177 @@ def run_fit_capturing(config, out):
     return code, stderr.getvalue(), fit.read_bytes() if fit.exists() else None
 
 
+def write_fit_config(root, samples, factors="K, L"):
+    (root / "samples.csv").write_text(samples, encoding="utf-8", newline="")
+    config = root / "fit.ini"
+    config.write_text(f"[fit]\nfactors = {factors}\ninput = samples.csv\n")
+    return config
+
+
 class TestSampleReader:
     @settings(max_examples=150, deadline=None)
-    @given(sample_files())
-    def test_matches_row_by_row_reference(self, drawn):
+    @given(sample_files(), st.sampled_from([1, 16, 1 << 16]))
+    # a subnormal output drives the fitted ln A past what exp can hold
+    @example(("Y,K,L\n5e-324,3.0,1.0\n1.0,2.0,1.0\n", "K"), 1)
+    def test_matches_row_by_row_reference(self, drawn, chunk_chars):
         text, factors = drawn
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            (root / "samples.csv").write_text(text, encoding="utf-8")
-            config = root / "fit.ini"
-            config.write_text(f"[fit]\nfactors = {factors}\ninput = samples.csv\n")
-            got = run_fit_capturing(config, root / "columns")
+            config = write_fit_config(root, text, factors)
+            with mock.patch.object(cli, "_CHUNK_CHARS", chunk_chars):
+                got = run_fit_capturing(config, root / "columns")
             with mock.patch.object(cli, "_read_samples", reference_read_samples):
                 want = run_fit_capturing(config, root / "rows")
         assert got == want
         assert got[1].count("\n") == (0 if got[0] == 0 else 1)
+
+    def count_csv_readers(self, monkeypatch):
+        calls = []
+        original = csv.reader
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", counting)
+        return calls
+
+    def test_plain_file_is_read_without_the_csv_module(self, tmp_path, monkeypatch):
+        calls = self.count_csv_readers(monkeypatch)
+        assert run_cli("fit", "--config", CONFIGS / "fit_demo.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
+        assert calls == []
+
+    def test_one_quoted_cell_sends_the_file_to_the_csv_module(self, tmp_path, monkeypatch):
+        calls = self.count_csv_readers(monkeypatch)
+        header, first, *rest = (CONFIGS / "fit_samples.csv").read_text().splitlines()
+        y, others = first.split(",", 1)
+        text = "\n".join([header, f'"{y}",{others}', *rest]) + "\n"
+        config = write_fit_config(tmp_path, text)
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 0
+        assert (tmp_path / "out" / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
+        assert len(calls) == 1
+
+    def test_first_bad_row_past_the_first_chunk(self, tmp_path, capsys):
+        rows = ["Y,K,L"] + [f"{1.0 + i % 7},{1.0 + i % 5},{1.0 + i % 3}" for i in range(15_000)]
+        bad_line = 12_000  # lines are numbered from 1, the header first
+        rows[bad_line - 1] = "2.0,3.0"
+        rows[bad_line + 999] = "2.0,abc,3.0"  # a later bad row is not the one reported
+        assert len("\n".join(rows[: bad_line - 1])) > 2 * cli._CHUNK_CHARS
+        config = write_fit_config(tmp_path, "\n".join(rows) + "\n")
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: sample file {tmp_path / 'samples.csv'}: row {bad_line} has 2 cells\n"
+
+    def test_many_chunks_read_the_same_columns(self, tmp_path):
+        rng = random.Random(3)
+        rows = ["Y,L,K,Z"]
+        for _ in range(20_000):
+            rows.append(",".join(repr(rng.uniform(0.5, 5.0)) for _ in range(4)))
+            if rng.random() < 0.05:
+                rows.append("")  # a blank line, now and then at a chunk edge
+        path = tmp_path / "samples.csv"
+        path.write_text("\n".join(rows), encoding="utf-8")
+        table = cli._read_samples(path, ("K", "L"))
+        want = SampleTable.of(reference_read_samples(path, ("K", "L")), ("K", "L"))
+        assert len(table) == 20_000
+        assert table.output == want.output and table.factors == want.factors
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+# Good values stay small where they size the work: horizon <= 200 steps,
+# n_points <= 1000.  Garbage holds no digits, so it never parses as a large
+# integer.
+_GOOD_VALUES = {
+    "id": st.sampled_from([m.value for m in ModelId]),
+    "A": _number(0.1, 10.0),
+    **dict.fromkeys(["K", "K_AGI", "L", "L1", "L2", "L_h", "L_AGI"], _number(0.01, 10.0)),
+    **dict.fromkeys(["alpha", "beta", "gamma", "beta1", "beta2"], _number(0.0, 0.6)),
+    "w0": _number(0.1, 10.0),
+    "w_inf": _number(0.0, 10.0),
+    "lambda": _number(0.1, 20.0),
+    "n_points": st.integers(2, 1000).map(str),
+    "horizon": st.integers(1, 200).map(str),
+    "adoption": st.sampled_from([k.value for k in AdoptionKind]),
+    "k": _number(0.1, 5.0),
+    "t0": _number(0.0, 200.0),
+    "r": _number(0.1, 5.0),
+    "growth": _number(0.0, 0.5),
+    "collapse_threshold": _number(0.01, 1.0),
+    "factors": st.sampled_from(["K, L", "L, K", "K", "K, K", "M"]),
+    "input": st.sampled_from(["samples.csv", "missing.csv"]),
+}
+_GARBAGE = st.one_of(
+    st.sampled_from(
+        ["", "abc", "nan", "inf", "-inf", "1e999", "-1", "0", "1e308", "5e-324", "%(x)s", "1,2"]
+    ),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6),
+)
+_RARELY = st.sampled_from([False] * 19 + [True])  # integers(0, 19) == 0 favours 0
+_SECTION_KEYS = {
+    "transition": ("w0", "w_inf", "lambda", "n_points"),
+    "fit": ("factors", "input"),
+    "extra": ("x",),
+}
+
+
+@st.composite
+def config_documents(draw):
+    """A config document mixing every section, known and unknown keys, and
+    good and garbage values."""
+
+    def value(key):
+        garbage = draw(_RARELY) or key not in _GOOD_VALUES
+        return draw(_GARBAGE if garbage else _GOOD_VALUES[key])
+
+    sections = [name for name in ("model", "transition", "scenario", "fit") if draw(st.booleans())]
+    # now and then an unknown, an unsupported or a repeated section
+    sections += [name for name in ("extra", "DEFAULT", "model") if draw(_RARELY)]
+    lines = []
+    for section in draw(st.permutations(sections)):
+        entries = {}
+        if section == "model":
+            entries["id"] = value("id")
+            known = {m.value: m for m in ModelId}.get(entries["id"])
+            keys = [f.name for f in fields(PARAM_TYPES[known])] if known else ["A", "K"]
+        elif section == "scenario":
+            entries["horizon"], entries["adoption"] = value("horizon"), value("adoption")
+            known = {k.value: k for k in AdoptionKind}.get(entries["adoption"])
+            keys = [*ADOPTION_PARAMS.get(known, ()), "growth", "collapse_threshold"]
+        else:
+            keys = _SECTION_KEYS.get(section, ())
+        for key in keys:
+            if not draw(_RARELY):  # a required key is now and then missing
+                entries[key] = value(key)
+        if draw(_RARELY):
+            entries[draw(st.sampled_from(["bogus", "lam", "k", "K"]))] = value("k")
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {val}" for key, val in entries.items()]
+    return "\n".join(lines) + "\n"
+
+
+_COMMANDS = ("eval", "sweep", "simulate", "fit", "check")
+
+
+class TestConfigDocuments:
+    @settings(max_examples=60, deadline=None)
+    @given(config_documents(), st.sampled_from(_COMMANDS))
+    @example("[transition]\nw0 = 1\nlambda\n", "sweep")  # a line that is not key = value
+    def test_main_returns_an_exit_status(self, document, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "samples.csv").write_bytes((CONFIGS / "fit_samples.csv").read_bytes())
+            config = root / "doc.ini"
+            config.write_text(document, encoding="utf-8")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", str(config), "--out", str(root / "out")])
+        assert code in (0, 1, 2)
+        # a malformed document used to print configparser's multi-line message
+        assert stderr.getvalue().count("\n") == (0 if code == 0 else 1)
 
 
 class TestWrite:
@@ -428,6 +625,18 @@ class TestUnreadableInput:
         config = tmp_path / "fit.ini"
         config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
         self.assert_config_error(capsys, ("fit", "--config", config, "--out", tmp_path / "out"))
+
+
+    def test_undecodable_sample_file_names_the_byte_offset(self, tmp_path, capsys):
+        # the position used to count from the start of the last 8 KiB read
+        samples = b"Y,K,L\n" + b"1.0,1.0,1.0\n" * 2000 + b"\xff\n"
+        (tmp_path / "samples.csv").write_bytes(samples)
+        config = tmp_path / "fit.ini"
+        config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read sample file ") and err.count("\n") == 1
+        assert f"in position {len(samples) - 2}: " in err
 
 
 def test_module_entry_point(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from agiecon import AdoptionKind, AdoptionPath, ConfigError, ModelId
 from agiecon.config import (
+    MAX_HORIZON,
     MAX_N_POINTS,
     FitSpec,
     ParsedConfig,
@@ -155,6 +156,14 @@ class TestScenarioSection:
         )
         with pytest.raises(ConfigError, match=match):
             parse_config_text(text)
+
+    def test_horizon_bounds(self):
+        # parsing runs no scenario, so the bound itself can be tested
+        parsed = parse_config_text(f"[scenario]\nhorizon = {MAX_HORIZON}\n")
+        assert parsed.scenario.horizon == MAX_HORIZON
+        for horizon in (0, MAX_HORIZON + 1):
+            with pytest.raises(ConfigError, match=rf"horizon: must lie in \[1, {MAX_HORIZON}\]"):
+                parse_config_text(f"[scenario]\nhorizon = {horizon}\n")
 
     def test_t0_must_fit_horizon(self):
         text = "[scenario]\nhorizon = 10\nadoption = logistic\nk = 1\nt0 = 11\n"
