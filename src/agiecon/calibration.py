@@ -24,7 +24,6 @@ other commands do not pay its import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ContractViolationError,
@@ -33,12 +32,12 @@ from .errors import (
     RankDeficiencyError,
 )
 from .production import FactorBundle
+from .record import Record
 
 _RANK_RCOND = 1e-10
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Record):
     """One observation: strictly positive factor quantities and output."""
 
     bundle: FactorBundle
@@ -64,8 +63,7 @@ def _all_positive_finite(column: list[float]) -> bool:
     return not column or (min(column) > 0.0 and math.isfinite(sum(column)))
 
 
-@dataclass(frozen=True)
-class SampleTable:
+class SampleTable(Record):
     """Samples by column: the output and one column per named factor.
 
     Every value must be finite and > 0.  Where the column test fails, the
@@ -107,8 +105,7 @@ class SampleTable:
         )
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     tfp_estimate: float
     elasticity_estimates: dict[str, float]
     residual_sum_squares: float

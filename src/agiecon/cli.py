@@ -26,7 +26,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -151,7 +150,7 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
             raise UsageError(f"--lambda must be a positive finite real, got {lam!r}")
 
     curves = [
-        (lam, power_curve(replace(parsed.transition, lam=lam), n_points)) for lam in lambdas
+        (lam, power_curve(parsed.transition._replace(lam=lam), n_points)) for lam in lambdas
     ]
 
     # The CSV schema has no lambda column, so it carries the first curve;

@@ -4,7 +4,7 @@ Sections and keys (`#` starts a comment, unknown keys are rejected, every
 numeric value must parse as a finite decimal):
 
 [model]       id = model_i | model_ii | model_iii, plus every field of that
-              model's params dataclass (all required), by symbol name
+              model's params record (all required), by symbol name
 [transition]  w0, w_inf, lambda (defaults: the TransitionParams fields),
               n_points (default 101, at most MAX_N_POINTS)
 [scenario]    horizon (required, at most MAX_HORIZON), adoption =
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
 
 from .errors import ConfigError, DomainError
 from .models import PARAM_TYPES, ModelId, ModelParams
+from .record import Record
 from .scenario import ADOPTION_PARAMS, AdoptionKind, AdoptionPath, ScenarioConfig
 from .transition import TransitionParams
 
@@ -88,22 +88,19 @@ class _SectionReader:
             raise ConfigError(f"{self._where(key)}: unknown key")
 
 
-@dataclass(frozen=True)
-class FitSpec:
+class FitSpec(Record):
     factor_names: tuple[str, ...]
     input_path: str
 
 
-@dataclass(frozen=True)
-class ScenarioSection:
+class ScenarioSection(Record):
     horizon: int
     adoption: AdoptionPath
     growth: float
     collapse_threshold: float
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
+class ParsedConfig(Record):
     model_id: ModelId | None
     model_params: ModelParams | None
     transition: TransitionParams
@@ -120,7 +117,7 @@ def _parse_model(reader: _SectionReader) -> tuple[ModelId, ModelParams]:
         choices = ", ".join(m.value for m in ModelId)
         raise ConfigError(f"[model].id: expected one of {choices}, got {raw_id!r}") from None
     param_type = PARAM_TYPES[model_id]
-    values = {field.name: reader.take_float(field.name) for field in fields(param_type)}
+    values = {field: reader.take_float(field) for field in param_type._fields}
     reader.finish()
     try:
         return model_id, param_type(**values)
@@ -129,7 +126,7 @@ def _parse_model(reader: _SectionReader) -> tuple[ModelId, ModelParams]:
 
 
 def _parse_transition(reader: _SectionReader) -> tuple[TransitionParams, int]:
-    # a dataclass field's default is its class attribute
+    # a record field's default is its class attribute
     w0 = reader.take_float("w0", TransitionParams.w0)
     w_inf = reader.take_float("w_inf", TransitionParams.w_inf)
     lam = reader.take_float("lambda", TransitionParams.lam)
@@ -271,8 +268,8 @@ def render_config(parsed: ParsedConfig) -> str:
     if parsed.model_id is not None:
         lines.append("[model]")
         lines.append(f"id = {parsed.model_id.value}")
-        for field in fields(parsed.model_params):
-            lines.append(f"{field.name} = {getattr(parsed.model_params, field.name)!r}")
+        for field in parsed.model_params._fields:
+            lines.append(f"{field} = {getattr(parsed.model_params, field)!r}")
         lines.append("")
     lines.append("[transition]")
     lines.append(f"w0 = {parsed.transition.w0!r}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .formatting import format_number
 from .models import (
@@ -42,11 +41,11 @@ from .production import (
     marginal_product,
     output,
 )
+from .record import Record
 from .transition import TransitionParams, human_power, power_curve
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     ok: bool
     name: str
     value: str

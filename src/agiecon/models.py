@@ -16,9 +16,7 @@ linear prefactor annihilates the expression.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
@@ -37,6 +35,7 @@ from .production import (
     marginal_product,
     output,
 )
+from .record import Record
 
 
 class ModelId(Enum):
@@ -47,7 +46,7 @@ class ModelId(Enum):
 
 class _ModelParams:
     """Each params record states its economy once, in two class attributes
-    left unannotated so they are not dataclass fields.  TERMS lists
+    left unannotated so they are not record fields.  TERMS lists
     (factor, base fields, exponent field) in multiplication order; a
     factor's quantity is its base fields summed with ``+`` in table order.
     LABOR names the factors paid a competitive wage.  Validation, the
@@ -59,11 +58,11 @@ class _ModelParams:
 
     def __post_init__(self) -> None:
         name = type(self).__name__
-        for field in dataclasses.fields(self):
-            value = float(getattr(self, field.name))
+        for field in self._fields:
+            value = float(getattr(self, field))
             if not math.isfinite(value):
-                raise DomainError(f"{name}.{field.name} must be finite, got {value!r}")
-            object.__setattr__(self, field.name, value)
+                raise DomainError(f"{name}.{field} must be finite, got {value!r}")
+            object.__setattr__(self, field, value)
         if self.A <= 0.0:
             raise DomainError(f"{name}.A must be > 0")
         for _, bases, _ in self.TERMS:
@@ -72,8 +71,7 @@ class _ModelParams:
                     raise DomainError(f"{name}.{base} must be >= 0")
 
 
-@dataclass(frozen=True)
-class ModelIParams(_ModelParams):
+class ModelIParams(_ModelParams, Record):
     A: float
     K: float
     K_AGI: float
@@ -85,8 +83,7 @@ class ModelIParams(_ModelParams):
     LABOR = ("L",)
 
 
-@dataclass(frozen=True)
-class ModelIIParams(_ModelParams):
+class ModelIIParams(_ModelParams, Record):
     A: float
     K: float
     L1: float
@@ -99,8 +96,7 @@ class ModelIIParams(_ModelParams):
     LABOR = ("L1", "L2")
 
 
-@dataclass(frozen=True)
-class ModelIIIParams(_ModelParams):
+class ModelIIIParams(_ModelParams, Record):
     A: float
     K: float
     K_AGI: float
@@ -197,8 +193,7 @@ class LimitDirection(Enum):
     TO_INFINITY = "to_infinity"
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Record):
     """What to track in a limit study: total output, or one factor's wage."""
 
     kind: str

@@ -17,7 +17,6 @@ function of immutable inputs, safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     NonFiniteDerivativeError,
     NonFiniteOutputError,
 )
+from .record import Record
 
 
 def _validated_pairs(entries, what: str, allow_negative: bool) -> tuple[tuple[str, float], ...]:
@@ -46,8 +46,7 @@ def _validated_pairs(entries, what: str, allow_negative: bool) -> tuple[tuple[st
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class FactorBundle:
+class FactorBundle(Record):
     """Named non-negative factor quantities (K, K_AGI, L_h, L_AGI, ...)."""
 
     entries: tuple[tuple[str, float], ...]
@@ -75,8 +74,7 @@ class FactorBundle:
         return FactorBundle(tuple((name, value * t) for name, value in self.entries))
 
 
-@dataclass(frozen=True)
-class CobbDouglasTechnology:
+class CobbDouglasTechnology(Record):
     """Total factor productivity plus named output elasticities.
 
     Elasticities are unconstrained finite reals; in particular they are not
@@ -190,8 +188,7 @@ class LimitKind(Enum):
     DIVERGES = "diverges"
 
 
-@dataclass(frozen=True)
-class LimitClassification:
+class LimitClassification(Record):
     """Outcome of an asymptotic claim: the limit is 0, a finite value, or unbounded."""
 
     kind: LimitKind

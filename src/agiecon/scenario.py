@@ -32,7 +32,6 @@ exp-saturating normalizer) are computed once per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -46,6 +45,7 @@ from .errors import (
 )
 from .models import ModelIIIParams
 from .production import product_of_terms
+from .record import Record
 from .transition import TransitionParams, human_power
 
 # unused by the step, kept importable: perfbench/tracer.py wraps these names here
@@ -69,8 +69,7 @@ ADOPTION_PARAMS = {
 _PATH_PARAMS = tuple(name for takes in ADOPTION_PARAMS.values() for name in takes)
 
 
-@dataclass(frozen=True)
-class AdoptionPath:
+class AdoptionPath(Record):
     """Exogenous adoption share path; s(0) = 0 and s(horizon) = 1 for all kinds.
 
     The literature behind this model posits rising AGI labor without a
@@ -169,8 +168,7 @@ def adoption_share(path: AdoptionPath, t: int, horizon: int) -> float:
     return curve(t)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Everything a run needs; labor fields of initial_model3 are overridden
     by the adoption path at every step, only its K, K_AGI, A and exponents
     seed the simulation."""

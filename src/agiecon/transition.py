@@ -17,14 +17,13 @@ returned by ``human_power``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, UndefinedIndexError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class TransitionParams:
+class TransitionParams(Record):
     """Initial human wage w0, asymptotic AGI wage w_inf, decay constant lam."""
 
     w0: float = 1.0

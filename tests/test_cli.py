@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -243,6 +242,14 @@ class TestFit:
         assert run_cli("fit", "--config", CONFIGS / "fit_demo.ini", "--out", tmp_path) == 0
         assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
         assert built == []
+        # control: a K = 0 in the third row sends the table row by row, and
+        # the patched checks see each row up to that one
+        data = tmp_path / "samples.csv"
+        data.write_text("Y,K,L\n1.0,1.0,2.0\n2.0,2.0,3.0\n3.0,0.0,4.0\n4.0,4.0,5.0\n")
+        config = tmp_path / "fit.ini"
+        config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 2
+        assert built == ["FactorBundle", "Sample"] * 3
 
 
 def reference_read_samples(path, factor_names):
@@ -461,7 +468,7 @@ def config_documents(draw):
         if section == "model":
             entries["id"] = value("id")
             known = {m.value: m for m in ModelId}.get(entries["id"])
-            keys = [f.name for f in fields(PARAM_TYPES[known])] if known else ["A", "K"]
+            keys = list(PARAM_TYPES[known]._fields) if known else ["A", "K"]
         elif section == "scenario":
             entries["horizon"], entries["adoption"] = value("horizon"), value("adoption")
             known = {k.value: k for k in AdoptionKind}.get(entries["adoption"])

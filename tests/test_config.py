@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +19,7 @@ from agiecon.transition import TransitionParams
 
 
 def _keys(model):
-    return [field.name for field in fields(PARAM_TYPES[model])]
+    return list(PARAM_TYPES[model]._fields)
 
 
 class TestTransitionSection:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -219,7 +218,7 @@ class TestRunScenario:
         with pytest.raises(DomainError):
             ScenarioConfig(
                 horizon=5,
-                initial_model3=dataclasses.replace(base_params(), beta1=0.0),
+                initial_model3=base_params()._replace(beta1=0.0),
                 adoption=AdoptionPath.linear(),
             )
         with pytest.raises(DomainError):
