@@ -115,9 +115,13 @@ def output(tech: CobbDouglasTechnology, bundle: FactorBundle) -> float:
 
     Every factor named by the technology must be present in the bundle.
     """
-    return product_of_terms(
-        tech.tfp, [(name, bundle.quantity(name), exponent) for name, exponent in tech.elasticities]
-    )
+    return product_of_terms(tech.tfp, factor_terms(tech, bundle))
+
+
+def factor_terms(tech: CobbDouglasTechnology, bundle: FactorBundle) -> list:
+    """The ``(name, quantity, exponent)`` terms ``output`` multiplies, in the
+    technology's factor order."""
+    return [(name, bundle.quantity(name), exponent) for name, exponent in tech.elasticities]
 
 
 def product_of_terms(tfp: float, terms) -> float:

@@ -40,7 +40,7 @@ from agiecon import (
     run_scenario,
 )
 from agiecon.cli import main
-from agiecon.diagnostics import _central_difference, _random_model3
+from agiecon.diagnostics import _central_difference, _random_model3, _random_transition
 from conftest import seeded_instances
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,12 +59,7 @@ def report(number, label, ok, detail=""):
 
 def seeded_transition_params(n, seed):
     rng = random.Random(seed)
-    return [
-        TransitionParams(
-            w0=rng.uniform(0.1, 10.0), w_inf=rng.uniform(0.0, 10.0), lam=rng.uniform(0.1, 20.0)
-        )
-        for _ in range(n)
-    ]
+    return [_random_transition(rng) for _ in range(n)]
 
 
 @pytest.fixture(scope="module")

@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 
 from agiecon import (
     AdoptionKind,
+    CobbDouglasTechnology,
     FactorBundle,
     ModelId,
     Sample,
     SampleTable,
     SerializationError,
     cli,
+    diagnostics,
+    marginal_product,
 )
 from agiecon.cli import _write, main
 from agiecon.config import MAX_HORIZON, MAX_N_POINTS
@@ -517,22 +520,97 @@ class TestWrite:
         assert list(tmp_path.iterdir()) == [target]
 
 
+CHECK_NAMES = [
+    "euler_identity_max_rel_residual",
+    "marginal_product_vs_central_difference_max_rel_error",
+    "homogeneity_scaling_max_rel_error",
+    "labor_income_power_index_max_abs_deviation",
+    "human_power_at_zero_adoption_max_abs_error",
+    "human_power_at_full_adoption_max_abs_error",
+    "terminal_power_full_adoption_lambda_1",
+    "terminal_wage_ratio_lambda_1",
+    "terminal_power_full_adoption_lambda_2",
+    "terminal_wage_ratio_lambda_2",
+    "terminal_power_full_adoption_lambda_5",
+    "terminal_wage_ratio_lambda_5",
+    "limit_human_wage_as_labor_vanishes_diverges_not_zero",
+    "limit_human_wage_as_elasticity_vanishes",
+    "limit_output_as_agi_capital_grows",
+    "power_curve_family_strict_decrease_violations",
+    "wage_based_index_spot_check_abs_error",
+]
+
+
 class TestCheck:
     def test_report_format_and_content(self, tmp_path):
         assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
         lines = (tmp_path / "check.txt").read_text().splitlines()
-        assert lines
         for line in lines:
             status, name, value = line.split(" ")
             assert status in ("PASS", "FAIL")
-        names = {line.split(" ")[1]: line.split(" ")[2] for line in lines}
+        assert [line.split(" ")[1] for line in lines] == CHECK_NAMES
         assert all(line.startswith("PASS") for line in lines)
-        assert names["limit_human_wage_as_labor_vanishes_diverges_not_zero"] == "DIVERGES"
+        names = {line.split(" ")[1]: line.split(" ")[2] for line in lines}
+        # every value with a closed form, byte for byte
+        assert {name: value for name, value in names.items() if value == "0.000000000e0"} == {
+            "human_power_at_zero_adoption_max_abs_error": "0.000000000e0",
+            "human_power_at_full_adoption_max_abs_error": "0.000000000e0",
+            "terminal_power_full_adoption_lambda_1": "0.000000000e0",
+            "terminal_power_full_adoption_lambda_2": "0.000000000e0",
+            "terminal_power_full_adoption_lambda_5": "0.000000000e0",
+            "wage_based_index_spot_check_abs_error": "0.000000000e0",
+        }
+        assert names["terminal_wage_ratio_lambda_1"] == "3.678794412e-1"
+        assert names["terminal_wage_ratio_lambda_2"] == "1.353352832e-1"
+        assert names["terminal_wage_ratio_lambda_5"] == "6.737946999e-3"
         for lam in (1, 2, 5):
-            assert float(names[f"terminal_power_full_adoption_lambda_{lam}"]) == 0.0
             assert float(names[f"terminal_wage_ratio_lambda_{lam}"]) == pytest.approx(
                 math.exp(-lam), rel=1e-9
             )
+        assert names["limit_human_wage_as_labor_vanishes_diverges_not_zero"] == "DIVERGES"
+        assert names["limit_human_wage_as_elasticity_vanishes"] == "ZERO"
+        assert names["limit_output_as_agi_capital_grows"] == "DIVERGES"
+        assert names["power_curve_family_strict_decrease_violations"] == "0"
+
+    def test_nan_error_fails_its_check(self, tmp_path, monkeypatch):
+        # max() keeps a NaN operand or drops it depending on position, so a
+        # NaN measurement used to print as a passing 0.000000000e0
+        monkeypatch.setattr("agiecon.diagnostics.marginal_product", lambda *args: math.nan)
+        assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 2
+        lines = (tmp_path / "check.txt").read_text().splitlines()
+        assert [line for line in lines if not line.startswith("PASS")] == [
+            "FAIL marginal_product_vs_central_difference_max_rel_error nan"
+        ]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_scaling_makes_homogeneity_error_nan(self, monkeypatch, position):
+        # the first call is the unscaled output, then one call per scaling
+        calls = []
+        original = diagnostics.product_of_terms
+
+        def product(tfp, terms):
+            calls.append(None)
+            return math.nan if len(calls) == 2 + position else original(tfp, terms)
+
+        monkeypatch.setattr(diagnostics, "product_of_terms", product)
+        assert math.isnan(diagnostics._homogeneity_error(random.Random(303)))
+        assert len(calls) == 4
+
+    def test_central_difference_builds_no_bundle(self, monkeypatch):
+        built = []
+        original = FactorBundle.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        tech = CobbDouglasTechnology.of(2.0, K=0.3, L=0.6)
+        bundle = FactorBundle.of(K=4.0, L=9.0)
+        monkeypatch.setattr(FactorBundle, "__post_init__", counting)
+        assert diagnostics._central_difference(tech, bundle, "L") == pytest.approx(
+            marginal_product(tech, bundle, "L"), rel=1e-8
+        )
+        assert built == []
 
 
 class TestExitCodes:
