@@ -25,13 +25,10 @@ from .errors import (
 )
 from .formatting import format_number
 from .models import (
-    OUTPUT,
     LimitDirection,
-    ModelId,
     ModelIIIParams,
     ModelIIParams,
     ModelIParams,
-    Observable,
     classify_limit,
     model_output,
     model_technology,
@@ -82,14 +79,11 @@ __all__ = [
     "LimitDirection",
     "LimitKind",
     "LimitProbeError",
-    "ModelId",
     "ModelIParams",
     "ModelIIParams",
     "ModelIIIParams",
     "NonFiniteDerivativeError",
     "NonFiniteOutputError",
-    "Observable",
-    "OUTPUT",
     "PowerCurvePoint",
     "RankDeficiencyError",
     "Sample",

@@ -128,10 +128,10 @@ def _cannot_write(path: Path, exc: OSError) -> UsageError:
 
 
 def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
-    if parsed.model_id is None:
+    if parsed.model_params is None:
         raise ConfigError("eval needs a [model] section")
-    y = model_output(parsed.model_id, parsed.model_params)
-    wages = model_wages(parsed.model_id, parsed.model_params)
+    y = model_output(parsed.model_params)
+    wages = model_wages(parsed.model_params)
     lines = ["quantity,value", f"Y,{format_number(y)}"]
     lines += [f"w_{factor},{format_number(wage)}" for factor, wage in wages.items()]
     _write(out_dir / "eval.csv", "\n".join(lines) + "\n")

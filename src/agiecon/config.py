@@ -24,7 +24,7 @@ import configparser
 import math
 
 from .errors import ConfigError, DomainError
-from .models import PARAM_TYPES, ModelId, ModelParams
+from .models import PARAM_TYPES, ModelIIIParams, ModelParams
 from .record import Record
 from .scenario import ADOPTION_PARAMS, AdoptionKind, AdoptionPath, ScenarioConfig
 from .transition import TransitionParams
@@ -101,7 +101,6 @@ class ScenarioSection(Record):
 
 
 class ParsedConfig(Record):
-    model_id: ModelId | None
     model_params: ModelParams | None
     transition: TransitionParams
     n_points: int
@@ -109,18 +108,16 @@ class ParsedConfig(Record):
     fit: FitSpec | None
 
 
-def _parse_model(reader: _SectionReader) -> tuple[ModelId, ModelParams]:
+def _parse_model(reader: _SectionReader) -> ModelParams:
     raw_id = reader.take("id").strip()
-    try:
-        model_id = ModelId(raw_id)
-    except ValueError:
-        choices = ", ".join(m.value for m in ModelId)
-        raise ConfigError(f"[model].id: expected one of {choices}, got {raw_id!r}") from None
-    param_type = PARAM_TYPES[model_id]
+    param_type = PARAM_TYPES.get(raw_id)
+    if param_type is None:
+        choices = ", ".join(PARAM_TYPES)
+        raise ConfigError(f"[model].id: expected one of {choices}, got {raw_id!r}")
     values = {field: reader.take_float(field) for field in param_type._fields}
     reader.finish()
     try:
-        return model_id, param_type(**values)
+        return param_type(**values)
     except DomainError as exc:
         raise ConfigError(f"[model]: {exc}") from exc
 
@@ -202,10 +199,9 @@ def parse_config_text(text: str) -> ParsedConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"[{section}]: unknown section")
 
-    model_id = None
     model_params = None
     if parser.has_section("model"):
-        model_id, model_params = _parse_model(_SectionReader("model", parser["model"]))
+        model_params = _parse_model(_SectionReader("model", parser["model"]))
 
     if parser.has_section("transition"):
         transition, n_points = _parse_transition(_SectionReader("transition", parser["transition"]))
@@ -221,7 +217,6 @@ def parse_config_text(text: str) -> ParsedConfig:
         fit = _parse_fit(_SectionReader("fit", parser["fit"]))
 
     return ParsedConfig(
-        model_id=model_id,
         model_params=model_params,
         transition=transition,
         n_points=n_points,
@@ -243,7 +238,7 @@ def build_scenario_config(parsed: ParsedConfig) -> ScenarioConfig:
     """Assemble a runnable ScenarioConfig from [model] + [transition] + [scenario]."""
     if parsed.scenario is None:
         raise ConfigError("simulate needs a [scenario] section")
-    if parsed.model_id is not ModelId.MODEL_III or parsed.model_params is None:
+    if type(parsed.model_params) is not ModelIIIParams:
         raise ConfigError("simulate needs a [model] section with id = model_iii")
     try:
         return ScenarioConfig(
@@ -265,9 +260,9 @@ def render_config(parsed: ParsedConfig) -> str:
     are semantically identical to their source, not byte-identical.
     """
     lines: list[str] = []
-    if parsed.model_id is not None:
+    if parsed.model_params is not None:
         lines.append("[model]")
-        lines.append(f"id = {parsed.model_id.value}")
+        lines.append(f"id = {parsed.model_params.ID}")
         for field in parsed.model_params._fields:
             lines.append(f"{field} = {getattr(parsed.model_params, field)!r}")
         lines.append("")

@@ -38,21 +38,17 @@ from .production import (
 from .record import Record
 
 
-class ModelId(Enum):
-    MODEL_I = "model_i"
-    MODEL_II = "model_ii"
-    MODEL_III = "model_iii"
-
-
 class _ModelParams:
-    """Each params record states its economy once, in two class attributes
-    left unannotated so they are not record fields.  TERMS lists
-    (factor, base fields, exponent field) in multiplication order; a
-    factor's quantity is its base fields summed with ``+`` in table order.
-    LABOR names the factors paid a competitive wage.  Validation, the
-    technology, wages, limits and config keys all derive from the two.
+    """Each params record states its economy once, in three class attributes
+    left unannotated so they are not record fields.  ID is the model's
+    config name (``[model].id``).  TERMS lists (factor, base fields,
+    exponent field) in multiplication order; a factor's quantity is its
+    base fields summed with ``+`` in table order.  LABOR names the factors
+    paid a competitive wage.  Validation, the technology, wages, limits and
+    config keys all derive from the three.
     """
 
+    ID: str
     TERMS: tuple[tuple[str, tuple[str, ...], str], ...]
     LABOR: tuple[str, ...]
 
@@ -79,6 +75,7 @@ class ModelIParams(_ModelParams, Record):
     alpha: float
     beta: float
 
+    ID = "model_i"
     TERMS = (("K_total", ("K", "K_AGI"), "alpha"), ("L", ("L",), "beta"))
     LABOR = ("L",)
 
@@ -92,6 +89,7 @@ class ModelIIParams(_ModelParams, Record):
     beta1: float
     beta2: float
 
+    ID = "model_ii"
     TERMS = (("K", ("K",), "alpha"), ("L1", ("L1",), "beta1"), ("L2", ("L2",), "beta2"))
     LABOR = ("L1", "L2")
 
@@ -107,6 +105,7 @@ class ModelIIIParams(_ModelParams, Record):
     beta1: float
     beta2: float
 
+    ID = "model_iii"
     TERMS = (
         ("K", ("K",), "alpha"),
         ("K_AGI", ("K_AGI",), "gamma"),
@@ -118,24 +117,19 @@ class ModelIIIParams(_ModelParams, Record):
 
 ModelParams = ModelIParams | ModelIIParams | ModelIIIParams
 
-PARAM_TYPES: dict[ModelId, type[ModelParams]] = {
-    ModelId.MODEL_I: ModelIParams,
-    ModelId.MODEL_II: ModelIIParams,
-    ModelId.MODEL_III: ModelIIIParams,
+PARAM_TYPES: dict[str, type[ModelParams]] = {
+    cls.ID: cls for cls in (ModelIParams, ModelIIParams, ModelIIIParams)
 }
 
 
-def _require_params(model: ModelId, params: ModelParams) -> None:
-    expected = PARAM_TYPES[model]
-    if type(params) is not expected:
-        raise ContractViolationError(
-            f"{model.value} expects {expected.__name__}, got {type(params).__name__}"
-        )
+def _require_params(params: ModelParams) -> None:
+    if not isinstance(params, _ModelParams):
+        raise ContractViolationError(f"expected a model params record, got {type(params).__name__}")
 
 
-def model_technology(model: ModelId, params: ModelParams) -> tuple[CobbDouglasTechnology, FactorBundle]:
+def model_technology(params: ModelParams) -> tuple[CobbDouglasTechnology, FactorBundle]:
     """The (technology, bundle) pair a model delegates to."""
-    _require_params(model, params)
+    _require_params(params)
     tech = CobbDouglasTechnology(
         params.A, tuple((factor, getattr(params, exponent)) for factor, _, exponent in params.TERMS)
     )
@@ -148,20 +142,20 @@ def model_technology(model: ModelId, params: ModelParams) -> tuple[CobbDouglasTe
     return tech, bundle
 
 
-def model_output(model: ModelId, params: ModelParams) -> float:
-    """Total output of the given model at the given parameter record."""
-    tech, bundle = model_technology(model, params)
+def model_output(params: ModelParams) -> float:
+    """Total output of the model at the given parameter record."""
+    tech, bundle = model_technology(params)
     return output(tech, bundle)
 
 
-def model_wages(model: ModelId, params: ModelParams) -> dict[str, float]:
+def model_wages(params: ModelParams) -> dict[str, float]:
     """Competitive wage of every labor factor: its marginal product.
 
     Keys are the model's labor factor names ("L" for Model I, "L1"/"L2"
     for Model II, "L_h"/"L_AGI" for Model III).  Every labor quantity must
     be strictly positive.
     """
-    tech, bundle = model_technology(model, params)
+    tech, bundle = model_technology(params)
     return {factor: marginal_product(tech, bundle, factor) for factor in params.LABOR}
 
 
@@ -173,14 +167,17 @@ def power_index_model3(params: ModelIIIParams) -> float:
     every choice of positive quantities; the wage-based computation here is
     kept so that property is testable rather than assumed.
     """
-    _require_params(ModelId.MODEL_III, params)
+    if type(params) is not ModelIIIParams:
+        raise ContractViolationError(
+            f"model_iii expects ModelIIIParams, got {type(params).__name__}"
+        )
     if params.L_h <= 0.0 or params.L_AGI <= 0.0:
         raise ContractViolationError("power index needs L_h > 0 and L_AGI > 0")
     if params.beta1 < 0.0 or params.beta2 < 0.0:
         raise ContractViolationError("power index needs beta1 >= 0 and beta2 >= 0")
     if params.beta1 + params.beta2 == 0.0:
         raise UndefinedIndexError("beta1 + beta2 = 0: no labor income exists")
-    wages = model_wages(ModelId.MODEL_III, params)
+    wages = model_wages(params)
     human = wages["L_h"] * params.L_h
     agi = wages["L_AGI"] * params.L_AGI
     if human + agi == 0.0:
@@ -193,27 +190,6 @@ class LimitDirection(Enum):
     TO_INFINITY = "to_infinity"
 
 
-class Observable(Record):
-    """What to track in a limit study: total output, or one factor's wage."""
-
-    kind: str
-    factor: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("output", "wage"):
-            raise DomainError(f"unknown observable kind {self.kind!r}")
-        if self.kind == "wage" and not self.factor:
-            raise DomainError("wage observable needs a factor name")
-        if self.kind == "output" and self.factor is not None:
-            raise DomainError("output observable carries no factor")
-
-    @classmethod
-    def wage(cls, factor: str) -> "Observable":
-        return cls("wage", factor)
-
-
-OUTPUT = Observable("output")
-
 _PROBES = {
     LimitDirection.TO_ZERO_PLUS: (1e-3, 1e-6, 1e-9),
     LimitDirection.TO_INFINITY: (1e3, 1e6, 1e9),
@@ -221,25 +197,24 @@ _PROBES = {
 
 
 def classify_limit(
-    model: ModelId,
     params: ModelParams,
     target: str,
     direction: LimitDirection,
-    observable: Observable,
+    wage: str | None = None,
 ) -> LimitClassification:
     """Exact limit of an observable as ``target`` goes to 0+ or infinity.
 
     Parameters
     ----------
-    model, params:
-        The model and the parameter record supplying every non-target value.
+    params:
+        The model's parameter record, supplying every non-target value.
     target:
         Name of the quantity or exponent being driven to its limit.  All
         remaining quantities must be strictly positive.
     direction:
         TO_ZERO_PLUS or TO_INFINITY.
-    observable:
-        OUTPUT or Observable.wage(factor).
+    wage:
+        The labor factor whose wage is tracked, or None to track output.
 
     The observable is a monomial ``C * v**p * r**v`` in the target v (with
     Model I's summed capital handled as a shifted base), so the limit is
@@ -249,22 +224,21 @@ def classify_limit(
     and underflow cannot corrupt the comparison; disagreement raises
     LimitProbeError rather than returning a guess.
     """
-    _require_params(model, params)
+    _require_params(params)
     quantity_fields = tuple(field for _, bases, _ in params.TERMS for field in bases)
     exponent_fields = tuple(field for _, _, field in params.TERMS)
     if target not in quantity_fields and target not in exponent_fields:
-        raise ContractViolationError(f"{target!r} is not part of the {model.value} expression")
-    wage_factor = observable.factor if observable.kind == "wage" else None
-    if wage_factor is not None and wage_factor not in params.LABOR:
-        raise ContractViolationError(f"{model.value} has no wage for factor {wage_factor!r}")
+        raise ContractViolationError(f"{target!r} is not part of the {params.ID} expression")
+    if wage is not None and wage not in params.LABOR:
+        raise ContractViolationError(f"{params.ID} has no wage for factor {wage!r}")
     for field in quantity_fields:
         if field != target and getattr(params, field) <= 0.0:
             raise ContractViolationError(
                 f"classify_limit needs all non-target quantities strictly positive; {field} is not"
             )
 
-    kind, value = _symbolic_limit(params, target, direction, wage_factor)
-    _confirm_numeric(params, target, direction, wage_factor, kind, value)
+    kind, value = _symbolic_limit(params, target, direction, wage)
+    _confirm_numeric(params, target, direction, wage, kind, value)
     if kind is LimitKind.FINITE:
         return LimitClassification(kind, value)
     return LimitClassification(kind)

@@ -66,13 +66,6 @@ class FactorBundle(Record):
                 return value
         raise ContractViolationError(f"bundle has no factor {name!r}")
 
-    def scaled(self, t: float) -> "FactorBundle":
-        """Bundle with every quantity multiplied by ``t`` (t >= 0)."""
-        t = float(t)
-        if not math.isfinite(t) or t < 0.0:
-            raise DomainError(f"scale factor must be finite and >= 0, got {t!r}")
-        return FactorBundle(tuple((name, value * t) for name, value in self.entries))
-
 
 class CobbDouglasTechnology(Record):
     """Total factor productivity plus named output elasticities.

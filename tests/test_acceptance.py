@@ -13,15 +13,12 @@ from pathlib import Path
 import pytest
 
 from agiecon import (
-    OUTPUT,
     FactorBundle,
     LimitDirection,
     LimitKind,
-    ModelId,
     ModelIIIParams,
     ModelIIParams,
     ModelIParams,
-    Observable,
     Sample,
     ScenarioConfig,
     AdoptionPath,
@@ -40,7 +37,12 @@ from agiecon import (
     run_scenario,
 )
 from agiecon.cli import main
-from agiecon.diagnostics import _central_difference, _random_model3, _random_transition
+from agiecon.diagnostics import (
+    _central_difference,
+    _max_or_nan,
+    _random_model3,
+    _random_transition,
+)
 from conftest import seeded_instances
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,7 +74,9 @@ def check_report(tmp_path_factory):
 
 def test_criterion_01_decentralized_endpoint():
     started = time.perf_counter()
-    worst = max(abs(human_power(tp, 0.0) - 1.0) for tp in seeded_transition_params(100, seed=1))
+    worst = _max_or_nan(
+        abs(human_power(tp, 0.0) - 1.0) for tp in seeded_transition_params(100, seed=1)
+    )
     elapsed = time.perf_counter() - started
     report(1, "human_power(tp, 0) = 1 within 1e-12 on 100 seeded sets",
            worst <= 1e-12 and elapsed < 1.0, f"max_err={worst:.3e} t={elapsed:.3f}s")
@@ -80,9 +84,8 @@ def test_criterion_01_decentralized_endpoint():
 
 def test_criterion_02_centralized_endpoint_and_discrepancy_report(check_report):
     started = time.perf_counter()
-    worst = max(
-        (abs(human_power(tp, 1.0)) for tp in seeded_transition_params(100, seed=2) if tp.w_inf > 0),
-        default=0.0,
+    worst = _max_or_nan(
+        abs(human_power(tp, 1.0)) for tp in seeded_transition_params(100, seed=2) if tp.w_inf > 0
     )
     lines = {line.split(" ")[1]: line.split(" ")[2] for line in check_report.splitlines()}
     both_reported = all(
@@ -99,12 +102,12 @@ def test_criterion_02_centralized_endpoint_and_discrepancy_report(check_report):
 def test_criterion_03_power_curve_family():
     started = time.perf_counter()
     ok = True
-    worst_mid = 0.0
+    mid_errors = []
     for lam in (0.5, 1.0, 2.0, 5.0, 10.0):
         points = power_curve(TransitionParams(w0=1.0, w_inf=1.0, lam=lam), 1001)
         ok = ok and all(b.p_h < a.p_h for a, b in zip(points, points[1:]))
-        mid_err = abs(points[500].p_h - math.exp(-lam / 2.0))
-        worst_mid = max(worst_mid, mid_err)
+        mid_errors.append(abs(points[500].p_h - math.exp(-lam / 2.0)))
+    worst_mid = _max_or_nan(mid_errors)
     elapsed = time.perf_counter() - started
     report(3, "1001-point curves strictly decreasing, midpoint e^(-lambda/2) within 1e-12",
            ok and worst_mid <= 1e-12 and elapsed < 1.0,
@@ -112,45 +115,56 @@ def test_criterion_03_power_curve_family():
 
 
 def test_criterion_04_euler_identity():
-    worst = 0.0
-    for tech, bundle in seeded_instances(1000, seed=4):
-        y = output(tech, bundle)
-        worst = max(worst, abs(euler_residual(tech, bundle)) / abs(y))
+    worst = _max_or_nan(
+        abs(euler_residual(tech, bundle)) / abs(output(tech, bundle))
+        for tech, bundle in seeded_instances(1000, seed=4)
+    )
     report(4, "Euler residual <= 1e-10 * |Y| on 1000 seeded instances",
            worst <= 1e-10, f"max_rel={worst:.3e}")
 
 
 def test_criterion_05_homogeneity():
-    worst = 0.0
+    errors = []
     for tech, bundle in seeded_instances(1000, seed=4):
         h = homogeneity_degree(tech)
         y = output(tech, bundle)
         for t in (0.5, 1.3, 2.0):
             expected = t**h * y
-            worst = max(worst, abs(output(tech, bundle.scaled(t)) - expected) / abs(expected))
+            scaled = FactorBundle(tuple((n, x * t) for n, x in bundle.entries))
+            errors.append(abs(output(tech, scaled) - expected) / abs(expected))
+    worst = _max_or_nan(errors)
     report(5, "output(t*x) = t^h * output(x) within 1e-12 for t in {0.5, 1.3, 2}",
            worst <= 1e-12, f"max_rel={worst:.3e}")
 
 
 def test_criterion_06_gradient_correctness():
-    worst = 0.0
+    errors = []
     rng = random.Random(6)
     for tech, bundle in seeded_instances(1000, seed=6):
         name = rng.choice(tech.factor_names())
         numeric = _central_difference(tech, bundle, name)
         analytic = marginal_product(tech, bundle, name)
-        worst = max(worst, abs(numeric - analytic) / abs(analytic))
+        errors.append(abs(numeric - analytic) / abs(analytic))
+    worst = _max_or_nan(errors)
     report(6, "analytic marginal products match central differences within 1e-6",
            worst <= 1e-6, f"max_rel={worst:.3e}")
 
 
+def test_nan_error_fails_its_criterion(monkeypatch):
+    # max() keeps or drops a NaN operand by its position; _max_or_nan does not
+    monkeypatch.setitem(globals(), "marginal_product", lambda *args: math.nan)
+    with pytest.raises(AssertionError):
+        test_criterion_06_gradient_correctness()
+
+
 def test_criterion_07_power_index_identity():
     rng = random.Random(7)
-    worst = 0.0
+    errors = []
     for _ in range(500):
         params = _random_model3(rng)
         expected = params.beta1 / (params.beta1 + params.beta2)
-        worst = max(worst, abs(power_index_model3(params) - expected))
+        errors.append(abs(power_index_model3(params) - expected))
+    worst = _max_or_nan(errors)
     report(7, "wage-based power index equals beta1/(beta1+beta2) within 1e-12 on 500 instances",
            worst <= 1e-12, f"max_abs={worst:.3e}")
 
@@ -158,15 +172,9 @@ def test_criterion_07_power_index_identity():
 def test_criterion_08_limit_classifications(check_report):
     model1 = ModelIParams(A=1, K=1, K_AGI=1, L=1, alpha=0.5, beta=0.5)
     model2 = ModelIIParams(A=1, K=1, L1=1, L2=1, alpha=0.3, beta1=0.4, beta2=0.2)
-    first = classify_limit(
-        ModelId.MODEL_I, model1, "L", LimitDirection.TO_ZERO_PLUS, Observable.wage("L")
-    )
-    second = classify_limit(
-        ModelId.MODEL_II, model2, "beta1", LimitDirection.TO_ZERO_PLUS, Observable.wage("L1")
-    )
-    third = classify_limit(
-        ModelId.MODEL_I, model1, "K_AGI", LimitDirection.TO_INFINITY, OUTPUT
-    )
+    first = classify_limit(model1, "L", LimitDirection.TO_ZERO_PLUS, "L")
+    second = classify_limit(model2, "beta1", LimitDirection.TO_ZERO_PLUS, "L1")
+    third = classify_limit(model1, "K_AGI", LimitDirection.TO_INFINITY)
     contrast_documented = (
         "limit_human_wage_as_labor_vanishes_diverges_not_zero DIVERGES" in check_report
     )
@@ -188,7 +196,7 @@ def test_criterion_09_scenario_terminal_state():
         AdoptionPath.exp_saturating(r=0.5),
     )
     ok = True
-    worst = 0.0
+    errors = []
     for path in paths:
         for horizon in (10, 100, 1000):
             series = run_scenario(
@@ -197,11 +205,9 @@ def test_criterion_09_scenario_terminal_state():
             final = series[-1]
             ok = ok and final.s == 1.0 and final.w_h == 0.0 and final.p_h_elastic == 0.0
             for record in series:
-                worst = max(
-                    worst,
-                    abs(record.L_h + record.L_AGI - 1.0),
-                    abs(record.beta1 + record.beta2 - 0.5),
-                )
+                errors.append(abs(record.L_h + record.L_AGI - 1.0))
+                errors.append(abs(record.beta1 + record.beta2 - 0.5))
+    worst = _max_or_nan(errors)
     report(9, "terminal w_h = 0 and p_h_elastic = 0 exactly; conservation within 1e-12",
            ok and worst <= 1e-12, f"max_conservation_err={worst:.3e}")
 
@@ -228,7 +234,7 @@ def test_criterion_10_calibration_round_trip():
         abs(clean.elasticity_estimates[name] - value) <= 1e-8 for name, value in truth.items()
     )
     noisy = fit_cobb_douglas(make_samples(1000, 0.01), list(truth))
-    noisy_worst = max(
+    noisy_worst = _max_or_nan(
         abs(noisy.elasticity_estimates[name] - value) for name, value in truth.items()
     )
     report(10, "noiseless recovery within 1e-8; sigma=0.01 elasticity error <= 0.02",

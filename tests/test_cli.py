@@ -18,7 +18,6 @@ from agiecon import (
     AdoptionKind,
     CobbDouglasTechnology,
     FactorBundle,
-    ModelId,
     Sample,
     SampleTable,
     SerializationError,
@@ -421,7 +420,7 @@ def _number(lo, hi):
 # n_points <= 1000.  Garbage holds no digits, so it never parses as a large
 # integer.
 _GOOD_VALUES = {
-    "id": st.sampled_from([m.value for m in ModelId]),
+    "id": st.sampled_from(list(PARAM_TYPES)),
     "A": _number(0.1, 10.0),
     **dict.fromkeys(["K", "K_AGI", "L", "L1", "L2", "L_h", "L_AGI"], _number(0.01, 10.0)),
     **dict.fromkeys(["alpha", "beta", "gamma", "beta1", "beta2"], _number(0.0, 0.6)),
@@ -470,8 +469,8 @@ def config_documents(draw):
         entries = {}
         if section == "model":
             entries["id"] = value("id")
-            known = {m.value: m for m in ModelId}.get(entries["id"])
-            keys = list(PARAM_TYPES[known]._fields) if known else ["A", "K"]
+            known = PARAM_TYPES.get(entries["id"])
+            keys = list(known._fields) if known else ["A", "K"]
         elif section == "scenario":
             entries["horizon"], entries["adoption"] = value("horizon"), value("adoption")
             known = {k.value: k for k in AdoptionKind}.get(entries["adoption"])

@@ -8,16 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agiecon import (
-    OUTPUT,
     ContractViolationError,
     LimitDirection,
     LimitKind,
-    ModelId,
     ModelIIIParams,
     ModelIIParams,
     ModelIParams,
     NonFiniteDerivativeError,
-    Observable,
     UndefinedIndexError,
     classify_limit,
     marginal_product,
@@ -38,13 +35,13 @@ TO_INF = LimitDirection.TO_INFINITY
 class TestModelOutput:
     def test_model1_linear_case(self):
         params = ModelIParams(A=1, K=3, K_AGI=1, L=1, alpha=1, beta=1)
-        assert model_output(ModelId.MODEL_I, params) == 4.0
+        assert model_output(params) == 4.0
 
     def test_model3_hand_value(self):
         params = ModelIIIParams(
             A=1, K=16, K_AGI=81, L_h=25, L_AGI=1, alpha=0.25, gamma=0.25, beta1=0.5, beta2=0.7
         )
-        y = model_output(ModelId.MODEL_III, params)
+        y = model_output(params)
         assert y == pytest.approx(30.0, rel=1e-15)  # 2 * 3 * 5 * 1
         oracle = float(
             mpmath.mpf(16) ** mpmath.mpf(0.25)
@@ -55,24 +52,24 @@ class TestModelOutput:
 
     def test_model2_unit_inputs(self):
         params = ModelIIParams(A=1, K=1, L1=1, L2=1, alpha=0.9, beta1=0.2, beta2=0.7)
-        assert model_output(ModelId.MODEL_II, params) == 1.0
+        assert model_output(params) == 1.0
 
-    def test_params_must_match_model(self):
-        params = ModelIParams(A=1, K=1, K_AGI=1, L=1, alpha=0.5, beta=0.5)
-        with pytest.raises(ContractViolationError):
-            model_output(ModelId.MODEL_II, params)
+    def test_non_params_argument_rejected(self):
+        fields = vars(ModelIParams(A=1, K=1, K_AGI=1, L=1, alpha=0.5, beta=0.5))
+        with pytest.raises(ContractViolationError, match="params record, got dict"):
+            model_output(dict(fields))
 
 
 class TestModelWages:
     def test_model2_unit_inputs_wage_equals_exponent(self):
         params = ModelIIParams(A=1, K=1, L1=1, L2=1, alpha=0.3, beta1=0.4, beta2=0.2)
-        wages = model_wages(ModelId.MODEL_II, params)
+        wages = model_wages(params)
         assert wages["L1"] == pytest.approx(0.4, rel=1e-15)
         assert wages["L2"] == pytest.approx(0.2, rel=1e-15)
 
     def test_model1_hand_value(self):
         params = ModelIParams(A=2, K=0, K_AGI=4, L=9, alpha=0.5, beta=0.5)
-        wage = model_wages(ModelId.MODEL_I, params)["L"]
+        wage = model_wages(params)["L"]
         assert wage == pytest.approx(0.5 * 2 * 2 * 9**-0.5, rel=1e-15)
         # finite-difference oracle on the literal Model I formula
         h = 1e-6 * 9.0
@@ -83,38 +80,38 @@ class TestModelWages:
         params = ModelIIIParams(
             A=2, K=1, K_AGI=1, L_h=3, L_AGI=1, alpha=0.3, gamma=0.2, beta1=0.0, beta2=0.5
         )
-        assert model_wages(ModelId.MODEL_III, params)["L_h"] == 0.0
+        assert model_wages(params)["L_h"] == 0.0
 
     def test_zero_labor_quantity_raises(self):
         params = ModelIParams(A=1, K=1, K_AGI=1, L=0, alpha=0.5, beta=0.5)
         with pytest.raises(NonFiniteDerivativeError):
-            model_wages(ModelId.MODEL_I, params)
+            model_wages(params)
 
 
 class TestDelegation:
     def test_output_and_wages_match_production_core(self):
         rng = random.Random(501)
         labor = {
-            ModelId.MODEL_I: ("L",),
-            ModelId.MODEL_II: ("L1", "L2"),
-            ModelId.MODEL_III: ("L_h", "L_AGI"),
+            ModelIParams: ("L",),
+            ModelIIParams: ("L1", "L2"),
+            ModelIIIParams: ("L_h", "L_AGI"),
         }
         for _ in range(200):
             m3 = _random_model3(rng)
             cases = [
-                (ModelId.MODEL_I, ModelIParams(A=m3.A, K=m3.K, K_AGI=m3.K_AGI, L=m3.L_h,
-                                               alpha=m3.alpha, beta=m3.beta1)),
-                (ModelId.MODEL_II, ModelIIParams(A=m3.A, K=m3.K, L1=m3.L_h, L2=m3.L_AGI,
-                                                 alpha=m3.alpha, beta1=m3.beta1, beta2=m3.beta2)),
-                (ModelId.MODEL_III, m3),
+                ModelIParams(A=m3.A, K=m3.K, K_AGI=m3.K_AGI, L=m3.L_h,
+                             alpha=m3.alpha, beta=m3.beta1),
+                ModelIIParams(A=m3.A, K=m3.K, L1=m3.L_h, L2=m3.L_AGI,
+                              alpha=m3.alpha, beta1=m3.beta1, beta2=m3.beta2),
+                m3,
             ]
-            for model, params in cases:
-                tech, bundle = model_technology(model, params)
-                assert model_output(model, params) == pytest.approx(
+            for params in cases:
+                tech, bundle = model_technology(params)
+                assert model_output(params) == pytest.approx(
                     output(tech, bundle), rel=1e-12
                 )
-                wages = model_wages(model, params)
-                for factor in labor[model]:
+                wages = model_wages(params)
+                for factor in labor[type(params)]:
                     assert wages[factor] == pytest.approx(
                         marginal_product(tech, bundle, factor), rel=1e-12
                     )
@@ -124,8 +121,8 @@ class TestDelegation:
         rng = random.Random(502)
         for _ in range(300):
             params = _random_model3(rng)
-            y = model_output(ModelId.MODEL_III, params)
-            wages = model_wages(ModelId.MODEL_III, params)
+            y = model_output(params)
+            wages = model_wages(params)
             assert wages["L_h"] * params.L_h == pytest.approx(params.beta1 * y, rel=1e-10)
             assert wages["L_AGI"] * params.L_AGI == pytest.approx(params.beta2 * y, rel=1e-10)
 
@@ -138,7 +135,7 @@ class TestPowerIndex:
         index = power_index_model3(params)
         assert index == pytest.approx(0.6, abs=1e-12)
         # verify via direct wage computation, independently of the identity
-        wages = model_wages(ModelId.MODEL_III, params)
+        wages = model_wages(params)
         direct = wages["L_h"] * 0.4 / (wages["L_h"] * 0.4 + wages["L_AGI"] * 6.0)
         assert index == direct
 
@@ -193,7 +190,7 @@ class TestComplementEffect:
                     params = ModelIIParams(
                         A=1.3, K=k, L1=l1, L2=l2, alpha=0.3, beta1=0.4, beta2=0.2
                     )
-                    wage = model_wages(ModelId.MODEL_II, params)["L1"]
+                    wage = model_wages(params)["L1"]
                     if previous is not None:
                         assert wage > previous
                     previous = wage
@@ -212,22 +209,22 @@ MODEL3_VALUES = dict(
 MODEL3_NO_AGI_ELASTICITY = dict(MODEL3_VALUES, beta2=Fraction(0))
 
 _SYMBOLIC_OUTPUT = {
-    ModelId.MODEL_I: ("A * (K + K_AGI)**alpha * L**beta", ("L",)),
-    ModelId.MODEL_II: ("A * K**alpha * L1**beta1 * L2**beta2", ("L1", "L2")),
-    ModelId.MODEL_III: (
+    ModelIParams: ("A * (K + K_AGI)**alpha * L**beta", ("L",)),
+    ModelIIParams: ("A * K**alpha * L1**beta1 * L2**beta2", ("L1", "L2")),
+    ModelIIIParams: (
         "A * K**alpha * K_AGI**gamma * L_h**beta1 * L_AGI**beta2",
         ("L_h", "L_AGI"),
     ),
 }
 
 
-def sympy_limit_kind(model, values, target, direction, observable):
+def sympy_limit_kind(cls, values, target, direction, wage):
     """Independent oracle: symbolic differentiation plus symbolic limits."""
-    expr_text, _ = _SYMBOLIC_OUTPUT[model]
+    expr_text, _ = _SYMBOLIC_OUTPUT[cls]
     symbols = {name: sp.Symbol(name, positive=True) for name in values}
     expr = sp.sympify(expr_text, locals=symbols)
-    if observable.kind == "wage":
-        expr = sp.diff(expr, symbols[observable.factor])
+    if wage is not None:
+        expr = sp.diff(expr, symbols[wage])
     v = sp.Symbol("v", positive=True)
     substitutions = {
         symbols[name]: (v if name == target else sp.Rational(value))
@@ -244,42 +241,36 @@ def sympy_limit_kind(model, values, target, direction, observable):
     return LimitKind.FINITE, value
 
 
-def _params_from(model, values):
-    cls = {ModelId.MODEL_I: ModelIParams, ModelId.MODEL_II: ModelIIParams, ModelId.MODEL_III: ModelIIIParams}[model]
-    return cls(**{k: float(v) for k, v in values.items()})
-
-
-def _all_cases(model, values):
-    _, labor = _SYMBOLIC_OUTPUT[model]
-    observables = [OUTPUT] + [Observable.wage(f) for f in labor]
+def _all_cases(cls, values):
+    _, labor = _SYMBOLIC_OUTPUT[cls]
     for target in values:
         if target == "A":
             continue  # TFP is not a quantity or exponent of the expression
         for direction in (TO_ZERO, TO_INF):
-            for observable in observables:
-                yield target, direction, observable
+            for wage in (None, *labor):
+                yield target, direction, wage
 
 
 class TestClassifyLimit:
     def test_wage_diverges_as_labor_vanishes(self):
         # the literal marginal product grows without bound: w ~ L**(beta-1)
         params = ModelIParams(A=1, K=1, K_AGI=1, L=1, alpha=0.5, beta=0.5)
-        result = classify_limit(ModelId.MODEL_I, params, "L", TO_ZERO, Observable.wage("L"))
+        result = classify_limit(params, "L", TO_ZERO, "L")
         assert result.kind is LimitKind.DIVERGES
 
     def test_wage_vanishes_with_its_elasticity(self):
         params = ModelIIParams(A=1, K=1, L1=1, L2=1, alpha=0.3, beta1=0.4, beta2=0.2)
-        result = classify_limit(ModelId.MODEL_II, params, "beta1", TO_ZERO, Observable.wage("L1"))
+        result = classify_limit(params, "beta1", TO_ZERO, "L1")
         assert result.kind is LimitKind.ZERO
 
     def test_output_diverges_with_agi_capital(self):
         params = ModelIParams(A=1, K=1, K_AGI=1, L=2, alpha=0.5, beta=0.5)
-        result = classify_limit(ModelId.MODEL_I, params, "K_AGI", TO_INF, OUTPUT)
+        result = classify_limit(params, "K_AGI", TO_INF)
         assert result.kind is LimitKind.DIVERGES
 
     def test_model1_combined_capital_is_finite_at_zero(self):
         params = ModelIParams(A=2, K=3, K_AGI=1, L=4, alpha=0.5, beta=0.5)
-        result = classify_limit(ModelId.MODEL_I, params, "K_AGI", TO_ZERO, OUTPUT)
+        result = classify_limit(params, "K_AGI", TO_ZERO)
         assert result.kind is LimitKind.FINITE
         assert result.value == pytest.approx(2 * 3**0.5 * 4**0.5, rel=1e-12)
 
@@ -288,40 +279,37 @@ class TestClassifyLimit:
         shrink = ModelIIParams(L1=0.5, L2=1.0, **base)
         neutral = ModelIIParams(L1=1.0, L2=1.0, **base)
         grow = ModelIIParams(L1=2.0, L2=1.0, **base)
-        wage = Observable.wage("L1")
-        assert classify_limit(ModelId.MODEL_II, shrink, "beta1", TO_INF, wage).kind is LimitKind.ZERO
+        assert classify_limit(shrink, "beta1", TO_INF, "L1").kind is LimitKind.ZERO
         # at L1 = 1 the beta1 prefactor still grows linearly
-        assert classify_limit(ModelId.MODEL_II, neutral, "beta1", TO_INF, wage).kind is LimitKind.DIVERGES
-        assert classify_limit(ModelId.MODEL_II, grow, "beta1", TO_INF, wage).kind is LimitKind.DIVERGES
+        assert classify_limit(neutral, "beta1", TO_INF, "L1").kind is LimitKind.DIVERGES
+        assert classify_limit(grow, "beta1", TO_INF, "L1").kind is LimitKind.DIVERGES
 
     def test_unknown_target_rejected(self):
         params = ModelIParams(A=1, K=1, K_AGI=1, L=1, alpha=0.5, beta=0.5)
         with pytest.raises(ContractViolationError):
-            classify_limit(ModelId.MODEL_I, params, "gamma", TO_ZERO, OUTPUT)
+            classify_limit(params, "gamma", TO_ZERO)
 
     def test_nonpositive_fixed_quantity_rejected(self):
         params = ModelIParams(A=1, K=0, K_AGI=1, L=1, alpha=0.5, beta=0.5)
         with pytest.raises(ContractViolationError):
-            classify_limit(ModelId.MODEL_I, params, "L", TO_ZERO, OUTPUT)
+            classify_limit(params, "L", TO_ZERO)
 
     @pytest.mark.parametrize(
-        "model,values",
+        "cls,values",
         [
-            (ModelId.MODEL_I, MODEL1_VALUES),
-            (ModelId.MODEL_II, MODEL2_VALUES),
-            (ModelId.MODEL_III, MODEL3_VALUES),
-            (ModelId.MODEL_III, MODEL3_NO_AGI_ELASTICITY),
+            (ModelIParams, MODEL1_VALUES),
+            (ModelIIParams, MODEL2_VALUES),
+            (ModelIIIParams, MODEL3_VALUES),
+            (ModelIIIParams, MODEL3_NO_AGI_ELASTICITY),
         ],
         ids=["model1", "model2", "model3", "model3-zero-beta2"],
     )
-    def test_agrees_with_symbolic_oracle_everywhere(self, model, values):
-        params = _params_from(model, values)
-        for target, direction, observable in _all_cases(model, values):
-            expected_kind, expected_value = sympy_limit_kind(
-                model, values, target, direction, observable
-            )
-            result = classify_limit(model, params, target, direction, observable)
-            label = f"{model.value} {target} {direction.value} {observable}"
+    def test_agrees_with_symbolic_oracle_everywhere(self, cls, values):
+        params = cls(**{k: float(v) for k, v in values.items()})
+        for target, direction, wage in _all_cases(cls, values):
+            expected_kind, expected_value = sympy_limit_kind(cls, values, target, direction, wage)
+            result = classify_limit(params, target, direction, wage)
+            label = f"{cls.ID} {target} {direction.value} wage={wage}"
             assert result.kind is expected_kind, label
             if expected_kind is LimitKind.FINITE:
                 assert result.value == pytest.approx(expected_value, rel=1e-9), label

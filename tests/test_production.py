@@ -160,7 +160,8 @@ def test_homogeneity_property(tech_bundle, t):
     tech, bundle = tech_bundle
     h = homogeneity_degree(tech)
     expected = t**h * output(tech, bundle)
-    assert output(tech, bundle.scaled(t)) == pytest.approx(expected, rel=1e-12)
+    scaled = FactorBundle(tuple((n, x * t) for n, x in bundle.entries))
+    assert output(tech, scaled) == pytest.approx(expected, rel=1e-12)
 
 
 @given(tech_bundles())

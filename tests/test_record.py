@@ -14,7 +14,6 @@ from agiecon import (
     ModelIIIParams,
     ModelIIParams,
     ModelIParams,
-    Observable,
     Sample,
     SampleTable,
     ScenarioConfig,
@@ -36,7 +35,6 @@ EXAMPLES = {
     ModelIParams: lambda: ModelIParams(1.0, 2.0, 0.5, 1.0, 0.3, 0.6),
     ModelIIParams: lambda: ModelIIParams(1.0, 2.0, 1.0, 0.5, 0.3, 0.4, 0.2),
     ModelIIIParams: model3,
-    Observable: lambda: Observable.wage("L_h"),
     FactorBundle: lambda: FactorBundle.of(K=1.0, L=2.0),
     CobbDouglasTechnology: lambda: CobbDouglasTechnology.of(1.5, K=0.3, L=0.7),
     LimitClassification: lambda: LimitClassification(LimitKind.FINITE, 2.5),
@@ -45,7 +43,7 @@ EXAMPLES = {
     TransitionParams: lambda: TransitionParams(w0=2.0, lam=3.0),
     FitSpec: lambda: FitSpec(("K", "L"), "samples.csv"),
     ScenarioSection: lambda: ScenarioSection(8, AdoptionPath.linear(), 0.05, 0.5),
-    ParsedConfig: lambda: ParsedConfig(None, None, TransitionParams(), 101, None, None),
+    ParsedConfig: lambda: ParsedConfig(None, TransitionParams(), 101, None, None),
     Sample: lambda: Sample(FactorBundle.of(K=1.0), 2.0),
     SampleTable: lambda: SampleTable([1.0, 2.0], {"K": [1.0, 3.0]}),
     FitResult: lambda: FitResult(1.8, {"K": 0.4}, 0.0, 12),
@@ -66,7 +64,7 @@ def test_every_record_class_has_an_example():
 
     defined = {cls for cls in subclasses(Record) if cls.__module__.startswith("agiecon.")}
     assert defined == set(EXAMPLES)
-    assert len(defined) == 17
+    assert len(defined) == 16
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)

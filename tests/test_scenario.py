@@ -9,7 +9,6 @@ from agiecon import (
     AdoptionKind,
     AdoptionPath,
     DomainError,
-    ModelId,
     ModelIIIParams,
     ScenarioConfig,
     SimulationFailureError,
@@ -288,7 +287,7 @@ def reference_step(cfg, t, s):
         L_h=1.0 - s, L_AGI=s, alpha=p0.alpha, gamma=p0.gamma,
         beta1=p0.beta1 * (1.0 - s), beta2=p0.beta2 + p0.beta1 * s,
     )
-    tech, bundle = model_technology(ModelId.MODEL_III, params)
+    tech, bundle = model_technology(params)
 
     def wage(name, elasticity):
         if bundle.quantity(name) > 0.0:
