@@ -7,7 +7,7 @@ the AGI labor share, time-stepped displacement scenarios, and log-space
 least-squares recovery of technology parameters.
 """
 
-from .calibration import FitResult, Sample, SampleTable, fit_cobb_douglas
+from .calibration import FitResult, SampleTable, fit_cobb_douglas
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -86,7 +86,6 @@ __all__ = [
     "NonFiniteOutputError",
     "PowerCurvePoint",
     "RankDeficiencyError",
-    "Sample",
     "SampleTable",
     "ScenarioConfig",
     "SerializationError",

@@ -10,12 +10,12 @@ exact identification on synthetic data, not econometric inference.
 
 The fit reads its samples by column from a ``SampleTable``: the output
 column and one column per named factor, validated once when the table is
-built.  A list of ``Sample`` rows is turned into a table first, so the CLI
-reader and library callers share one path into the solver.  The log-design
-matrix is filled one column at a time by ``numpy.fromiter`` over
-``map(math.log, column)``, with no intermediate list, not with ``numpy.log``,
-whose vectorized kernel may round differently from libm in the last place;
-the fitted values are therefore the same bits as a row-by-row fill.
+built.  ``read_samples`` reads a sample CSV into one; no other module
+knows the file format.  The log-design matrix is filled one column at a
+time by ``numpy.fromiter`` over ``map(math.log, column)``, with no
+intermediate list, not with ``numpy.log``, whose vectorized kernel may
+round differently from libm in the last place; the fitted values are
+therefore the same bits as a row-by-row fill.
 
 numpy is imported inside ``fit_cobb_douglas``, its only user, so the
 other commands do not pay its import time.
@@ -23,34 +23,39 @@ other commands do not pay its import time.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from collections import Counter
+from itertools import repeat
+from pathlib import Path
 
 from .errors import (
+    ConfigError,
     ContractViolationError,
     DomainError,
     NonFiniteOutputError,
     RankDeficiencyError,
 )
-from .production import FactorBundle
 from .record import Record
 
 _RANK_RCOND = 1e-10
 
 
-class Sample(Record):
-    """One observation: strictly positive factor quantities and output."""
-
-    bundle: FactorBundle
-    output: float
-
-    def __post_init__(self) -> None:
-        value = float(self.output)
-        if not math.isfinite(value) or value <= 0.0:
-            raise DomainError(f"sample output must be > 0 and finite, got {self.output!r}")
-        object.__setattr__(self, "output", value)
-        for name, quantity in self.bundle.entries:
-            if quantity <= 0.0:
-                raise DomainError(f"sample factor {name!r} must be > 0 (log-transformable)")
+def _check_row(output: float, names, quantities) -> None:
+    """Raise the DomainError of a sample row's first bad value: a factor not
+    finite or negative (worded as ``FactorBundle`` words it), the output,
+    then a zero factor."""
+    for name, value in zip(names, quantities):
+        if not math.isfinite(value):
+            raise DomainError(f"FactorBundle: {name} must be finite, got {value!r}")
+        if value < 0.0:
+            raise DomainError(f"FactorBundle: {name} must be >= 0, got {float(value)!r}")
+    if not math.isfinite(output) or output <= 0.0:
+        raise DomainError(f"sample output must be > 0 and finite, got {output!r}")
+    for name, value in zip(names, quantities):
+        if value <= 0.0:
+            raise DomainError(f"sample factor {name!r} must be > 0 (log-transformable)")
 
 
 def _all_positive_finite(column: list[float]) -> bool:
@@ -67,8 +72,8 @@ class SampleTable(Record):
     """Samples by column: the output and one column per named factor.
 
     Every value must be finite and > 0.  Where the column test fails, the
-    rows are checked in order as ``Sample``s, so the error raised is the one
-    the first bad row's ``FactorBundle`` or ``Sample`` raises.
+    rows are checked in order by ``_check_row``, so the error raised is the
+    first bad row's.
     """
 
     output: list[float]
@@ -79,30 +84,11 @@ class SampleTable(Record):
         if any(len(column) != len(self.output) for column in columns):
             raise ContractViolationError("sample table columns differ in length")
         if not all(map(_all_positive_finite, columns)):
-            names = tuple(self.factors)
             for output, *quantities in zip(*columns):
-                Sample(FactorBundle(tuple(zip(names, quantities))), output)
+                _check_row(output, self.factors, quantities)
 
     def __len__(self) -> int:
         return len(self.output)
-
-    @classmethod
-    def of(
-        cls, samples: "SampleTable | list[Sample]", factor_names: tuple[str, ...]
-    ) -> "SampleTable":
-        """The table itself, or the named factor columns of a list of samples."""
-        if isinstance(samples, SampleTable):
-            for name in factor_names:
-                if name not in samples.factors:
-                    raise ContractViolationError(f"sample table has no factor {name!r}")
-            return samples
-        return cls(
-            output=[sample.output for sample in samples],
-            factors={
-                name: [sample.bundle.quantity(name) for sample in samples]
-                for name in factor_names
-            },
-        )
 
 
 class FitResult(Record):
@@ -112,27 +98,28 @@ class FitResult(Record):
     sample_count: int
 
 
-def fit_cobb_douglas(
-    samples: SampleTable | list[Sample], factor_names: list[str] | tuple[str, ...]
-) -> FitResult:
+def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ...]) -> FitResult:
     """Least-squares fit of (A, elasticities) over the named factors.
 
-    Needs at least len(factor_names) + 1 samples, each carrying every named
-    factor, given as a ``SampleTable`` or a list of ``Sample``s.  Raises
-    RankDeficiencyError when the log design matrix is numerically singular
-    (collinear or constant factors), and NonFiniteOutputError when the
-    fitted ln A is too large for A to be a finite float.
+    Needs a ``SampleTable`` with a column for every named factor and at
+    least len(factor_names) + 1 rows.  Raises RankDeficiencyError when the
+    log design matrix is numerically singular (collinear or constant
+    factors), and NonFiniteOutputError when the fitted ln A is too large
+    for A to be a finite float.
     """
+    if not isinstance(table, SampleTable):
+        raise ContractViolationError(f"expected a SampleTable, got {type(table).__name__}")
     factor_names = tuple(factor_names)
     if not factor_names:
         raise ContractViolationError("factor_names must not be empty")
     n_params = len(factor_names) + 1
-    if len(samples) < n_params:
+    if len(table) < n_params:
         raise ContractViolationError(
-            f"need at least {n_params} samples for {len(factor_names)} factors, got {len(samples)}"
+            f"need at least {n_params} samples for {len(factor_names)} factors, got {len(table)}"
         )
-
-    table = SampleTable.of(samples, factor_names)
+    for name in factor_names:
+        if name not in table.factors:
+            raise ContractViolationError(f"sample table has no factor {name!r}")
 
     import numpy as np
 
@@ -164,3 +151,120 @@ def fit_cobb_douglas(
         residual_sum_squares=float(residuals @ residuals),
         sample_count=len(table),
     )
+
+
+# The flat reader splits a file this many characters at a time (a few
+# thousand lines), so it never holds a list of every line or row.
+_CHUNK_CHARS = 1 << 16
+
+
+def read_samples(path: Path, factor_names: tuple[str, ...]) -> SampleTable:
+    """The named columns of a sample CSV, read in one flat pass if it can be.
+
+    A file without ``"``, ``\\r`` or NUL (the only characters on which the
+    csv module's excel dialect and ``str.split`` differ), with a good header
+    and only numbers in well-formed rows, is read by ``_plain_chunks``.  Any
+    other file goes through ``csv.reader`` in ``_csv_values``, so its error
+    is the one the first bad row raises.  A leading UTF-8 byte-order mark is
+    dropped.  A bad file raises ``ConfigError``; a bad value, ``DomainError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
+    values, problem = None, None
+    if not ('"' in text or "\r" in text or "\0" in text):
+        header_line = text.partition("\n")[0]
+        header = [cell.strip() for cell in header_line.split(",")]
+        if (
+            len(header_line) <= csv.field_size_limit()
+            and _header_problem(header, factor_names) is None
+        ):
+            values = _flat_floats(_plain_chunks(text, len(header_line) + 1, len(header)))
+    if values is None:
+        header, values, problem = _csv_values(path, text, factor_names)
+    width = len(header)
+    table = SampleTable(  # raises a bad value's DomainError before a later row's error
+        output=values[0::width],
+        factors={name: values[header.index(name) :: width] for name in factor_names},
+    )
+    if problem is not None:
+        raise ConfigError(f"sample file {path}: {problem}")
+    return table
+
+
+def _header_problem(header: list[str], factor_names: tuple[str, ...]) -> str | None:
+    """What is wrong with a sample file's header, or None."""
+    if not header or header[0] != "Y":
+        return "first column must be Y"
+    duplicates = sorted(name for name, count in Counter(header).items() if count > 1)
+    if duplicates:
+        return f"duplicate columns {duplicates}"
+    missing = [name for name in factor_names if name not in header[1:]]
+    if missing:
+        return f"missing factor columns {missing}"
+    return None
+
+
+def _plain_chunks(text: str, start: int, width: int):
+    """The cells of the non-empty lines of ``text`` from ``start``, a chunk at
+    a time; raises ValueError at a chunk with a line of other than ``width``
+    cells or one longer than the csv module's field size limit."""
+    commas, limit = width - 1, csv.field_size_limit()
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS)
+        if end < 0:
+            end = len(text)
+        lines = list(filter(None, text[start:end].split("\n")))
+        start = end + 1
+        if set(map(str.count, lines, repeat(","))) - {commas}:
+            raise ValueError("a line has the wrong cell count")
+        if max(map(len, lines), default=0) > limit:
+            raise ValueError("a line is longer than the csv module takes")
+        yield ",".join(lines).split(",")
+
+
+def _flat_floats(chunks) -> list[float] | None:
+    """Every cell of every chunk of cells, in order, as one list of floats;
+    None if a cell is not a number or a chunk raises ValueError."""
+    values: list[float] = []
+    try:
+        for cells in chunks:
+            values += map(float, cells)
+    except ValueError:
+        return None
+    return values
+
+
+def _csv_values(
+    path: Path, text: str, factor_names: tuple[str, ...]
+) -> tuple[list[str], list[float], str | None]:
+    """The header and the row-major cells of ``text`` read by ``csv.reader``.
+
+    Raises the header's error.  At the first row of the wrong width or with
+    a cell that is not a number, stops and returns what is wrong with it
+    beside the cells of the rows before it, for the caller to raise once
+    those rows are checked.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ConfigError(f"sample file {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"sample file {path} is empty")
+    header = [cell.strip() for cell in rows[0]]
+    problem = _header_problem(header, factor_names)
+    if problem is not None:
+        raise ConfigError(f"sample file {path}: {problem}")
+    values: list[float] = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            return header, values, f"row {line_no} has {len(row)} cells"
+        try:
+            values += [float(cell) for cell in row]
+        except ValueError as exc:
+            return header, values, f"row {line_no}: {exc}"
+    return header, values, None

@@ -20,16 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import math
 import os
 import sys
-from collections import Counter
-from itertools import repeat
 from pathlib import Path
 
-from .calibration import Sample, SampleTable, fit_cobb_douglas
+from .calibration import fit_cobb_douglas, read_samples
 from .config import (
     MAX_N_POINTS,
     ParsedConfig,
@@ -40,7 +36,6 @@ from .diagnostics import run_diagnostics
 from .errors import ConfigError, EconError, UndefinedBaselineError, UsageError
 from .formatting import format_number, format_rows
 from .models import model_output, model_wages
-from .production import FactorBundle
 from .scenario import detect_collapse, run_scenario
 from .svg import line_chart
 from .transition import power_curve
@@ -201,7 +196,7 @@ def _cmd_fit(parsed: ParsedConfig, out_dir: Path, args) -> int:
     input_path = Path(parsed.fit.input_path)
     if not input_path.is_absolute():
         input_path = Path(args.config).resolve().parent / input_path
-    table = _read_samples(input_path, parsed.fit.factor_names)
+    table = read_samples(input_path, parsed.fit.factor_names)
     result = fit_cobb_douglas(table, parsed.fit.factor_names)
     lines = ["parameter,value", f"A,{format_number(result.tfp_estimate)}"]
     lines += [
@@ -211,122 +206,6 @@ def _cmd_fit(parsed: ParsedConfig, out_dir: Path, args) -> int:
     lines.append(f"n_samples,{result.sample_count}")
     _write(out_dir / "fit.csv", "\n".join(lines) + "\n")
     return 0
-
-
-# The flat reader splits a file this many characters at a time (a few
-# thousand lines), so it never holds a list of every line or row.
-_CHUNK_CHARS = 1 << 16
-
-
-def _read_samples(path: Path, factor_names: tuple[str, ...]) -> SampleTable:
-    """The named columns of a sample CSV, read in one flat pass if it can be.
-
-    A file without ``"``, ``\\r`` or NUL (the only characters on which the
-    csv module's excel dialect and ``str.split`` differ), with a good header
-    and only numbers in well-formed rows, is read by ``_plain_chunks``.  Any
-    other file goes through ``csv.reader`` and ``_scan_rows``, so its error
-    is the one the first bad row raises.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
-    values = None
-    if not ('"' in text or "\r" in text or "\0" in text):
-        header_line = text.partition("\n")[0]
-        header = [cell.strip() for cell in header_line.split(",")]
-        if (
-            len(header_line) <= csv.field_size_limit()
-            and _header_problem(header, factor_names) is None
-        ):
-            values = _flat_floats(_plain_chunks(text, len(header_line) + 1, len(header)))
-    if values is None:
-        header, values = _csv_values(path, text, factor_names)
-    width = len(header)
-    return SampleTable(
-        output=values[0::width],
-        factors={name: values[header.index(name) :: width] for name in factor_names},
-    )
-
-
-def _header_problem(header: list[str], factor_names: tuple[str, ...]) -> str | None:
-    """What is wrong with a sample file's header, or None."""
-    if not header or header[0] != "Y":
-        return "first column must be Y"
-    duplicates = sorted(name for name, count in Counter(header).items() if count > 1)
-    if duplicates:
-        return f"duplicate columns {duplicates}"
-    missing = [name for name in factor_names if name not in header[1:]]
-    if missing:
-        return f"missing factor columns {missing}"
-    return None
-
-
-def _plain_chunks(text: str, start: int, width: int):
-    """The cells of the non-empty lines of ``text`` from ``start``, a chunk at
-    a time; raises ValueError at a chunk with a line of other than ``width``
-    cells or one longer than the csv module's field size limit."""
-    commas, limit = width - 1, csv.field_size_limit()
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS)
-        if end < 0:
-            end = len(text)
-        lines = list(filter(None, text[start:end].split("\n")))
-        start = end + 1
-        if set(map(str.count, lines, repeat(","))) - {commas}:
-            raise ValueError("a line has the wrong cell count")
-        if max(map(len, lines), default=0) > limit:
-            raise ValueError("a line is longer than the csv module takes")
-        yield ",".join(lines).split(",")
-
-
-def _flat_floats(chunks) -> list[float] | None:
-    """Every cell of every chunk of cells, in order, as one list of floats;
-    None if a cell is not a number or a chunk raises ValueError."""
-    values: list[float] = []
-    try:
-        for cells in chunks:
-            values += map(float, cells)
-    except ValueError:
-        return None
-    return values
-
-
-def _csv_values(
-    path: Path, text: str, factor_names: tuple[str, ...]
-) -> tuple[list[str], list[float]]:
-    """The header and the row-major cells of ``text`` read by ``csv.reader``;
-    raises the error of the header or of the first bad row."""
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:
-        raise ConfigError(f"sample file {path}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"sample file {path} is empty")
-    header = [cell.strip() for cell in rows[0]]
-    problem = _header_problem(header, factor_names)
-    if problem is not None:
-        raise ConfigError(f"sample file {path}: {problem}")
-    body = [row for row in rows[1:] if row]
-    values = _flat_floats(body) if set(map(len, body)) <= {len(header)} else None
-    if values is None:
-        _scan_rows(path, header, rows[1:], factor_names)  # raises at the first bad row
-    return header, values
-
-
-def _scan_rows(path: Path, header: list[str], rows: list[list[str]], factor_names) -> None:
-    """Check the data rows in file order and raise the first row's error."""
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ConfigError(f"sample file {path}: row {line_no} has {len(row)} cells")
-        try:
-            values = dict(zip(header, map(float, row)))
-        except ValueError as exc:
-            raise ConfigError(f"sample file {path}: row {line_no}: {exc}") from None
-        Sample(FactorBundle(tuple((name, values[name]) for name in factor_names)), values["Y"])
 
 
 def _cmd_check(parsed: ParsedConfig, out_dir: Path, args) -> int:

@@ -227,7 +227,7 @@ def parse_config_text(text: str) -> ParsedConfig:
 
 def parse_config_file(path) -> ParsedConfig:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

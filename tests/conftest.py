@@ -1,8 +1,9 @@
+import math
 import random
 
 from hypothesis import strategies as st
 
-from agiecon import CobbDouglasTechnology, FactorBundle
+from agiecon import CobbDouglasTechnology, FactorBundle, SampleTable
 from agiecon.diagnostics import _random_instance
 
 FACTOR_POOL = ("K", "K_AGI", "L_h", "L_AGI", "M")
@@ -25,3 +26,27 @@ def seeded_instances(n: int, seed: int):
     exponents in [0.05, 1]."""
     rng = random.Random(seed)
     return [_random_instance(rng) for _ in range(n)]
+
+
+def sample_table(names, rows):
+    """The ``SampleTable`` of ``(Y, x_1, ..., x_n)`` rows, one x per name."""
+    columns = list(zip(*rows)) or [()] * (len(names) + 1)
+    return SampleTable(
+        output=list(columns[0]),
+        factors={name: list(column) for name, column in zip(names, columns[1:])},
+    )
+
+
+def synthetic_table(rng, n, tfp, elasticities, quantity_range=(0.5, 5.0), noise_sigma=0.0):
+    """``n`` samples of ``Y = tfp * prod x**e``, quantities drawn uniformly
+    from ``quantity_range``, with log-normal noise of ``noise_sigma``."""
+    rows = []
+    for _ in range(n):
+        quantities = [rng.uniform(*quantity_range) for _ in elasticities]
+        y = tfp
+        for quantity, exponent in zip(quantities, elasticities.values()):
+            y *= quantity ** exponent
+        if noise_sigma > 0.0:
+            y *= math.exp(rng.gauss(0.0, noise_sigma))
+        rows.append((y, *quantities))
+    return sample_table(tuple(elasticities), rows)

@@ -19,7 +19,6 @@ from agiecon import (
     ModelIIIParams,
     ModelIIParams,
     ModelIParams,
-    Sample,
     ScenarioConfig,
     AdoptionPath,
     TransitionParams,
@@ -43,7 +42,7 @@ from agiecon.diagnostics import (
     _random_model3,
     _random_transition,
 )
-from conftest import seeded_instances
+from conftest import seeded_instances, synthetic_table
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -218,16 +217,7 @@ def test_criterion_10_calibration_round_trip():
     tfp = 1.7
 
     def make_samples(n, sigma):
-        samples = []
-        for _ in range(n):
-            quantities = {name: rng.uniform(0.5, 5.0) for name in truth}
-            y = tfp
-            for name, exponent in truth.items():
-                y *= quantities[name] ** exponent
-            if sigma > 0.0:
-                y *= math.exp(rng.gauss(0.0, sigma))
-            samples.append(Sample(FactorBundle(tuple(quantities.items())), y))
-        return samples
+        return synthetic_table(rng, n, tfp, truth, noise_sigma=sigma)
 
     clean = fit_cobb_douglas(make_samples(200, 0.0), list(truth))
     clean_ok = abs(clean.tfp_estimate - tfp) <= 1e-8 and all(

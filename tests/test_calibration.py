@@ -11,47 +11,34 @@ from agiecon import (
     ContractViolationError,
     DomainError,
     EconError,
-    FactorBundle,
     NonFiniteOutputError,
     RankDeficiencyError,
-    Sample,
     SampleTable,
     fit_cobb_douglas,
 )
-from agiecon.cli import _read_samples
+from agiecon.calibration import read_samples
+from conftest import sample_table, synthetic_table
 
 
 def generate_samples(n, seed, tfp, elasticities, quantity_range=(0.5, 5.0), noise_sigma=0.0):
     rng = random.Random(seed)
-    samples = []
-    for _ in range(n):
-        quantities = {name: rng.uniform(*quantity_range) for name in elasticities}
-        y = tfp
-        for name, exponent in elasticities.items():
-            y *= quantities[name] ** exponent
-        if noise_sigma > 0.0:
-            y *= math.exp(rng.gauss(0.0, noise_sigma))
-        samples.append(Sample(FactorBundle(tuple(quantities.items())), y))
-    return samples
+    return synthetic_table(rng, n, tfp, elasticities, quantity_range, noise_sigma)
 
 
-def log_space_rss(samples, factor_names, tfp, elasticities):
+def log_space_rss(table, factor_names, tfp, elasticities):
     total = 0.0
-    for sample in samples:
+    for i, y in enumerate(table.output):
         predicted = math.log(tfp) + sum(
-            elasticities[name] * math.log(sample.bundle.quantity(name)) for name in factor_names
+            elasticities[name] * math.log(table.factors[name][i]) for name in factor_names
         )
-        total += (math.log(sample.output) - predicted) ** 2
+        total += (math.log(y) - predicted) ** 2
     return total
 
 
 class TestFit:
     def test_two_samples_hand_solvable(self):
         # ln Y = ln 2 + 0.5 ln x passes exactly through both points
-        samples = [
-            Sample(FactorBundle.of(x=1.0), 2.0),
-            Sample(FactorBundle.of(x=math.e), 2.0 * math.exp(0.5)),
-        ]
+        samples = sample_table(("x",), [(2.0, 1.0), (2.0 * math.exp(0.5), math.e)])
         result = fit_cobb_douglas(samples, ["x"])
         assert result.tfp_estimate == pytest.approx(2.0, abs=1e-10)
         assert result.elasticity_estimates["x"] == pytest.approx(0.5, abs=1e-10)
@@ -83,28 +70,24 @@ class TestFit:
 
     def test_collinear_factors_rejected(self):
         rng = random.Random(3)
-        samples = []
-        for _ in range(20):
-            k = rng.uniform(0.5, 5.0)
-            samples.append(Sample(FactorBundle.of(K=k, L=2.0 * k), 3.0 * k))
+        ks = [rng.uniform(0.5, 5.0) for _ in range(20)]
+        samples = sample_table(("K", "L"), [(3.0 * k, k, 2.0 * k) for k in ks])
         with pytest.raises(RankDeficiencyError):
             fit_cobb_douglas(samples, ["K", "L"])
 
     def test_constant_factor_rejected(self):
         rng = random.Random(4)
-        samples = [
-            Sample(FactorBundle.of(K=rng.uniform(0.5, 5.0), L=2.0), rng.uniform(1.0, 3.0))
-            for _ in range(20)
-        ]
+        rows = []
+        for _ in range(20):
+            k = rng.uniform(0.5, 5.0)
+            rows.append((rng.uniform(1.0, 3.0), k, 2.0))
+        samples = sample_table(("K", "L"), rows)
         with pytest.raises(RankDeficiencyError):
             fit_cobb_douglas(samples, ["K", "L"])
 
     def test_tfp_past_the_float_range_is_an_error(self):
         # ln A = 744.4 / ln 1.5 * ln 2, far past ln of the largest float
-        samples = [
-            Sample(FactorBundle.of(K=3.0), 5e-324),
-            Sample(FactorBundle.of(K=2.0), 1.0),
-        ]
+        samples = sample_table(("K",), [(5e-324, 3.0), (1.0, 2.0)])
         with pytest.raises(NonFiniteOutputError, match="overflows a float"):
             fit_cobb_douglas(samples, ["K"])
 
@@ -128,12 +111,8 @@ class TestFit:
             fit_cobb_douglas(samples, ["K", "L"])
 
     def test_missing_factor_in_sample(self):
-        samples = [
-            Sample(FactorBundle.of(K=1.0), 2.0),
-            Sample(FactorBundle.of(K=2.0), 3.0),
-            Sample(FactorBundle.of(K=3.0), 4.0),
-        ]
-        with pytest.raises(ContractViolationError):
+        samples = sample_table(("K",), [(2.0, 1.0), (3.0, 2.0), (4.0, 3.0)])
+        with pytest.raises(ContractViolationError, match="no factor 'L'"):
             fit_cobb_douglas(samples, ["K", "L"])
 
     def test_deterministic_for_fixed_order(self):
@@ -146,12 +125,12 @@ class TestFit:
 
 class TestSampleValidation:
     def test_rejects_zero_output(self):
-        with pytest.raises(DomainError):
-            Sample(FactorBundle.of(K=1.0), 0.0)
+        with pytest.raises(DomainError, match="sample output must be > 0"):
+            sample_table(("K",), [(0.0, 1.0)])
 
     def test_rejects_zero_quantity(self):
-        with pytest.raises(DomainError):
-            Sample(FactorBundle.of(K=0.0), 1.0)
+        with pytest.raises(DomainError, match="sample factor 'K' must be > 0"):
+            sample_table(("K",), [(1.0, 0.0)])
 
 
 def fit_outcome(samples, factor_names):
@@ -161,22 +140,42 @@ def fit_outcome(samples, factor_names):
         return type(exc), str(exc)
 
 
+# the message of row 3 (Y, K, L = 4, 3, 2) once one of its cells is bad
+_FIRST_BAD_ROW_MESSAGES = {
+    ("Y", "0.0"): "sample output must be > 0 and finite, got 0.0",
+    ("Y", "-0.0"): "sample output must be > 0 and finite, got -0.0",
+    ("Y", "-2.0"): "sample output must be > 0 and finite, got -2.0",
+    ("Y", "nan"): "sample output must be > 0 and finite, got nan",
+    ("Y", "inf"): "sample output must be > 0 and finite, got inf",
+    ("Y", "-inf"): "sample output must be > 0 and finite, got -inf",
+    ("K", "0.0"): "sample factor 'K' must be > 0 (log-transformable)",
+    ("K", "-0.0"): "sample factor 'K' must be > 0 (log-transformable)",
+    ("K", "-2.0"): "FactorBundle: K must be >= 0, got -2.0",
+    ("K", "nan"): "FactorBundle: K must be finite, got nan",
+    ("K", "inf"): "FactorBundle: K must be finite, got inf",
+    ("K", "-inf"): "FactorBundle: K must be finite, got -inf",
+    ("L", "0.0"): "sample factor 'L' must be > 0 (log-transformable)",
+    ("L", "-0.0"): "sample factor 'L' must be > 0 (log-transformable)",
+    ("L", "-2.0"): "FactorBundle: L must be >= 0, got -2.0",
+    ("L", "nan"): "FactorBundle: L must be finite, got nan",
+    ("L", "inf"): "FactorBundle: L must be finite, got inf",
+    ("L", "-inf"): "FactorBundle: L must be finite, got -inf",
+}
+
+
 class TestSampleTable:
-    def test_of_is_the_identity_on_a_table(self):
-        table = SampleTable(output=[1.0, 2.0], factors={"K": [1.0, 3.0], "L": [2.0, 4.0]})
-        assert SampleTable.of(table, ("L",)) is table
+    def test_fit_takes_a_table_only(self):
+        rows = [(1.0, 1.0, 2.0), (2.0, 3.0, 4.0), (5.0, 4.0, 3.0)]
+        wide = sample_table(("K", "L"), rows)
+        narrow = sample_table(("L",), [(y, l) for y, _, l in rows])
+        assert fit_cobb_douglas(wide, ("L",)) == fit_cobb_douglas(narrow, ("L",))
+        with pytest.raises(ContractViolationError, match="expected a SampleTable, got list"):
+            fit_cobb_douglas(rows, ("L",))
 
     def test_of_needs_every_named_factor(self):
         table = SampleTable(output=[1.0, 2.0, 3.0], factors={"K": [1.0, 3.0, 5.0]})
         with pytest.raises(ContractViolationError, match="no factor 'L'"):
             fit_cobb_douglas(table, ["K", "L"])
-
-    def test_of_samples_takes_the_named_columns(self):
-        samples = [Sample(FactorBundle.of(K=1.0, L=2.0, M=5.0), 3.0),
-                   Sample(FactorBundle.of(L=4.0, K=6.0), 7.0)]
-        table = SampleTable.of(samples, ("L", "K"))
-        assert table == SampleTable(output=[3.0, 7.0], factors={"L": [2.0, 4.0], "K": [1.0, 6.0]})
-        assert len(table) == 2
 
     @pytest.mark.parametrize("column", ["Y", "K", "L"])
     @pytest.mark.parametrize("bad", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf])
@@ -184,11 +183,24 @@ class TestSampleTable:
         columns = {"Y": [2.0, 3.0, 4.0, 5.0], "K": [1.0, 2.0, 3.0, 4.0], "L": [4.0, 3.0, 2.0, 1.0]}
         columns[column][2] = bad
         columns["L"][3] = -1.0  # a later bad row must not be the one reported
-        with pytest.raises(DomainError) as expected:
-            Sample(FactorBundle((("K", columns["K"][2]), ("L", columns["L"][2]))), columns["Y"][2])
         with pytest.raises(DomainError) as got:
             SampleTable(output=columns["Y"], factors={"K": columns["K"], "L": columns["L"]})
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == _FIRST_BAD_ROW_MESSAGES[column, repr(bad)]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0.0, -1.0, 0.0), "FactorBundle: K must be >= 0, got -1.0"),
+            ((0.0, 0.0, math.nan), "FactorBundle: L must be finite, got nan"),
+            ((math.inf, 0.0, 1.0), "sample output must be > 0 and finite, got inf"),
+        ],
+        ids=["negative_factor", "nonfinite_factor", "output_before_zero_factor"],
+    )
+    def test_checks_a_row_with_several_bad_values_in_order(self, row, message):
+        # each factor's finite and sign checks, then the output, then zero factors
+        with pytest.raises(DomainError) as got:
+            sample_table(("K", "L"), [(1.0, 1.0, 1.0), row])
+        assert str(got.value) == message
 
     def test_overflowing_column_sum_is_still_valid(self):
         # the column test is only sufficient: a sum that overflows sends the
@@ -210,11 +222,13 @@ class TestSampleTable:
         st.sampled_from([("K", "L"), ("L", "K"), ("K",)]),
     )
     def test_sample_list_and_cli_table_fit_the_same_bits(self, rows, factor_names):
-        samples = [Sample(FactorBundle.of(K=k, L=l), y) for y, k, l in rows]
+        # the rows as a list of values and as a file read by read_samples
+        named = [(y, *(dict(K=k, L=l)[name] for name in factor_names)) for y, k, l in rows]
+        samples = sample_table(factor_names, named)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "samples.csv"
             lines = ["Y,K,L"] + [",".join(map(repr, row)) for row in rows]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            table = _read_samples(path, factor_names)
-        assert table == SampleTable.of(samples, factor_names)
+            table = read_samples(path, factor_names)
+        assert table == samples
         assert fit_outcome(table, factor_names) == fit_outcome(samples, factor_names)

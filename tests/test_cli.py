@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from agiecon import (
     AdoptionKind,
     CobbDouglasTechnology,
+    DomainError,
     FactorBundle,
-    Sample,
     SampleTable,
     SerializationError,
+    calibration,
     cli,
     diagnostics,
     marginal_product,
@@ -62,6 +63,14 @@ class TestEval:
             "[model]\nid = model_i\nA = 1\nK = 1\nK_AGI = 1\nL = 0\nalpha = 0.5\nbeta = 0.5\n"
         )
         assert run_cli("eval", "--config", config, "--out", tmp_path / "out") == 2
+
+    def test_config_may_start_with_a_byte_order_mark(self, tmp_path):
+        # editors that save "UTF-8 with BOM" write one
+        config = tmp_path / "bom.ini"
+        config.write_bytes(b"\xef\xbb\xbf" + (CONFIGS / "eval_model3.ini").read_bytes())
+        assert run_cli("eval", "--config", config, "--out", tmp_path / "bom") == 0
+        assert run_cli("eval", "--config", CONFIGS / "eval_model3.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "bom" / "eval.csv").read_bytes() == (tmp_path / "eval.csv").read_bytes()
 
 
 class TestSweep:
@@ -232,32 +241,39 @@ class TestFit:
         assert "duplicate columns ['K']" in err
 
     def test_reads_columns_not_sample_rows(self, tmp_path, monkeypatch):
-        built = []
-        for cls in (FactorBundle, Sample):
-            original = cls.__post_init__
+        checked = []
+        original = calibration._check_row
 
-            def counting(self, original=original):
-                built.append(type(self).__name__)
-                original(self)
+        def counting(output, names, quantities):
+            checked.append(output)
+            original(output, names, quantities)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(calibration, "_check_row", counting)
         assert run_cli("fit", "--config", CONFIGS / "fit_demo.ini", "--out", tmp_path) == 0
         assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
-        assert built == []
+        assert checked == []
         # control: a K = 0 in the third row sends the table row by row, and
-        # the patched checks see each row up to that one
+        # the patched check sees each row up to that one
         data = tmp_path / "samples.csv"
         data.write_text("Y,K,L\n1.0,1.0,2.0\n2.0,2.0,3.0\n3.0,0.0,4.0\n4.0,4.0,5.0\n")
         config = tmp_path / "fit.ini"
         config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
         assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 2
-        assert built == ["FactorBundle", "Sample"] * 3
+        assert checked == [1.0, 2.0, 3.0]
+
+    def test_sample_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports write one
+        samples = (CONFIGS / "fit_samples.csv").read_text(encoding="utf-8")
+        config = write_fit_config(tmp_path, "\ufeff" + samples)
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 0
+        assert (tmp_path / "out" / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
 
 
 def reference_read_samples(path, factor_names):
-    """The row-by-row sample reader: one ``Sample`` per data row, in file order."""
+    """The row-by-row sample reader: each data row parsed and checked in file
+    order, every check written out here; agiecon only holds the result."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             rows = list(csv.reader(handle))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
@@ -268,10 +284,13 @@ def reference_read_samples(path, factor_names):
     header = [cell.strip() for cell in rows[0]]
     if not header or header[0] != "Y":
         raise ConfigError(f"sample file {path}: first column must be Y")
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise ConfigError(f"sample file {path}: duplicate columns {duplicates}")
     missing = [name for name in factor_names if name not in header[1:]]
     if missing:
         raise ConfigError(f"sample file {path}: missing factor columns {missing}")
-    samples = []
+    output, factors = [], {name: [] for name in factor_names}
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -281,9 +300,21 @@ def reference_read_samples(path, factor_names):
             values = {name: float(cell) for name, cell in zip(header, row)}
         except ValueError as exc:
             raise ConfigError(f"sample file {path}: row {line_no}: {exc}") from None
-        bundle = FactorBundle(tuple((name, values[name]) for name in factor_names))
-        samples.append(Sample(bundle=bundle, output=values["Y"]))
-    return samples
+        y, quantities = values["Y"], [(name, values[name]) for name in factor_names]
+        for name, x in quantities:
+            if not math.isfinite(x):
+                raise DomainError(f"FactorBundle: {name} must be finite, got {x!r}")
+            if x < 0.0:
+                raise DomainError(f"FactorBundle: {name} must be >= 0, got {x!r}")
+        if not (math.isfinite(y) and y > 0.0):
+            raise DomainError(f"sample output must be > 0 and finite, got {y!r}")
+        for name, x in quantities:
+            if x == 0.0:
+                raise DomainError(f"sample factor {name!r} must be > 0 (log-transformable)")
+        output.append(y)
+        for name, x in quantities:
+            factors[name].append(x)
+    return SampleTable(output=output, factors=factors)
 
 
 _GOOD_CELLS = st.floats(0.1, 10.0).map(repr)
@@ -352,9 +383,9 @@ class TestSampleReader:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             config = write_fit_config(root, text, factors)
-            with mock.patch.object(cli, "_CHUNK_CHARS", chunk_chars):
+            with mock.patch.object(calibration, "_CHUNK_CHARS", chunk_chars):
                 got = run_fit_capturing(config, root / "columns")
-            with mock.patch.object(cli, "_read_samples", reference_read_samples):
+            with mock.patch.object(cli, "read_samples", reference_read_samples):
                 want = run_fit_capturing(config, root / "rows")
         assert got == want
         assert got[1].count("\n") == (0 if got[0] == 0 else 1)
@@ -391,7 +422,7 @@ class TestSampleReader:
         bad_line = 12_000  # lines are numbered from 1, the header first
         rows[bad_line - 1] = "2.0,3.0"
         rows[bad_line + 999] = "2.0,abc,3.0"  # a later bad row is not the one reported
-        assert len("\n".join(rows[: bad_line - 1])) > 2 * cli._CHUNK_CHARS
+        assert len("\n".join(rows[: bad_line - 1])) > 2 * calibration._CHUNK_CHARS
         config = write_fit_config(tmp_path, "\n".join(rows) + "\n")
         assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
@@ -406,8 +437,8 @@ class TestSampleReader:
                 rows.append("")  # a blank line, now and then at a chunk edge
         path = tmp_path / "samples.csv"
         path.write_text("\n".join(rows), encoding="utf-8")
-        table = cli._read_samples(path, ("K", "L"))
-        want = SampleTable.of(reference_read_samples(path, ("K", "L")), ("K", "L"))
+        table = calibration.read_samples(path, ("K", "L"))
+        want = reference_read_samples(path, ("K", "L"))
         assert len(table) == 20_000
         assert table.output == want.output and table.factors == want.factors
 

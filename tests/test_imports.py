@@ -76,14 +76,18 @@ recorder = tracer.Recorder()
 traced_main = tracer.install(recorder)
 code = traced_main(["simulate", "--config", "configs/simulate_demo.ini", "--out", sys.argv[1]])
 print(code, sorted({span[0] for span in recorder.spans}))
+code = traced_main(["fit", "--config", "configs/fit_demo.ini", "--out", sys.argv[1]])
+print(code, [span[4] for span in recorder.spans if span[0] == "cli.fit_cobb_douglas"])
 """
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     # perfbench/tracer.py looks up agiecon.cli and agiecon.scenario attributes
-    # by name; a renamed or dropped import makes install() raise AttributeError
+    # by name; a renamed or dropped import makes install() raise AttributeError.
+    # Its fit span counts len(args[0]), the samples fit_cobb_douglas is given.
     result = run_python(TRACER_PROBE, tmp_path)
     assert result.returncode == 0, result.stderr
-    last = result.stdout.splitlines()[-1]
-    assert last.startswith("0 ")
-    assert "'cli.run_scenario'" in last
+    simulate, fit = result.stdout.splitlines()[-2:]
+    assert simulate.startswith("0 ")
+    assert "'cli.run_scenario'" in simulate
+    assert fit == "0 [12]"

@@ -14,7 +14,6 @@ from agiecon import (
     ModelIIIParams,
     ModelIIParams,
     ModelIParams,
-    Sample,
     SampleTable,
     ScenarioConfig,
     TransitionParams,
@@ -44,7 +43,6 @@ EXAMPLES = {
     FitSpec: lambda: FitSpec(("K", "L"), "samples.csv"),
     ScenarioSection: lambda: ScenarioSection(8, AdoptionPath.linear(), 0.05, 0.5),
     ParsedConfig: lambda: ParsedConfig(None, TransitionParams(), 101, None, None),
-    Sample: lambda: Sample(FactorBundle.of(K=1.0), 2.0),
     SampleTable: lambda: SampleTable([1.0, 2.0], {"K": [1.0, 3.0]}),
     FitResult: lambda: FitResult(1.8, {"K": 0.4}, 0.0, 12),
     Diagnostic: lambda: Diagnostic(True, "euler", "1e-16"),
@@ -64,7 +62,7 @@ def test_every_record_class_has_an_example():
 
     defined = {cls for cls in subclasses(Record) if cls.__module__.startswith("agiecon.")}
     assert defined == set(EXAMPLES)
-    assert len(defined) == 16
+    assert len(defined) == 15
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
