@@ -18,6 +18,7 @@ JOBS = [
     ("sweep", "sweep_default.ini", ["power_curve.csv"]),
     ("simulate", "simulate_demo.ini", ["series.csv"]),
     ("fit", "fit_demo.ini", ["fit.csv"]),
+    ("check", "sweep_default.ini", ["check.txt"]),
 ]
 
 

@@ -10,8 +10,9 @@ exact identification on synthetic data, not econometric inference.
 
 The fit reads its samples by column from a ``SampleTable``: the output
 column and one column per named factor, validated once when the table is
-built.  ``read_samples`` reads a sample CSV into one; no other module
-knows the file format.  The log-design matrix is filled one column at a
+built.  ``read_samples`` reads a sample CSV into one, in one flat pass
+unless the file holds a ``"`` or NUL; no other module knows the file
+format.  The log-design matrix is filled one column at a
 time by ``numpy.fromiter`` over ``map(math.log, column)``, with no
 intermediate list, not with ``numpy.log``, whose vectorized kernel may
 round differently from libm in the last place; the fitted values are
@@ -161,29 +162,20 @@ _CHUNK_CHARS = 1 << 16
 def read_samples(path: Path, factor_names: tuple[str, ...]) -> SampleTable:
     """The named columns of a sample CSV, read in one flat pass if it can be.
 
-    A file without ``"``, ``\\r`` or NUL (the only characters on which the
-    csv module's excel dialect and ``str.split`` differ), with a good header
-    and only numbers in well-formed rows, is read by ``_plain_chunks``.  Any
-    other file goes through ``csv.reader`` in ``_csv_values``, so its error
-    is the one the first bad row raises.  A leading UTF-8 byte-order mark is
-    dropped.  A bad file raises ``ConfigError``; a bad value, ``DomainError``.
+    A file without ``"`` or NUL, with a good header and only numbers in
+    well-formed rows, is read by ``_flat_values``, whatever its line ends.
+    Any other file goes through ``csv.reader`` in ``_csv_values``, so its
+    error is the one the first bad row raises.  A leading UTF-8 byte-order
+    mark is dropped.  A bad file raises ``ConfigError``; a bad value,
+    ``DomainError``.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
-    values, problem = None, None
-    if not ('"' in text or "\r" in text or "\0" in text):
-        header_line = text.partition("\n")[0]
-        header = [cell.strip() for cell in header_line.split(",")]
-        if (
-            len(header_line) <= csv.field_size_limit()
-            and _header_problem(header, factor_names) is None
-        ):
-            values = _flat_floats(_plain_chunks(text, len(header_line) + 1, len(header)))
-    if values is None:
-        header, values, problem = _csv_values(path, text, factor_names)
+    flat = _flat_values(text, factor_names)
+    header, values, problem = flat or _csv_values(path, text, factor_names)
     width = len(header)
     table = SampleTable(  # raises a bad value's DomainError before a later row's error
         output=values[0::width],
@@ -207,34 +199,41 @@ def _header_problem(header: list[str], factor_names: tuple[str, ...]) -> str | N
     return None
 
 
-def _plain_chunks(text: str, start: int, width: int):
-    """The cells of the non-empty lines of ``text`` from ``start``, a chunk at
-    a time; raises ValueError at a chunk with a line of other than ``width``
-    cells or one longer than the csv module's field size limit."""
-    commas, limit = width - 1, csv.field_size_limit()
+def _flat_values(text: str, factor_names: tuple[str, ...]):
+    """The header and row-major cells of ``text`` split on commas and line
+    ends a chunk of lines at a time, as ``_csv_values`` returns them; None
+    if it holds ``"`` or NUL, or has a bad header, a line of the wrong cell
+    count or over the csv field size limit, or a cell that is not a number.
+
+    The csv module ends a line at each ``\\r\\n``, ``\\r`` and ``\\n``, so each
+    ``\\r`` becomes ``\\n``: a ``\\r\\n`` leaves a blank line, skipped as any is,
+    and no line number is reported here.  A text without ``\\r`` is not copied.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r", "\n")
+    start = text.find("\n") + 1 or len(text) + 1
+    header = [cell.strip() for cell in text[: start - 1].split(",")]
+    limit = csv.field_size_limit()
+    if start - 1 > limit or _header_problem(header, factor_names) is not None:
+        return None
+    values: list[float] = []
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS)
         if end < 0:
             end = len(text)
         lines = list(filter(None, text[start:end].split("\n")))
         start = end + 1
-        if set(map(str.count, lines, repeat(","))) - {commas}:
-            raise ValueError("a line has the wrong cell count")
+        if set(map(str.count, lines, repeat(","))) - {len(header) - 1}:
+            return None
         if max(map(len, lines), default=0) > limit:
-            raise ValueError("a line is longer than the csv module takes")
-        yield ",".join(lines).split(",")
-
-
-def _flat_floats(chunks) -> list[float] | None:
-    """Every cell of every chunk of cells, in order, as one list of floats;
-    None if a cell is not a number or a chunk raises ValueError."""
-    values: list[float] = []
-    try:
-        for cells in chunks:
-            values += map(float, cells)
-    except ValueError:
-        return None
-    return values
+            return None
+        try:
+            values += map(float, ",".join(lines).split(","))
+        except ValueError:
+            return None
+    return header, values, None
 
 
 def _csv_values(

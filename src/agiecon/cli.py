@@ -7,7 +7,7 @@ sweep     power-decline curve(s): writes power_curve.csv and power_curve.svg;
           --points N overrides the grid size, --lambda X (repeatable)
           overlays one curve per decay constant
 simulate  run a displacement scenario: writes series.csv and prints a
-          collapse report line when the human wage crosses the threshold
+          collapse line when w_h crosses the threshold or has no baseline
 fit       recover Cobb-Douglas parameters from a sample CSV: writes fit.csv
 check     run the diagnostic suite: writes check.txt, exits 2 on any FAIL
 
@@ -180,8 +180,9 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
     _write(out_dir / "series.csv", _SERIES_HEADER + "\n" + body)
     try:
         step = detect_collapse(series, cfg.collapse_threshold)
-    except UndefinedBaselineError:
-        step = None
+    except UndefinedBaselineError as exc:
+        print(f"collapse: undefined: {exc}")
+        return 0
     if step is not None:
         print(
             f"collapse: human wage fell below {cfg.collapse_threshold:g} of its"

@@ -220,9 +220,10 @@ def classify_limit(
     Model I's summed capital handled as a shifted base), so the limit is
     decided by the signs of p and log r.  The verdict is then confirmed
     against a numeric evaluation of the literal expression at 1e-3, 1e-6,
-    1e-9 (or 1e3, 1e6, 1e9), computed in log-magnitude space so overflow
-    and underflow cannot corrupt the comparison; disagreement raises
-    LimitProbeError rather than returning a guess.
+    1e-9 (or 1e3, 1e6, 1e9), each times the sum of the fields the target is
+    summed with where that is below 1 (above 1 toward infinity), in
+    log-magnitude space so overflow and underflow cannot corrupt the
+    comparison; disagreement raises LimitProbeError rather than a guess.
     """
     _require_params(params)
     quantity_fields = tuple(field for _, bases, _ in params.TERMS for field in bases)
@@ -321,13 +322,19 @@ def _log_magnitude(params, target, wage_factor, v):
         exponent = value_of(exponent_field)
         if own:
             exponent -= 1.0
-        base = math.fsum(value_of(field) for field in bases)
-        logmag += exponent * math.log(base)
+        if exponent:  # x**0 == 1, even where a probe overflows x to inf
+            logmag += exponent * math.log(math.fsum(value_of(field) for field in bases))
     return sign, logmag
 
 
 def _confirm_numeric(params, target, direction, wage_factor, kind, value):
     probes = _PROBES[direction]
+    # a target summed into a base reaches its limit only relative to the rest
+    for _, bases, _ in params.TERMS:
+        if target in bases and len(bases) > 1:
+            offset = math.fsum(getattr(params, field) for field in bases if field != target)
+            scale = (min if direction is LimitDirection.TO_ZERO_PLUS else max)(offset, 1.0)
+            probes = tuple(v * scale for v in probes)
     evaluated = [_log_magnitude(params, target, wage_factor, v) for v in probes]
     magnitudes = [logmag for _, logmag in evaluated]
     m0, m1, m2 = magnitudes

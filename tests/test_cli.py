@@ -162,6 +162,14 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
 
+def _demo_scenario(*replacements):
+    """configs/simulate_demo.ini with each (old, new) text replaced."""
+    text = (CONFIGS / "simulate_demo.ini").read_text()
+    for old, new in replacements:
+        text = text.replace(old, new)
+    return text
+
+
 class TestSimulate:
     def test_golden_bytes(self, tmp_path, capsys):
         assert run_cli("simulate", "--config", CONFIGS / "simulate_demo.ini", "--out", tmp_path) == 0
@@ -176,6 +184,17 @@ class TestSimulate:
             "t,s,beta1,beta2,K,K_AGI,L_h,L_AGI,Y,w_h,w_AGI,p_h_elastic,p_h_transition,wage_bill"
         )
         assert len(lines) == 22  # horizon + 1 records
+
+    def test_undefined_collapse_is_reported(self, tmp_path, capsys):
+        # with beta2 > 0 and L_AGI(0) = 0, Y(0) = w_h(0) = 0; the run used to
+        # print nothing, as if the wage had never collapsed
+        config = tmp_path / "b2pos.ini"
+        config.write_text(_demo_scenario(("beta2 = 0.0", "beta2 = 0.1")))
+        assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 0
+        assert capsys.readouterr().out == (
+            "collapse: undefined: w_h(0) = 0: collapse threshold has no baseline\n"
+        )
+        assert (tmp_path / "out" / "series.csv").exists()
 
     def test_needs_model3(self, tmp_path):
         config = tmp_path / "bad.ini"
@@ -322,8 +341,8 @@ _BAD_CELLS = st.sampled_from(
     ["abc", "", "nan", "inf", "-inf", "1e999", "0", "-0.0", "-1.5", "5e-324", " 2.5 ",
      '"3.5"', '"1,5"', "1.5\0", "\0"]
 )
-# A file whose every line ends in LF takes the flat reader; CR ends send it
-# through the csv module.
+# Line ends of every kind, LF, CRLF and lone CR, mixed or not; without a
+# quote or NUL the file takes the flat reader whatever its line ends.
 _LINE_ENDS = st.sampled_from([("\n",)] * 3 + [("\r\n",), ("\r",), ("\n", "\r\n", "\r")])
 
 
@@ -407,6 +426,16 @@ class TestSampleReader:
         assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
         assert calls == []
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_cr_line_ends_are_read_without_the_csv_module(self, tmp_path, monkeypatch, end):
+        # a file with any CR used to go through the csv module, about twice as slow
+        calls = self.count_csv_readers(monkeypatch)
+        lines = (CONFIGS / "fit_samples.csv").read_text().splitlines()
+        config = write_fit_config(tmp_path, end.join(lines) + end)
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 0
+        assert (tmp_path / "out" / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
+        assert calls == []
+
     def test_one_quoted_cell_sends_the_file_to_the_csv_module(self, tmp_path, monkeypatch):
         calls = self.count_csv_readers(monkeypatch)
         header, first, *rest = (CONFIGS / "fit_samples.csv").read_text().splitlines()
@@ -428,7 +457,8 @@ class TestSampleReader:
         err = capsys.readouterr().err
         assert err == f"config error: sample file {tmp_path / 'samples.csv'}: row {bad_line} has 2 cells\n"
 
-    def test_many_chunks_read_the_same_columns(self, tmp_path):
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_many_chunks_read_the_same_columns(self, tmp_path, end):
         rng = random.Random(3)
         rows = ["Y,L,K,Z"]
         for _ in range(20_000):
@@ -436,7 +466,7 @@ class TestSampleReader:
             if rng.random() < 0.05:
                 rows.append("")  # a blank line, now and then at a chunk edge
         path = tmp_path / "samples.csv"
-        path.write_text("\n".join(rows), encoding="utf-8")
+        path.write_text(end.join(rows), encoding="utf-8", newline="")
         table = calibration.read_samples(path, ("K", "L"))
         want = reference_read_samples(path, ("K", "L"))
         assert len(table) == 20_000
@@ -572,6 +602,10 @@ CHECK_NAMES = [
 
 
 class TestCheck:
+    def test_golden_bytes(self, tmp_path):
+        assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "check.txt").read_bytes() == (GOLDEN / "check.txt").read_bytes()
+
     def test_report_format_and_content(self, tmp_path):
         assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
         lines = (tmp_path / "check.txt").read_text().splitlines()
@@ -676,6 +710,51 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+class TestErrorLines:
+    """Each error path prints its one exact line and exits with its status."""
+
+    @pytest.mark.parametrize(
+        "command, config, extra, status, err",
+        [
+            ("simulate", _demo_scenario(("adoption = logistic", "adoption = sigmoid")), (), 1,
+             "config error: [scenario].adoption: expected one of linear, logistic,"
+             " exp_saturating, got 'sigmoid'"),
+            ("simulate", _demo_scenario(("growth = 0.05", "growth = -0.1")), (), 1,
+             "config error: [scenario].growth: must be >= 0, got -0.1"),
+            ("simulate", _demo_scenario(("threshold = 0.5", "threshold = 1.5")), (), 1,
+             "config error: [scenario].collapse_threshold: must lie in (0, 1], got 1.5"),
+            ("simulate", _demo_scenario(("k = 0.6", "k = -1")), (), 1,
+             "config error: [scenario]: logistic steepness k must be > 0, got -1.0"),
+            ("fit", "[fit]\nfactors = K, L\ninput =\n", (), 1,
+             "config error: [fit].input: path must not be empty"),
+            ("simulate", _demo_scenario().partition("[scenario]")[0], (), 1,
+             "config error: simulate needs a [scenario] section"),
+            ("fit", "[transition]\nlambda = 2\n", (), 1,
+             "config error: fit needs a [fit] section"),
+            ("fit", "[fit]\nfactors = K, L\ninput = samples.csv\n", (), 1,
+             "config error: sample file {samples} is empty"),
+            ("sweep", "[transition]\nlambda = 2\n", ("--lambda", "0"), 1,
+             "usage error: --lambda must be a positive finite real, got 0.0"),
+            ("simulate",
+             _demo_scenario(("A = 1.0", "A = 1e300"), ("\nK = 1.0", "\nK = 1e300"),
+                            ("alpha = 0.3", "alpha = 2")), (), 2,
+             "error: step 0: term 'K'**2.0 overflows"),
+        ],
+        ids=[
+            "unknown-adoption", "negative-growth", "threshold-above-1", "negative-steepness",
+            "blank-input", "no-scenario", "no-fit", "empty-samples", "zero-lambda",
+            "overflowing-term",
+        ],
+    )
+    def test_one_exact_line(self, tmp_path, capsys, command, config, extra, status, err):
+        (tmp_path / "config.ini").write_text(config)
+        (tmp_path / "samples.csv").write_text("")
+        argv = (command, "--config", tmp_path / "config.ini", "--out", tmp_path / "out", *extra)
+        assert run_cli(*argv) == status
+        samples = (tmp_path / "config.ini").resolve().parent / "samples.csv"
+        assert capsys.readouterr().err == err.format(samples=samples) + "\n"
 
 
 class TestUnwritableOutput:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -293,6 +294,29 @@ class TestClassifyLimit:
         params = ModelIParams(A=1, K=0, K_AGI=1, L=1, alpha=0.5, beta=0.5)
         with pytest.raises(ContractViolationError):
             classify_limit(params, "L", TO_ZERO)
+
+    @pytest.mark.parametrize(
+        "k, alpha, direction, wage, kind, value",
+        [
+            (1e-12, 0.5, TO_ZERO, None, LimitKind.FINITE, 1e-6),
+            (1e-12, 0.5, TO_ZERO, "L", LimitKind.FINITE, 5e-7),
+            (1e30, 0.5, TO_INF, None, LimitKind.DIVERGES, None),
+            (5e-324, 0.5, TO_ZERO, None, LimitKind.FINITE, math.sqrt(5e-324)),
+            (1e306, 0.0, TO_INF, None, LimitKind.FINITE, 1.0),
+        ],
+        ids=["tiny-K-output", "tiny-K-wage", "huge-K", "subnormal-K", "overflowing-probe"],
+    )
+    def test_summed_capital_is_probed_relative_to_the_other_field(
+        self, k, alpha, direction, wage, kind, value
+    ):
+        # K_AGI probed at fixed points 1e-9..1e-3 (or 1e3..1e9) was swamped by a
+        # tiny K or lost beside a huge one, and a right verdict raised
+        # LimitProbeError; scaled probes may overflow to inf, where K_total**0 is 1
+        params = ModelIParams(A=1, K=k, K_AGI=1, L=1, alpha=alpha, beta=0.5)
+        result = classify_limit(params, "K_AGI", direction, wage)
+        assert result.kind is kind
+        if value is not None:
+            assert result.value == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize(
         "cls,values",
