@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 JOBS = [
-    ("sweep", "sweep_default.ini", ["power_curve.csv"]),
+    ("sweep", "sweep_default.ini", ["power_curve.csv", "power_curve.svg"]),
     ("simulate", "simulate_demo.ini", ["series.csv"]),
     ("fit", "fit_demo.ini", ["fit.csv"]),
     ("check", "sweep_default.ini", ["check.txt"]),

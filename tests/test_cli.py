@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import math
 import random
@@ -76,8 +77,39 @@ class TestEval:
 class TestSweep:
     def test_golden_bytes(self, tmp_path):
         assert run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
-        produced = (tmp_path / "power_curve.csv").read_bytes()
-        assert produced == (GOLDEN / "power_curve.csv").read_bytes()
+        for name in ("power_curve.csv", "power_curve.svg"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        ("w_inf", "digests"),
+        [
+            (
+                2.0,
+                {
+                    "power_curve.csv": "602d5d8b8c9c63f90601f76bab984a009c8f39daa04c0c991b80e868d0e0ee08",
+                    "power_curve.svg": "8c5c45f137e5ab03ca6dfe266173f38f4d32ec6395c1bc0781df3f69e9881359",
+                },
+            ),
+            (
+                0.0,
+                {
+                    "power_curve.csv": "4b14c693b7272de4fe4f466d89b6f75d6791eb7f9d8ddf139bf2ae48380b55ca",
+                    "power_curve.svg": "4a2886d11dafb2cc4473a86fd6dbe7ff8d4e5f6069cb9f1feb7e874c3277ee07",
+                },
+            ),
+        ],
+        ids=["agi-wage", "no-agi-wage"],
+    )
+    def test_dense_sweep_bytes(self, tmp_path, w_inf, digests):
+        # about 78 grid points per pixel column, so the chart decimates long
+        # runs; exp(-1000 l) underflows from l = 0.745 on, so the CSV's curve
+        # ends in a 0.0 (w_inf > 0) or nan (w_inf = 0) suffix
+        config = tmp_path / "sweep.ini"
+        config.write_text(f"[transition]\nw0 = 1.0\nw_inf = {w_inf}\nlambda = 3.0\n")
+        argv = ("--config", config, "--out", tmp_path, "--points", 50000)
+        assert run_cli("sweep", *argv, "--lambda", 1000, "--lambda", 3, "--lambda", 0.5) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_repeated_runs_identical(self, tmp_path):
         for sub in ("a", "b"):
