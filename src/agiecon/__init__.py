@@ -55,7 +55,7 @@ from .scenario import (
     run_scenario,
 )
 from .transition import (
-    PowerCurvePoint,
+    PowerCurve,
     TransitionParams,
     agi_wage,
     human_power,
@@ -84,7 +84,7 @@ __all__ = [
     "ModelIIIParams",
     "NonFiniteDerivativeError",
     "NonFiniteOutputError",
-    "PowerCurvePoint",
+    "PowerCurve",
     "RankDeficiencyError",
     "SampleTable",
     "ScenarioConfig",

@@ -149,12 +149,12 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     ]
 
     # The CSV schema has no lambda column, so it carries the first curve;
-    # the SVG overlays the whole family.  Each point is its own row.
-    body = format_rows(curves[0][1], nan_columns=(3,))  # P_h is nan where the index is undefined
+    # the SVG overlays the whole family.
+    first = curves[0][1]
+    rows = list(zip(first.l_agi, first.w_h, first.w_agi, first.p_h))
+    body = format_rows(rows, nan_columns=(3,))  # P_h is nan where the index is undefined
     chart = line_chart(
-        curves=[
-            (f"lambda={lam:g}", [(p.l_agi, p.p_h) for p in points]) for lam, points in curves
-        ],
+        curves=[(f"lambda={lam:g}", curve.l_agi, curve.p_h) for lam, curve in curves],
         title="Human economic power vs AGI labor share",
         x_label="AGI labor share",
         y_label="human share of labor income",

@@ -206,8 +206,8 @@ def run_diagnostics() -> list[Diagnostic]:
 
     violations = 0
     for lam in (0.5, 1.0, 2.0, 5.0, 10.0):
-        points = power_curve(TransitionParams(w0=1.0, w_inf=1.0, lam=lam), 1001)
-        violations += sum(not after.p_h < before.p_h for before, after in zip(points, points[1:]))
+        p_h = power_curve(TransitionParams(w0=1.0, w_inf=1.0, lam=lam), 1001).p_h
+        violations += sum(not after < before for before, after in zip(p_h, p_h[1:]))
     add(violations == 0, "power_curve_family_strict_decrease_violations", str(violations))
 
     # Consistency of the wage map with the index used everywhere above.

@@ -1,13 +1,18 @@
 """Dependency-free SVG line charts with deterministic bytes.
 
 Emitting the markup directly (no plotting library) keeps repeated runs
-byte-identical, which golden tests rely on.  Data is mapped affinely into
-the plot rectangle left after 10% margins on every side.
+byte-identical, which golden tests rely on.  Each curve comes as two
+columns, xs and ys, and is mapped affinely into the plot rectangle left
+after 10% margins on every side; dense curves are decimated per pixel
+column with C-level passes over those columns.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from itertools import compress, groupby, repeat
+from operator import add, and_, eq, mul
 
 
 def escape(text: str) -> str:
@@ -31,44 +36,26 @@ _WIDTH = 800
 _HEIGHT = 600
 
 
-def _pixel_extremes(points: list[tuple[float, float]], columns: list[int]) -> list:
-    """The points of each run of consecutive equal ``columns`` that can change a pixel.
-
-    M4 aggregation (Jugel et al., PVLDB 7(10), 2014): a run of more than four
-    points keeps its first, last, lowest-y and highest-y point (the earliest
-    of tied extremes), in their original order; a shorter run is kept whole.
-    A polyline through the kept points spans each pixel column over the same
-    vertical extent, and joins neighbouring columns by the same segments, as
-    one through every point.
-    """
-    kept = []
-    start = 0
-    ends = [i for i in range(1, len(columns)) if columns[i] != columns[i - 1]]
-    for end in [*ends, len(columns)]:
-        run = points[start:end]
-        if len(run) <= 4:
-            kept += run
-        else:
-            ys = [y for _, y in run]
-            picks = {0, ys.index(min(ys)), ys.index(max(ys)), len(run) - 1}
-            kept += [run[i] for i in sorted(picks)]
-        start = end
-    return kept
-
-
 def line_chart(
-    curves: list[tuple[str, list[tuple[float, float]]]],
+    curves: list[tuple[str, Sequence[float], Sequence[float]]],
     title: str,
     x_label: str,
     y_label: str,
 ) -> str:
     """Chart of unit-square data (x and y both in [0, 1]).
 
-    One polyline per (label, points) curve plus a legend entry for each;
-    NaN points are skipped.  Axes carry six labeled ticks.  Of each run of
+    One polyline per (label, xs, ys) curve plus a legend entry for each;
+    points where x or y is NaN are skipped.  Axes carry six labeled ticks.
+
+    M4 aggregation (Jugel et al., PVLDB 7(10), 2014): of each run of
     consecutive points in one pixel column, floor(px(x)), at most the first,
-    last, lowest and highest are drawn, so a dense curve costs about four
-    vertices per column; a run of at most four points is drawn whole.
+    last, lowest-y and highest-y point (the earliest of tied extremes) are
+    drawn, in their original order, so a dense curve costs about four
+    vertices per column; a run of at most four points is drawn whole.  A
+    polyline through the kept points spans each pixel column over the same
+    vertical extent, and joins neighbouring columns by the same segments, as
+    one through every point.  x need not be sorted: a column visited twice
+    is two runs.
     """
     left = 0.1 * _WIDTH
     right = 0.9 * _WIDTH
@@ -123,13 +110,23 @@ def line_chart(
         f'transform="rotate(-90 {left - 44:.2f} {(top + bottom) / 2:.2f})">{escape(y_label)}</text>'
     )
 
-    for index, (label, points) in enumerate(curves):
+    for index, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[index % len(_PALETTE)]
-        drawn = [(x, y) for x, y in points if not (math.isnan(x) or math.isnan(y))]
-        coords = " ".join(
-            f"{px(x):.2f},{py(y):.2f}"
-            for x, y in _pixel_extremes(drawn, [math.floor(px(x)) for x, _ in drawn])
-        )
+        if math.isnan(sum(xs) + sum(ys)):  # a sum holding a NaN is NaN
+            drawn = list(map(and_, map(eq, xs, xs), map(eq, ys, ys)))  # x == x: not NaN
+            xs, ys = list(compress(xs, drawn)), list(compress(ys, drawn))
+        pxs = list(map(add, repeat(left), map(mul, xs, repeat(right - left))))  # px(x)
+        kept, start = [], 0
+        for _, run in groupby(map(math.floor, pxs)):
+            end = start + len(list(run))
+            if end - start <= 4:
+                kept += range(start, end)
+            else:
+                run_ys = ys[start:end]
+                low, high = run_ys.index(min(run_ys)), run_ys.index(max(run_ys))
+                kept += sorted({start, start + low, start + high, end - 1})
+            start = end
+        coords = " ".join(f"{pxs[i]:.2f},{py(ys[i]):.2f}" for i in kept)
         lines.append(
             f'<polyline class="curve" fill="none" stroke="{color}" stroke-width="2" '
             f'points="{coords}"/>'

@@ -12,12 +12,16 @@ the (1 - l) weight annihilates the numerator.  Dropping the labor weights
 instead gives w_h(1) / (w_h(1) + w_agi(1)) = exp(-lam) at l = 1; that
 simplified wage-ratio value is surfaced by the diagnostics report, never
 returned by ``human_power``.
+
+``power_curve`` evaluates the same expressions over a whole grid and
+returns them by column, as a ``PowerCurve`` of tuples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from itertools import compress, repeat
+from operator import add, mul, not_, sub, truediv
 
 from .errors import DomainError, UndefinedIndexError
 from .record import Record
@@ -41,13 +45,17 @@ class TransitionParams(Record):
             raise DomainError(f"lambda must be a positive finite real, got {self.lam!r}")
 
 
-class PowerCurvePoint(NamedTuple):
-    """One grid point; p_h is NaN where the index is undefined (0/0)."""
+class PowerCurve(Record):
+    """A power curve by column, one tuple per quantity and one entry per grid
+    point; p_h is NaN where the index is undefined (0/0)."""
 
-    l_agi: float
-    w_h: float
-    w_agi: float
-    p_h: float
+    l_agi: tuple[float, ...]
+    w_h: tuple[float, ...]
+    w_agi: tuple[float, ...]
+    p_h: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.l_agi)
 
 
 def _check_share(l_agi: float) -> float:
@@ -97,37 +105,40 @@ def human_power(tp: TransitionParams, l_agi: float) -> float:
     return human_income / (human_income + tp.w_inf / tp.w0 * agi_weight)
 
 
-def power_curve(tp: TransitionParams, n_points: int) -> list[PowerCurvePoint]:
+def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
     """Uniform grid of n_points over l_agi in [0, 1].
 
     Points where the index is undefined carry p_h = NaN instead of
     poisoning the whole curve.  The grid is uniform on purpose: output is
     deterministic and golden-file friendly.
 
-    Each point is the tuple (l_agi, human_wage, agi_wage, human_power or
-    NaN), bit for bit: the loop evaluates one exp per point and derives all
-    three values from it with the single-point functions' expressions, in
-    their order.  The grid needs no share check, since i / (n - 1) lies in
-    [0, 1].
+    Point i is (l_agi, human_wage, agi_wage, human_power or NaN) at
+    l_agi = i / (n_points - 1), bit for bit: each column is one ``map``
+    over the grid with the single-point functions' expressions, in their
+    order, from one exp per point.  Where an income weight is zero, the
+    few points take ``human_power``'s branch.  The grid needs no share
+    check, since i / (n - 1) lies in [0, 1].
     """
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 2:
         raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
-    w0, w_inf, neg_lam = tp.w0, tp.w_inf, -tp.lam
-    wage_ratio = w_inf / w0  # human_power's w_inf / w0 * agi_weight, left to right
-    exp, nan, last = math.exp, math.nan, n_points - 1
-    make = tuple.__new__  # skips PowerCurvePoint's keyword handling
-    points: list[PowerCurvePoint] = []
-    append = points.append
-    for i in range(n_points):
-        l_agi = i / last
-        decay = exp(neg_lam * l_agi)
-        human_income = decay * (1.0 - l_agi)
-        agi_weight = (1.0 - decay) * l_agi
-        if human_income == 0.0:
-            p_h = nan if agi_weight == 0.0 or w_inf == 0.0 else 0.0
-        elif agi_weight == 0.0:
-            p_h = 1.0
-        else:
-            p_h = human_income / (human_income + wage_ratio * agi_weight)
-        append(make(PowerCurvePoint, (l_agi, w0 * decay, w_inf * (1.0 - decay), p_h)))
-    return points
+    w0, w_inf, grid = tp.w0, tp.w_inf, range(n_points)
+    l_agi = tuple(map(truediv, grid, repeat(n_points - 1)))
+    decay = list(map(math.exp, map(mul, repeat(-tp.lam), l_agi)))
+    rise = list(map(sub, repeat(1.0), decay))
+    human_income = list(map(mul, decay, map(sub, repeat(1.0), l_agi)))
+    agi_weight = list(map(mul, rise, l_agi))
+    no_agi = list(compress(grid, map(not_, agi_weight)))
+    no_human = list(compress(grid, map(not_, human_income)))
+    for i in no_human:  # nan / nan, where the total could be 0; p_h is set below
+        human_income[i] = math.nan
+    # human_power's w_inf / w0 * agi_weight, left to right
+    agi_income = map(mul, repeat(w_inf / w0), agi_weight)
+    p_h = list(map(truediv, human_income, map(add, human_income, agi_income)))
+    # human_power's branches; its zero-human-income branch comes first, so it is applied last
+    for i in no_agi:
+        p_h[i] = 1.0  # also where an infinite w_inf / w0 made inf * 0 = nan
+    for i in no_human:
+        p_h[i] = math.nan if agi_weight[i] == 0.0 or w_inf == 0.0 else 0.0
+    return PowerCurve(
+        l_agi, tuple(map(mul, repeat(w0), decay)), tuple(map(mul, repeat(w_inf), rise)), tuple(p_h)
+    )

@@ -103,9 +103,9 @@ def test_criterion_03_power_curve_family():
     ok = True
     mid_errors = []
     for lam in (0.5, 1.0, 2.0, 5.0, 10.0):
-        points = power_curve(TransitionParams(w0=1.0, w_inf=1.0, lam=lam), 1001)
-        ok = ok and all(b.p_h < a.p_h for a, b in zip(points, points[1:]))
-        mid_errors.append(abs(points[500].p_h - math.exp(-lam / 2.0)))
+        p_h = power_curve(TransitionParams(w0=1.0, w_inf=1.0, lam=lam), 1001).p_h
+        ok = ok and all(b < a for a, b in zip(p_h, p_h[1:]))
+        mid_errors.append(abs(p_h[500] - math.exp(-lam / 2.0)))
     worst_mid = _max_or_nan(mid_errors)
     elapsed = time.perf_counter() - started
     report(3, "1001-point curves strictly decreasing, midpoint e^(-lambda/2) within 1e-12",

@@ -14,9 +14,11 @@ from agiecon import (
     ModelIIIParams,
     ModelIIParams,
     ModelIParams,
+    PowerCurve,
     SampleTable,
     ScenarioConfig,
     TransitionParams,
+    power_curve,
 )
 from agiecon.config import FitSpec, ParsedConfig, ScenarioSection
 from agiecon.diagnostics import Diagnostic
@@ -40,6 +42,7 @@ EXAMPLES = {
     AdoptionPath: lambda: AdoptionPath.logistic(k=0.5, t0=4.0),
     ScenarioConfig: lambda: ScenarioConfig(8, model3(), AdoptionPath.linear()),
     TransitionParams: lambda: TransitionParams(w0=2.0, lam=3.0),
+    PowerCurve: lambda: power_curve(TransitionParams(), 3),
     FitSpec: lambda: FitSpec(("K", "L"), "samples.csv"),
     ScenarioSection: lambda: ScenarioSection(8, AdoptionPath.linear(), 0.05, 0.5),
     ParsedConfig: lambda: ParsedConfig(None, TransitionParams(), 101, None, None),
@@ -62,7 +65,7 @@ def test_every_record_class_has_an_example():
 
     defined = {cls for cls in subclasses(Record) if cls.__module__.startswith("agiecon.")}
     assert defined == set(EXAMPLES)
-    assert len(defined) == 15
+    assert len(defined) == 16
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)

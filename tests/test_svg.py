@@ -1,8 +1,9 @@
 import math
 import re
+from itertools import groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from agiecon import TransitionParams, power_curve
@@ -15,7 +16,8 @@ TOP, BOTTOM = 0.1 * 600, 0.9 * 600
 
 def chart_vertices(points):
     """The "x,y" vertices of the one polyline a chart of ``points`` draws."""
-    svg = line_chart(curves=[("c", points)], title="t", x_label="x", y_label="y")
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    svg = line_chart(curves=[("c", xs, ys)], title="t", x_label="x", y_label="y")
     (coords,) = re.findall(r'<polyline class="curve"[^>]* points="([^"]*)"', svg)
     return coords.split()
 
@@ -43,14 +45,34 @@ def column_runs(full):
     return runs
 
 
+def shuffled_columns(xs, rng):
+    """``xs`` with each pixel column's points shuffled and split in up to
+    three pieces, and the pieces shuffled: x is not sorted, and a column is
+    visited in several runs."""
+    pieces = []
+    for _, run in groupby(xs, key=lambda x: math.floor(LEFT + x * (RIGHT - LEFT))):
+        run = list(run)
+        rng.shuffle(run)
+        cuts = sorted(rng.sample(range(1, len(run)), min(2, len(run) - 1)))
+        pieces += [run[a:b] for a, b in zip([0, *cuts], [*cuts, len(run)])]
+    rng.shuffle(pieces)
+    return [x for piece in pieces for x in piece]
+
+
 @st.composite
 def dense_curves(draw):
     """Curves on a grid of 1/64000 steps: 100 grid x per pixel column, so each
-    vertex string is unique and the SVG can be read back point by point."""
+    vertex string is unique and the SVG can be read back point by point.
+    x rises, falls or is shuffled, and NaN x or y fall inside pixel columns."""
     step = draw(st.sampled_from([1, 2, 3, 7, 30, 101]))
     n = draw(st.integers(1, min(2000, 64000 // step + 1)))
     start = draw(st.integers(0, 64000 - step * (n - 1)))
     xs = [(start + step * i) / 64000 for i in range(n)]
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "descending":
+        xs.reverse()
+    elif order == "shuffled":
+        xs = shuffled_columns(xs, draw(st.randoms(use_true_random=False)))
     kind = draw(st.sampled_from(["rising", "falling", "any"]))
     ys = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     if kind != "any":
@@ -82,6 +104,12 @@ def assert_columns_keep_ends_and_extremes(points):
         assert max(full[i][2] for i in mine) == max(full[i][2] for i in run)
 
 
+# two runs of five drawn points in pixel column 80 (x < 1/640), one on each
+# side of column 81; the first has a NaN y and a NaN x between its lowest
+# and its highest point
+@example([(0.001, 0.5), (0.0002, 0.1), (0.0011, math.nan), (0.0005, 0.9), (math.nan, 0.3),
+          (0.0003, 0.2), (0.0009, 0.45), (0.0016, 0.6), (0.0004, 0.4), (0.0007, 0.95),
+          (0.0001, 0.05), (0.0006, 0.5), (0.0008, 0.7)])
 @given(dense_curves())
 def test_each_pixel_column_keeps_its_ends_and_extremes(points):
     assert_columns_keep_ends_and_extremes(points)
@@ -92,11 +120,13 @@ def test_each_pixel_column_keeps_its_ends_and_extremes(points):
 def test_at_most_641_grid_points_are_drawn_whole(n, w_inf):
     # a uniform grid this coarse puts at most 4 points in a pixel column
     for lam in (0.5, 2.0, 10.0):
-        points = [(p.l_agi, p.p_h) for p in power_curve(TransitionParams(1.0, w_inf, lam), n)]
+        curve = power_curve(TransitionParams(1.0, w_inf, lam), n)
+        points = list(zip(curve.l_agi, curve.p_h))
         assert chart_vertices(points) == [vertex for _, vertex, _ in full_polyline(points)]
 
 
 def test_dense_power_curve_keeps_at_most_four_vertices_per_column():
-    points = [(p.l_agi, p.p_h) for p in power_curve(TransitionParams(1.0, 2.0, 3.0), 50000)]
+    curve = power_curve(TransitionParams(1.0, 2.0, 3.0), 50000)
+    points = list(zip(curve.l_agi, curve.p_h))
     assert_columns_keep_ends_and_extremes(points)
     assert len(chart_vertices(points)) <= 4 * 641

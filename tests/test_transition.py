@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from agiecon import (
     DomainError,
-    PowerCurvePoint,
+    PowerCurve,
     TransitionParams,
     UndefinedIndexError,
     agi_wage,
@@ -110,7 +110,7 @@ class TestHumanPower:
         # cutoff (total < 1e-300) used to reject this point, whose index is 1
         tp = TransitionParams(w0=1e-305, w_inf=0.0, lam=2.0)
         assert human_power(tp, 0.0) == 1.0
-        assert power_curve(tp, 3)[0].p_h == 1.0
+        assert power_curve(tp, 3).p_h[0] == 1.0
 
     def test_subnormal_wages_keep_precision(self):
         # incomes formed before the ratio lost precision here: 0.36759
@@ -154,31 +154,39 @@ class TestHumanPower:
 
 class TestPowerCurve:
     def test_three_point_curve(self):
-        points = power_curve(TransitionParams(w0=1, w_inf=1, lam=2), 3)
-        assert [p.l_agi for p in points] == [0.0, 0.5, 1.0]
-        assert points[0].p_h == 1.0
-        assert points[1].p_h == pytest.approx(math.exp(-1.0), abs=1e-15)
-        assert points[2].p_h == 0.0
+        curve = power_curve(TransitionParams(w0=1, w_inf=1, lam=2), 3)
+        assert curve.l_agi == (0.0, 0.5, 1.0)
+        assert curve.p_h[0] == 1.0
+        assert curve.p_h[1] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert curve.p_h[2] == 0.0
 
     def test_two_points_are_the_endpoints(self):
-        points = power_curve(TransitionParams(w0=2, w_inf=3, lam=1), 2)
-        assert [p.l_agi for p in points] == [0.0, 1.0]
+        curve = power_curve(TransitionParams(w0=2, w_inf=3, lam=1), 2)
+        assert curve.l_agi == (0.0, 1.0)
 
     def test_family_strictly_decreasing(self):
         for lam in (0.5, 1.0, 2.0, 5.0, 10.0):
-            points = power_curve(TransitionParams(w0=1, w_inf=1, lam=lam), 1001)
-            for before, after in zip(points, points[1:]):
-                assert after.p_h < before.p_h
+            p_h = power_curve(TransitionParams(w0=1, w_inf=1, lam=lam), 1001).p_h
+            for before, after in zip(p_h, p_h[1:]):
+                assert after < before
 
     def test_undefined_point_is_flagged_not_fatal(self):
-        points = power_curve(TransitionParams(w0=1, w_inf=0, lam=2), 5)
-        assert [math.isnan(p.p_h) for p in points] == [False, False, False, False, True]
-        assert points[3].p_h == 1.0
+        p_h = power_curve(TransitionParams(w0=1, w_inf=0, lam=2), 5).p_h
+        assert [math.isnan(p) for p in p_h] == [False, False, False, False, True]
+        assert p_h[3] == 1.0
 
     def test_labor_normalization(self):
-        points = power_curve(TransitionParams(), 101)
-        for p in points:
-            assert (1.0 - p.l_agi) + p.l_agi == pytest.approx(1.0, abs=1e-12)
+        for l_agi in power_curve(TransitionParams(), 101).l_agi:
+            assert (1.0 - l_agi) + l_agi == pytest.approx(1.0, abs=1e-12)
+
+    def test_columns_are_immutable_tuples(self):
+        curve = power_curve(TransitionParams(), 11)
+        assert len(curve) == 11
+        assert curve._fields == ("l_agi", "w_h", "w_agi", "p_h")
+        for column in curve._values():
+            assert type(column) is tuple and len(column) == 11
+        with pytest.raises(AttributeError):
+            curve.p_h = ()
 
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
@@ -194,25 +202,31 @@ def reference_point(tp, l):
     return (l, human_wage(tp, l), agi_wage(tp, l), p_h)
 
 
-# the extremes make w_inf / w0 overflow or underflow, and lam = 1000 makes
-# the decay underflow to 0 from l = 0.746 on, before the grid reaches l = 1
+# the extremes make w_inf / w0 overflow or underflow, lam = 1000 makes the
+# decay underflow to 0 from l = 0.746 on, before the grid reaches l = 1, and
+# lam = 1e-320 leaves exp(-lam * l) at 1, so agi_weight is 0 everywhere
 wide_transition_params = st.builds(
     TransitionParams,
     w0=st.one_of(st.floats(0.1, 10.0), st.sampled_from([1e-320, 1e10])),
     w_inf=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.sampled_from([1e-320, 1e10])),
-    lam=st.one_of(st.floats(0.1, 20.0), st.just(1000.0)),
+    lam=st.one_of(st.floats(0.1, 20.0), st.sampled_from([1000.0, 1e-320])),
 )
 
 
 @given(wide_transition_params, st.integers(2, 400))
 @example(TransitionParams(w0=1, w_inf=0, lam=2), 2)
-@example(TransitionParams(w0=1, w_inf=0, lam=1000), 101)
 @example(TransitionParams(w0=1, w_inf=1, lam=1000), 2)
+# w_inf / w0 is inf, so inf * 0 meets agi_weight = 0 at l = 0, where p_h is 1
+@example(TransitionParams(w0=1e-320, w_inf=1e10, lam=2), 101)
+# exp underflows mid-grid: a nan suffix with w_inf = 0, a 0.0 suffix with w_inf > 0
+@example(TransitionParams(w0=1, w_inf=0, lam=1000), 101)
+@example(TransitionParams(w0=1, w_inf=2, lam=1000), 101)
+# agi_weight == 0 at every point
+@example(TransitionParams(w0=1, w_inf=1, lam=1e-320), 101)
 def test_fused_curve_matches_the_single_point_functions_exactly(tp, n):
-    points = power_curve(tp, n)
-    assert len(points) == n
-    for i, point in enumerate(points):
-        assert type(point) is PowerCurvePoint
+    curve = power_curve(tp, n)
+    assert type(curve) is PowerCurve and len(curve) == n
+    for i, point in enumerate(zip(curve.l_agi, curve.w_h, curve.w_agi, curve.p_h)):
         want = reference_point(tp, i / (n - 1))
         # bit for bit: 0.0 and -0.0 differ, and nan matches only nan
         assert struct.pack("<4d", *point) == struct.pack("<4d", *want)
