@@ -1,25 +1,22 @@
 """Recover Cobb-Douglas parameters from observed (factors, output) samples.
 
 Taking logs turns Y = A * prod x_i**e_i into the linear model
-ln Y = ln A + sum_i e_i ln x_i, solved by least squares.  The solver is
-``numpy.linalg.lstsq`` (SVD via LAPACK gelsd), with rank deficiency
-detected at a relative singular-value cutoff of 1e-10; SVD keeps the fit
-deterministic for a fixed sample order and minimizes the log-space
-residual even on borderline designs.  No regularization: the target is
-exact identification on synthetic data, not econometric inference.
+ln Y = ln A + sum_i e_i ln x_i, solved by least squares in pure Python.
+``_least_squares`` solves the normal equations by Cholesky and refines
+the solution once from the true residual; a design too ill-conditioned for
+that goes to Householder QR.  Rank deficiency is detected as
+``numpy.linalg.lstsq`` detects it, at a relative singular-value cutoff of
+1e-10.  Every long sum is left-to-right float addition, so the fit is
+deterministic for a fixed sample order and the same bits on every
+supported Python version.  No regularization: the target is exact
+identification on synthetic data, not econometric inference.
 
 The fit reads its samples by column from a ``SampleTable``: the output
 column and one column per named factor, validated once when the table is
 built.  ``read_samples`` reads a sample CSV into one, in one flat pass
 unless the file holds a ``"`` or NUL; no other module knows the file
-format.  The log-design matrix is filled one column at a
-time by ``numpy.fromiter`` over ``map(math.log, column)``, with no
-intermediate list, not with ``numpy.log``, whose vectorized kernel may
-round differently from libm in the last place; the fitted values are
-therefore the same bits as a row-by-row fill.
-
-numpy is imported inside ``fit_cobb_douglas``, its only user, so the
-other commands do not pay its import time.
+format.  Logs are taken a column at a time by ``map(math.log, column)``
+into lists.
 """
 
 from __future__ import annotations
@@ -27,8 +24,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from collections import Counter
-from itertools import repeat
+from functools import reduce
+from itertools import combinations, repeat
+from operator import add, mul, sub
 from pathlib import Path
 
 from .errors import (
@@ -41,6 +41,15 @@ from .errors import (
 from .record import Record
 
 _RANK_RCOND = 1e-10
+# Below this sigma_min / sigma_max of the Cholesky factor, the normal
+# equations with one refinement step no longer match lstsq's accuracy:
+# against a 60-digit reference their error was within about 10x of lstsq's
+# down to 1.4e-5, but 15x at 4.6e-6 and 50x at 1.4e-6.  After one step the
+# error is about cond**4 * eps**2, which passes lstsq's cond * eps at
+# cond = eps**(-1/3), about 1.7e5.
+_CHOLESKY_RCOND = 1e-5
+_JACOBI_SWEEPS = 30
+_EPSILON = sys.float_info.epsilon
 
 
 def _check_row(output: float, names, quantities) -> None:
@@ -105,8 +114,11 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
     Needs a ``SampleTable`` with a column for every named factor and at
     least len(factor_names) + 1 rows.  Raises RankDeficiencyError when the
     log design matrix is numerically singular (collinear or constant
-    factors), and NonFiniteOutputError when the fitted ln A is too large
-    for A to be a finite float.
+    factors): a singular value at or below 1e-10 times the largest, the
+    rule of ``numpy.linalg.lstsq(rcond=1e-10)``.  Raises
+    NonFiniteOutputError when the fitted ln A is too large for A to be a
+    finite float.  The residual sum of squares is that of the returned
+    coefficients, in log space.
     """
     if not isinstance(table, SampleTable):
         raise ContractViolationError(f"expected a SampleTable, got {type(table).__name__}")
@@ -122,22 +134,11 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
         if name not in table.factors:
             raise ContractViolationError(f"sample table has no factor {name!r}")
 
-    import numpy as np
-
-    n = len(table)
-    design = np.empty((n, n_params), dtype=np.float64)
-    design[:, 0] = 1.0
-    for col, name in enumerate(factor_names, start=1):
-        design[:, col] = np.fromiter(map(math.log, table.factors[name]), np.float64, n)
-    target = np.fromiter(map(math.log, table.output), np.float64, n)
-
-    coefficients, _, rank, _ = np.linalg.lstsq(design, target, rcond=_RANK_RCOND)
-    if rank < n_params:
-        raise RankDeficiencyError(
-            f"design matrix rank {rank} < {n_params}: collinear or constant log-factors"
-        )
-    residuals = design @ coefficients - target
-    log_tfp = float(coefficients[0])
+    target = list(map(math.log, table.output))
+    columns = [list(map(math.log, table.factors[name])) for name in factor_names]
+    coefficients = _least_squares(columns, target)
+    residual = _residual(columns, target, coefficients)
+    log_tfp = coefficients[0]
     try:
         tfp = math.exp(log_tfp)
     except OverflowError:
@@ -147,11 +148,158 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
     return FitResult(
         tfp_estimate=tfp,
         elasticity_estimates={
-            name: float(coefficients[i]) for i, name in enumerate(factor_names, start=1)
+            name: coefficients[i] for i, name in enumerate(factor_names, start=1)
         },
-        residual_sum_squares=float(residuals @ residuals),
+        residual_sum_squares=_dot(residual, residual),
         sample_count=len(table),
     )
+
+
+if sys.version_info >= (3, 12):
+
+    def _sum(values) -> float:
+        """Left-to-right float addition, as ``sum`` does before Python 3.12.
+
+        From 3.12 on, ``sum`` compensates float rounding, so a fit would
+        differ in its last bits between versions, and the fit golden with it.
+        """
+        return reduce(add, values, 0.0)
+
+else:
+    _sum = sum
+
+
+def _dot(a, b) -> float:
+    return _sum(map(mul, a, b))
+
+
+def _transposed_product(columns, v) -> list[float]:
+    """X^T v for the design X = [1, columns]."""
+    return [_sum(v), *(_dot(x, v) for x in columns)]
+
+
+def _residual(columns, target, coefficients) -> list[float]:
+    """target - X b for the design X = [1, columns], built as one list."""
+    intercept, *slopes = coefficients
+    residual = map(sub, target, repeat(intercept))
+    for slope, x in zip(slopes, columns):
+        residual = map(sub, residual, map(mul, repeat(slope), x))
+    return list(residual)
+
+
+def _cholesky(gram):
+    """Upper-triangular R with R^T R = gram, as rows, read from the upper
+    triangle of the symmetric ``gram``; None when a pivot is not positive,
+    that is, when the factorization breaks down."""
+    p = len(gram)
+    r = [[0.0] * p for _ in range(p)]
+    for j in range(p):
+        pivot = gram[j][j] - math.fsum(r[k][j] * r[k][j] for k in range(j))
+        if not pivot > 0.0:
+            return None
+        r[j][j] = diagonal = math.sqrt(pivot)
+        for i in range(j + 1, p):
+            r[j][i] = (gram[j][i] - math.fsum(r[k][j] * r[k][i] for k in range(j))) / diagonal
+    return r
+
+
+def _solve_upper(r, z) -> list[float]:
+    """b with R b = z, R upper triangular with a nonzero diagonal."""
+    p = len(z)
+    b = [0.0] * p
+    for i in reversed(range(p)):
+        b[i] = (z[i] - math.fsum(r[i][k] * b[k] for k in range(i + 1, p))) / r[i][i]
+    return b
+
+
+def _cholesky_solve(r, c) -> list[float]:
+    """b with R^T R b = c."""
+    z: list[float] = []
+    for i, value in enumerate(c):
+        z.append((value - math.fsum(r[k][i] * z[k] for k in range(i))) / r[i][i])
+    return _solve_upper(r, z)
+
+
+def _singular_values(r) -> list[float]:
+    """Singular values of the square matrix ``r`` (rows), by one-sided Jacobi
+    rotations of its columns until every pair is orthogonal to working
+    precision; they are then the column norms (Golub & Van Loan, Matrix
+    Computations, 4th ed., section 8.6)."""
+    columns = [list(column) for column in zip(*r)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i, j in combinations(range(len(columns)), 2):
+            a, b = columns[i], columns[j]
+            gamma = math.fsum(map(mul, a, b))
+            alpha, beta = math.fsum(map(mul, a, a)), math.fsum(map(mul, b, b))
+            if abs(gamma) <= _EPSILON * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            cos = 1.0 / math.hypot(1.0, t)
+            sin = cos * t
+            columns[i] = [cos * u - sin * v for u, v in zip(a, b)]
+            columns[j] = [sin * u + cos * v for u, v in zip(a, b)]
+        if not rotated:
+            break
+    return [math.sqrt(math.fsum(map(mul, column, column))) for column in columns]
+
+
+def _householder(columns, target):
+    """R (rows) and the first p entries of Q^T target, for X = [1, columns] = QR
+    by Householder reflections applied to copies of the columns."""
+    design = [[1.0] * len(target), *map(list, columns)]
+    target = list(target)
+    p = len(design)
+    r = [[0.0] * p for _ in range(p)]
+    for k, pivot_column in enumerate(design):
+        v = pivot_column[k:]
+        norm = math.sqrt(_dot(v, v))
+        if norm > 0.0:  # a zero column below the diagonal needs no reflection
+            alpha = -math.copysign(norm, v[0])
+            v[0] -= alpha
+            scale = 2.0 / _dot(v, v)
+            for column in (*design[k + 1 :], target):
+                tail = column[k:]
+                f = scale * _dot(v, tail)
+                column[k:] = [u - f * w for u, w in zip(tail, v)]
+            pivot_column[k] = alpha
+        for j in range(k, p):
+            r[k][j] = design[j][k]
+    return r, target[:p]
+
+
+def _least_squares(columns, target) -> list[float]:
+    """Coefficients b, intercept first, minimizing |target - X b| for the
+    design X = [1, columns]; raises RankDeficiencyError at lstsq's rank rule.
+
+    The normal equations X^T X b = X^T y are solved by Cholesky, then
+    refined once from the true residual y - X b (Bjorck, Numerical Methods
+    for Least Squares Problems, SIAM 1996).  Their error grows with the
+    square of X's condition number, so a design whose factor has
+    sigma_min / sigma_max below ``_CHOLESKY_RCOND``, or whose factorization
+    breaks down, is solved by Householder QR instead.  X and either R have
+    the same singular values, so the rank is that of the QR factor.
+    """
+    gram = [[float(len(target)), *map(_sum, columns)]]
+    gram += [[0.0] * (i + 1) + [_dot(a, b) for b in columns[i:]] for i, a in enumerate(columns)]
+    r = _cholesky(gram)
+    if r is not None:
+        sigma = _singular_values(r)
+        if min(sigma) >= _CHOLESKY_RCOND * max(sigma):
+            coefficients = _cholesky_solve(r, _transposed_product(columns, target))
+            residual = _residual(columns, target, coefficients)
+            step = _cholesky_solve(r, _transposed_product(columns, residual))
+            return list(map(add, coefficients, step))
+    r, projected = _householder(columns, target)
+    sigma = _singular_values(r)
+    rank = sum(s > _RANK_RCOND * max(sigma) for s in sigma)
+    if rank < len(sigma):
+        raise RankDeficiencyError(
+            f"design matrix rank {rank} < {len(sigma)}: collinear or constant log-factors"
+        )
+    return _solve_upper(r, projected)
 
 
 # The flat reader splits a file this many characters at a time (a few

@@ -65,6 +65,18 @@ def _check_share(l_agi: float) -> float:
     return l_agi
 
 
+def _rise(decay: float, exponent: float) -> float:
+    """1 - decay for decay = exp(exponent), exponent = -lam * l_agi <= 0.
+
+    Where exp rounds to 1 although exponent < 0 (|exponent| below about
+    1.1e-16), 1 - decay is 0, and -expm1(exponent) gives the small positive
+    value instead; at exponent = 0 both are 0.  Every other value is
+    1 - decay, bit for bit.
+    """
+    rise = 1.0 - decay
+    return rise if rise else -math.expm1(exponent)
+
+
 def human_wage(tp: TransitionParams, l_agi: float) -> float:
     """w0 * exp(-lam * l_agi); strictly decreasing, w0 at l_agi = 0."""
     l_agi = _check_share(l_agi)
@@ -74,7 +86,8 @@ def human_wage(tp: TransitionParams, l_agi: float) -> float:
 def agi_wage(tp: TransitionParams, l_agi: float) -> float:
     """w_inf * (1 - exp(-lam * l_agi)); non-decreasing, 0 at l_agi = 0."""
     l_agi = _check_share(l_agi)
-    return tp.w_inf * (1.0 - math.exp(-tp.lam * l_agi))
+    exponent = -tp.lam * l_agi
+    return tp.w_inf * _rise(math.exp(exponent), exponent)
 
 
 def human_power(tp: TransitionParams, l_agi: float) -> float:
@@ -87,13 +100,14 @@ def human_power(tp: TransitionParams, l_agi: float) -> float:
     positive sum is always in [0, 1].
     """
     l_agi = _check_share(l_agi)
-    decay = math.exp(-tp.lam * l_agi)
+    exponent = -tp.lam * l_agi
+    decay = math.exp(exponent)
     # Both incomes are taken relative to w0, so subnormal wages keep their
     # precision.  The zero weights are settled first: then an overflowing
     # w_inf / w0 never meets a zero weight (inf * 0 is nan), and an
     # underflowing one never hides the positive AGI income at l_agi = 1.
     human_income = decay * (1.0 - l_agi)
-    agi_weight = (1.0 - decay) * l_agi
+    agi_weight = _rise(decay, exponent) * l_agi
     if human_income == 0.0:
         if agi_weight == 0.0 or tp.w_inf == 0.0:
             raise UndefinedIndexError(
@@ -116,8 +130,9 @@ def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
     l_agi = i / (n_points - 1), bit for bit: each column is one ``map``
     over the grid with the single-point functions' expressions, in their
     order, from one exp per point.  Where an income weight is zero, the
-    few points take ``human_power``'s branch.  The grid needs no share
-    check, since i / (n - 1) lies in [0, 1].
+    few points take the single-point functions' branches: ``_rise``'s
+    expm1, then ``human_power``'s.  The grid needs no share check, since
+    i / (n - 1) lies in [0, 1].
     """
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 2:
         raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
@@ -128,6 +143,10 @@ def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
     human_income = list(map(mul, decay, map(sub, repeat(1.0), l_agi)))
     agi_weight = list(map(mul, rise, l_agi))
     no_agi = list(compress(grid, map(not_, agi_weight)))
+    for i in no_agi:  # where 1 - exp rounds to 0, _rise's expm1
+        rise[i] = _rise(decay[i], -tp.lam * l_agi[i])
+        agi_weight[i] = rise[i] * l_agi[i]
+    no_agi = [i for i in no_agi if not agi_weight[i]]
     no_human = list(compress(grid, map(not_, human_income)))
     for i in no_human:  # nan / nan, where the total could be 0; p_h is set below
         human_income[i] = math.nan

@@ -14,6 +14,7 @@ from agiecon import (
     NonFiniteOutputError,
     RankDeficiencyError,
     SampleTable,
+    calibration,
     fit_cobb_douglas,
 )
 from agiecon.calibration import read_samples
@@ -114,6 +115,12 @@ class TestFit:
         samples = sample_table(("K",), [(2.0, 1.0), (3.0, 2.0), (4.0, 3.0)])
         with pytest.raises(ContractViolationError, match="no factor 'L'"):
             fit_cobb_douglas(samples, ["K", "L"])
+
+    def test_long_sums_add_left_to_right(self):
+        # sum() compensates float rounding from Python 3.12 on, which would
+        # make a fit's last bits, and the fit golden, depend on the version
+        assert calibration._sum([1.0, 1e-16, 1e-16]) == 1.0
+        assert calibration._dot([3.0, 1.0, 1.0], [1.0 / 3.0, 1e-16, 1e-16]) == 1.0
 
     def test_deterministic_for_fixed_order(self):
         truth = {"K": 0.5, "L": 0.3}

@@ -128,6 +128,16 @@ class TestHumanPower:
     def test_extreme_wage_ratios_keep_the_endpoints(self, w0, w_inf, l, expected):
         assert human_power(TransitionParams(w0=w0, w_inf=w_inf, lam=2.0), l) == expected
 
+    def test_vanishing_rate_keeps_the_agi_income(self):
+        # 1 - exp(-lam * l) rounds to 0 for lam * l below about 1.1e-16, yet
+        # the AGI income is positive, so the index at l = 1 is 0, not undefined
+        tp = TransitionParams(w0=1, w_inf=1, lam=1e-17)
+        assert agi_wage(tp, 1.0) == 1e-17
+        assert human_power(tp, 1.0) == 0.0
+        curve = power_curve(tp, 3)
+        assert curve.w_agi == (0.0, 5e-18, 1e-17)
+        assert curve.p_h == (1.0, 1.0, 0.0)
+
     def test_degenerate_asymptote_stays_at_one(self):
         tp = TransitionParams(w0=1, w_inf=0, lam=3)
         for l in (0.0, 0.25, 0.5, 0.99):
@@ -204,7 +214,7 @@ def reference_point(tp, l):
 
 # the extremes make w_inf / w0 overflow or underflow, lam = 1000 makes the
 # decay underflow to 0 from l = 0.746 on, before the grid reaches l = 1, and
-# lam = 1e-320 leaves exp(-lam * l) at 1, so agi_weight is 0 everywhere
+# lam = 1e-320 leaves exp(-lam * l) at 1, so 1 - exp(-lam * l) is 0 everywhere
 wide_transition_params = st.builds(
     TransitionParams,
     w0=st.one_of(st.floats(0.1, 10.0), st.sampled_from([1e-320, 1e10])),
@@ -221,8 +231,9 @@ wide_transition_params = st.builds(
 # exp underflows mid-grid: a nan suffix with w_inf = 0, a 0.0 suffix with w_inf > 0
 @example(TransitionParams(w0=1, w_inf=0, lam=1000), 101)
 @example(TransitionParams(w0=1, w_inf=2, lam=1000), 101)
-# agi_weight == 0 at every point
+# 1 - exp(-lam * l) == 0 at every point, and expm1 gives the AGI wage
 @example(TransitionParams(w0=1, w_inf=1, lam=1e-320), 101)
+@example(TransitionParams(w0=1, w_inf=1, lam=1e-17), 3)
 def test_fused_curve_matches_the_single_point_functions_exactly(tp, n):
     curve = power_curve(tp, n)
     assert type(curve) is PowerCurve and len(curve) == n
