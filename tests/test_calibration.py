@@ -1,6 +1,8 @@
 import math
 import random
 import tempfile
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -121,6 +123,15 @@ class TestFit:
         # make a fit's last bits, and the fit golden, depend on the version
         assert calibration._sum([1.0, 1e-16, 1e-16]) == 1.0
         assert calibration._dot([3.0, 1.0, 1.0], [1.0 / 3.0, 1e-16, 1e-16]) == 1.0
+
+    def test_reduce_sum_fits_the_same_bits(self, monkeypatch):
+        # the fit's sum is builtin sum before Python 3.12 and reduce after;
+        # both must add the same way
+        truth = {"K": 0.4, "L": 0.3}
+        samples = generate_samples(300, seed=3, tfp=1.5, elasticities=truth, noise_sigma=0.05)
+        first = fit_cobb_douglas(samples, ["K", "L"])
+        monkeypatch.setattr(calibration, "_sum", lambda values: reduce(add, values, 0.0))
+        assert fit_cobb_douglas(samples, ["K", "L"]) == first
 
     def test_deterministic_for_fixed_order(self):
         truth = {"K": 0.5, "L": 0.3}
