@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Container, Sequence
+from itertools import repeat
+from operator import mod
 
 from .errors import SerializationError
 
 _NUMBER = "%.9e"
+_BLOCK_ROWS = 2048  # rows per block of format_rows: a few hundred kB of text
 
 
 def _normalize(text: str) -> str:
@@ -66,14 +69,26 @@ def format_rows(
     ``integer_columns`` is written with ``%d``; every other cell is written
     as ``format_number`` would write it, or as ``format_number_or_nan``
     for a column listed in ``nan_columns``.  Raises SerializationError for
-    an infinite cell, or a NaN cell outside ``nan_columns``.
+    an infinite cell, or a NaN cell outside ``nan_columns``: the first such
+    row's.
+
+    The rows are formatted and normalized in blocks of ``_BLOCK_ROWS``,
+    which are then joined.  A block ends at a ``\\n`` and no ``_normalize``
+    pattern holds one, so the text is the one a single pass would give.
     """
     if not rows:
         return ""
     template = ",".join(
         "%d" if i in integer_columns else _NUMBER for i in range(len(rows[0]))
     ) + "\n"
-    lines = [template % row for row in rows]
+    return "".join(
+        _format_block(rows[start:start + _BLOCK_ROWS], template, integer_columns, nan_columns)
+        for start in range(0, len(rows), _BLOCK_ROWS)
+    )
+
+
+def _format_block(rows, template, integer_columns, nan_columns) -> str:
+    lines = list(map(mod, repeat(template), rows))
     text = "".join(lines)
     # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold an "n"
     if "n" in text:

@@ -19,20 +19,28 @@ literal marginal product has no finite value there).  Because the human
 elasticity and the human labor quantity vanish together at s = 1, w_h is
 always a real number and ends at exactly 0.
 
-A step is evaluated in closed form, without building a parameter record,
-technology or bundle: Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t
-L_AGI^beta2_t once, through the same ordered product and zero-quantity
-conventions as ``production.output``, and each wage as e * Y / x, the
-identity ``production.marginal_product`` evaluates.  The records are
-therefore bit-identical to the generic model path.  The adoption path's
-step-independent terms (horizon checks, the logistic end points, the
-exp-saturating normalizer) are computed once per run.
+``run_scenario`` computes the run by column, without building a parameter
+record, technology or bundle: each record field is one ``map`` pass over
+the steps, with the expressions ``_step`` evaluates for a single step, in
+its order.  Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t L_AGI^beta2_t is the
+ordered product and zero-quantity convention of ``production.output``,
+each wage is e * Y / x, the identity ``production.marginal_product``
+evaluates, and p_h_transition is ``transition.power_columns`` over the
+shares, so the records are bit-identical to the generic model path.
+``_step`` is the single-step reference: when any step would fail, the
+steps are replayed through it in order, and the first failing step raises
+its own error.  The adoption path's step-independent terms (horizon
+checks, the logistic end points, the exp-saturating normalizer) are
+computed once per run.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum
+from itertools import compress, repeat
+from operator import add, le, mul, neg, not_, sub, truediv
 from typing import NamedTuple
 
 from .errors import (
@@ -46,7 +54,7 @@ from .errors import (
 from .models import ModelIIIParams
 from .production import product_of_terms
 from .record import Record
-from .transition import TransitionParams, human_power
+from .transition import TransitionParams, human_power, power_columns
 
 # unused by the step, kept importable: perfbench/tracer.py wraps these names here
 from .models import model_technology  # noqa: F401
@@ -116,24 +124,32 @@ class AdoptionPath(Record):
         return cls(AdoptionKind.EXP_SATURATING, r=r)
 
 
+def _sigmoids(z: list[float]) -> list[float]:
+    """The logistic function over a non-decreasing column: 1 / (1 + e^-z)
+    where z >= 0 and e^z / (1 + e^z) below, so no exp overflows."""
+    split = bisect_left(z, 0.0)
+    below = list(map(math.exp, z[:split]))
+    return list(map(truediv, below, map(add, repeat(1.0), below))) + list(
+        map(truediv, repeat(1.0), map(add, repeat(1.0), map(math.exp, map(neg, z[split:]))))
+    )
+
+
 def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+    return _sigmoids([z])[0]
 
 
 def _adoption_curve(path: AdoptionPath, horizon: int):
-    """Validate ``horizon`` for ``path`` and return t -> s(t).
+    """Validate ``horizon`` for ``path`` and return steps -> [s(t) for t in steps].
 
-    Only the step-independent terms are computed up front; the per-step
-    expression is the path's formula with those terms substituted, so each
-    s(t) is the float a from-scratch evaluation gives.
+    ``steps`` is a range of integer steps.  Only the step-independent terms
+    are computed up front; each share is one ``map`` pass of the path's
+    formula with those terms substituted, so each s(t) is the float a
+    from-scratch evaluation gives.
     """
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise DomainError(f"horizon must be an integer >= 1, got {horizon!r}")
     if path.kind is AdoptionKind.LINEAR:
-        return lambda t: t / horizon
+        return lambda steps: list(map(truediv, steps, repeat(horizon)))  # t / T
     if path.kind is AdoptionKind.LOGISTIC:
         k, t0 = path.k, path.t0
         if t0 > horizon:
@@ -145,7 +161,12 @@ def _adoption_curve(path: AdoptionPath, horizon: int):
                 f"logistic adoption with k={k!r}, t0={t0!r} does not rise over horizon"
                 f" {horizon}: s(horizon) - s(0) rounds to {span!r}"
             )
-        return lambda t: (_sigmoid(k * (t - t0)) - low) / span
+
+        def logistic(steps):  # (sigmoid(k * (t - t0)) - low) / span
+            z = list(map(mul, repeat(k), map(sub, steps, repeat(t0))))  # rises with t
+            return list(map(truediv, map(sub, _sigmoids(z), repeat(low)), repeat(span)))
+
+        return logistic
     r = path.r
     scale = 1.0 - math.exp(-r * horizon)
     if not scale > 0.0:
@@ -153,7 +174,12 @@ def _adoption_curve(path: AdoptionPath, horizon: int):
             f"exp_saturating adoption with r={r!r} does not rise over horizon {horizon}:"
             f" 1 - exp(-r * horizon) rounds to {scale!r}"
         )
-    return lambda t: (1.0 - math.exp(-r * t)) / scale
+
+    def exp_saturating(steps):  # (1 - exp(-r * t)) / scale
+        decay = map(math.exp, map(mul, repeat(-r), steps))
+        return list(map(truediv, map(sub, repeat(1.0), decay), repeat(scale)))
+
+    return exp_saturating
 
 
 def adoption_share(path: AdoptionPath, t: int, horizon: int) -> float:
@@ -165,7 +191,7 @@ def adoption_share(path: AdoptionPath, t: int, horizon: int) -> float:
     curve = _adoption_curve(path, horizon)
     if not isinstance(t, int) or isinstance(t, bool) or not (0 <= t <= horizon):
         raise DomainError(f"step t must be an integer in [0, {horizon}], got {t!r}")
-    return curve(t)
+    return curve(range(t, t + 1))[0]
 
 
 class ScenarioConfig(Record):
@@ -276,10 +302,68 @@ def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRecord]:
     """Simulate steps t = 0..horizon and return records in step order.
 
     Deterministic: every field is a closed-form function of (t, s(t)), so
-    repeated runs serialize byte-identically.
+    repeated runs serialize byte-identically.  Record t is
+    ``_step(cfg, t, s(t))``, computed by column; if any step would fail,
+    the steps are replayed through ``_step`` so that the first one raises.
     """
-    share = _adoption_curve(cfg.adoption, cfg.horizon)
-    return [_step(cfg, t, share(t)) for t in range(cfg.horizon + 1)]
+    steps = range(cfg.horizon + 1)
+    shares = _adoption_curve(cfg.adoption, cfg.horizon)(steps)
+    try:
+        records = _step_columns(cfg, steps, shares)
+    except OverflowError:  # from a ** in Y or K_AGI
+        records = None
+    if records is None:
+        return [_step(cfg, t, s) for t, s in zip(steps, shares)]
+    return records
+
+
+def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]):
+    """``_step`` over every step, one ``map`` pass per field, or None where
+    one of ``_step``'s checks fails; an OverflowError propagates."""
+    p0 = cfg.initial_model3
+    if not (all(map(le, repeat(0.0), s)) and all(map(le, s, repeat(1.0)))):
+        return None
+    l_h = list(map(sub, repeat(1.0), s))
+    beta1 = list(map(mul, repeat(p0.beta1), l_h))
+    beta2 = list(map(add, repeat(p0.beta2), map(mul, repeat(p0.beta1), s)))
+    growth = map(pow, repeat(1.0 + cfg.agi_capital_growth), steps)
+    k_agi = list(map(mul, repeat(p0.K_AGI), growth))
+    if not all(map(math.isfinite, k_agi)):
+        return None
+    # product_of_terms' ordered product.  The labor quantities lie in [0, 1]
+    # with exponents >= 0, and at a zero quantity x ** e is its convention:
+    # 0 ** e = 0 for e > 0, and 0 ** 0 = 1 leaves y as it is.
+    y = map(mul, repeat(p0.A * p0.K**p0.alpha), map(pow, k_agi, repeat(p0.gamma)))
+    y = map(mul, y, map(pow, l_h, beta1))
+    y = list(map(mul, y, map(pow, s, beta2)))
+    if not all(map(math.isfinite, y)):
+        return None
+    w_h = _factor_wages(y, l_h, beta1)
+    w_agi = _factor_wages(y, s, beta2)
+    wage_bill = list(map(mul, w_h, l_h))
+    finite = all(map(math.isfinite, w_h)) and all(map(math.isfinite, wage_bill))
+    if not finite or any(map(math.isinf, w_agi)):
+        return None
+    p_h_elastic = map(truediv, beta1, map(add, beta1, beta2))
+    p_h_transition = power_columns(cfg.transition, s)[2]
+    fields = (
+        steps, s, beta1, beta2, repeat(p0.K), k_agi, l_h, s, y, w_h, w_agi, p_h_elastic,
+        p_h_transition, wage_bill,
+    )
+    return list(map(tuple.__new__, repeat(TimeSeriesRecord), zip(*fields)))
+
+
+def _factor_wages(y: list[float], x: list[float], elasticity: list[float]) -> list[float]:
+    """``_factor_wage`` by column: e * y / x, patched where x = 0."""
+    absent = list(compress(range(len(x)), map(not_, x)))
+    if absent:
+        x = list(x)
+        for i in absent:
+            x[i] = 1.0  # any divisor; the wage is set below
+    wages = list(map(truediv, map(mul, elasticity, y), x))
+    for i in absent:
+        wages[i] = _factor_wage(y[i], 0.0, elasticity[i])
+    return wages
 
 
 def detect_collapse(series: list[TimeSeriesRecord], theta: float) -> int | None:

@@ -13,13 +13,16 @@ instead gives w_h(1) / (w_h(1) + w_agi(1)) = exp(-lam) at l = 1; that
 simplified wage-ratio value is surfaced by the diagnostics report, never
 returned by ``human_power``.
 
-``power_curve`` evaluates the same expressions over a whole grid and
-returns them by column, as a ``PowerCurve`` of tuples.
+``power_columns`` evaluates the same expressions over a whole column of
+shares.  ``power_curve`` runs it over a uniform grid and returns the
+curve by column, as a ``PowerCurve`` of tuples; ``run_scenario`` runs it
+over a scenario's adoption shares.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, mul, not_, sub, truediv
 
@@ -119,35 +122,38 @@ def human_power(tp: TransitionParams, l_agi: float) -> float:
     return human_income / (human_income + tp.w_inf / tp.w0 * agi_weight)
 
 
-def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
-    """Uniform grid of n_points over l_agi in [0, 1].
+@lru_cache(maxsize=1)
+def _grid(n_points: int) -> tuple[float, ...]:
+    """l_agi = i / (n_points - 1) for i in range(n_points).
 
-    Points where the index is undefined carry p_h = NaN instead of
-    poisoning the whole curve.  The grid is uniform on purpose: output is
-    deterministic and golden-file friendly.
-
-    Point i is (l_agi, human_wage, agi_wage, human_power or NaN) at
-    l_agi = i / (n_points - 1), bit for bit: each column is one ``map``
-    over the grid with the single-point functions' expressions, in their
-    order, from one exp per point.  Where an income weight is zero, the
-    few points take the single-point functions' branches: ``_rise``'s
-    expm1, then ``human_power``'s.  The grid needs no share check, since
-    i / (n - 1) lies in [0, 1].
+    The last grid is kept, so the curves of one sweep, one per decay
+    constant, share a single tuple.
     """
-    if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 2:
-        raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
-    w0, w_inf, grid = tp.w0, tp.w_inf, range(n_points)
-    l_agi = tuple(map(truediv, grid, repeat(n_points - 1)))
+    return tuple(map(truediv, range(n_points), repeat(n_points - 1)))
+
+
+def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
+    """(decay, rise, p_h) over a column of shares in [0, 1].
+
+    Entry i is exp(-lam * l), ``_rise``'s 1 - exp(-lam * l) and
+    ``human_power``, or NaN where it is undefined, at l = l_agi[i], bit for
+    bit: each column is one ``map`` over the shares with the single-point
+    functions' expressions, in their order, from one exp per point.  Where an income
+    weight is zero, the few points take the single-point functions'
+    branches: ``_rise``'s expm1, then ``human_power``'s.  The shares are
+    not checked.
+    """
+    w0, w_inf, points = tp.w0, tp.w_inf, range(len(l_agi))
     decay = list(map(math.exp, map(mul, repeat(-tp.lam), l_agi)))
     rise = list(map(sub, repeat(1.0), decay))
     human_income = list(map(mul, decay, map(sub, repeat(1.0), l_agi)))
     agi_weight = list(map(mul, rise, l_agi))
-    no_agi = list(compress(grid, map(not_, agi_weight)))
+    no_agi = list(compress(points, map(not_, agi_weight)))
     for i in no_agi:  # where 1 - exp rounds to 0, _rise's expm1
         rise[i] = _rise(decay[i], -tp.lam * l_agi[i])
         agi_weight[i] = rise[i] * l_agi[i]
     no_agi = [i for i in no_agi if not agi_weight[i]]
-    no_human = list(compress(grid, map(not_, human_income)))
+    no_human = list(compress(points, map(not_, human_income)))
     for i in no_human:  # nan / nan, where the total could be 0; p_h is set below
         human_income[i] = math.nan
     # human_power's w_inf / w0 * agi_weight, left to right
@@ -158,6 +164,25 @@ def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
         p_h[i] = 1.0  # also where an infinite w_inf / w0 made inf * 0 = nan
     for i in no_human:
         p_h[i] = math.nan if agi_weight[i] == 0.0 or w_inf == 0.0 else 0.0
+    return decay, rise, p_h
+
+
+def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
+    """Uniform grid of n_points over l_agi in [0, 1].
+
+    Points where the index is undefined carry p_h = NaN instead of
+    poisoning the whole curve.  The grid is uniform on purpose: output is
+    deterministic and golden-file friendly.
+
+    Point i is (l_agi, human_wage, agi_wage, human_power or NaN) at
+    l_agi = i / (n_points - 1), bit for bit, by ``power_columns`` over the
+    grid.  The grid needs no share check, since i / (n - 1) lies in [0, 1].
+    """
+    if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 2:
+        raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
+    l_agi = _grid(n_points)
+    decay, rise, p_h = power_columns(tp, l_agi)
     return PowerCurve(
-        l_agi, tuple(map(mul, repeat(w0), decay)), tuple(map(mul, repeat(w_inf), rise)), tuple(p_h)
+        l_agi, tuple(map(mul, repeat(tp.w0), decay)), tuple(map(mul, repeat(tp.w_inf), rise)),
+        tuple(p_h),
     )

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agiecon import SerializationError, format_number
-from agiecon.formatting import format_number_or_nan, format_rows
+from agiecon.formatting import _BLOCK_ROWS, format_number_or_nan, format_rows
 
 PATTERN = re.compile(r"^-?\d\.\d{9}e-?(0|[1-9]\d*)$")
 
@@ -118,3 +119,55 @@ def test_format_rows_rejects_non_finite_cells(rows, data):
     rows[index] = tuple(row)
     with pytest.raises(SerializationError):
         format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS)
+
+
+def block_table(n_rows, seed, nan_rows=()):
+    """Rows in the layout of ``per_cell``, with cells whose ``%.9e`` form
+    needs every ``_normalize`` rewrite, and NaN in both NaN columns of
+    ``nan_rows``."""
+    rng = random.Random(seed)
+    cells = (0.0, -0.0, 1.0, -2.5e-5, 3.0e5, 1.5e100, -7.0e-300, 5e-324)
+    rows = [
+        (t, rng.choice(cells), rng.choice(cells) * rng.random(), rng.uniform(-1e3, 1e3),
+         rng.choice(cells))
+        for t in range(n_rows)
+    ]
+    for i in nan_rows:
+        rows[i] = (rows[i][0], rows[i][1], math.nan, rows[i][3], math.nan)
+    return rows
+
+
+def format_outcome(render, rows):
+    try:
+        return render(rows)
+    except SerializationError as exc:
+        return str(exc)
+
+
+def format_in_blocks(rows):
+    return format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS)
+
+
+BLOCK = _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_format_rows_blocks_match_per_cell_formatting(n_rows):
+    nan_rows = sorted({0, n_rows // 2, n_rows - 1, min(BLOCK, n_rows - 1)})
+    rows = block_table(n_rows, seed=n_rows, nan_rows=nan_rows)
+    text = format_in_blocks(rows)
+    assert text == per_cell(rows)
+    assert text.count("\n") == n_rows
+
+
+@pytest.mark.parametrize("n_rows", [2 * BLOCK + 2, 3 * BLOCK + 7])
+@pytest.mark.parametrize("first_bad", [0, BLOCK - 1, BLOCK])
+def test_format_rows_blocks_raise_the_first_bad_row(n_rows, first_bad):
+    # NaN in the NaN columns everywhere is accepted; the first row with a
+    # non-finite cell elsewhere is the one reported, whichever block holds it
+    rows = block_table(n_rows, seed=first_bad, nan_rows=range(0, n_rows, 97))
+    for i, bad in ((first_bad, math.inf), (first_bad + BLOCK, math.nan), (n_rows - 1, -math.inf)):
+        rows[i] = rows[i][:3] + (bad,) + rows[i][4:]
+    message = format_outcome(per_cell, rows)
+    assert message == f"cannot serialize non-finite value {math.inf!r}"
+    assert format_outcome(format_in_blocks, rows) == message

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,6 +11,7 @@ from agiecon import (
     AdoptionKind,
     AdoptionPath,
     DomainError,
+    EconError,
     ModelIIIParams,
     ScenarioConfig,
     SimulationFailureError,
@@ -23,7 +26,10 @@ from agiecon import (
     output,
     run_scenario,
 )
+from agiecon.config import build_scenario_config, parse_config_file
 from agiecon.scenario import ADOPTION_PARAMS, _sigmoid, _step
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 mpmath.mp.dps = 50
 
@@ -352,3 +358,104 @@ def test_closed_form_step_matches_the_generic_model_path_exactly(cfg):
         except UndefinedIndexError:
             p_h = math.nan
         assert same(record.p_h_transition, p_h)
+
+
+def step_loop(cfg):
+    """run_scenario as a per-step loop over ``_step``, the single-step reference."""
+    return [
+        _step(cfg, t, adoption_share(cfg.adoption, t, cfg.horizon))
+        for t in range(cfg.horizon + 1)
+    ]
+
+
+def outcome(run, cfg):
+    """The records' repr (NaN-aware, sign of zero included), or the error's
+    type and message."""
+    try:
+        return repr(run(cfg))
+    except EconError as exc:
+        return type(exc), str(exc)
+
+
+def demo_config(**changes):
+    return build_scenario_config(parse_config_file(CONFIGS / "simulate_demo.ini"))._replace(
+        **changes
+    )
+
+
+def wide_params(**changes):
+    return base_params()._replace(**changes)
+
+
+COLUMN_CASES = {
+    f"{path.kind.value}-beta2={beta2}": make_config(adoption=path, horizon=5000, beta2=beta2,
+                                                   growth=1e-4)
+    for path in ALL_PATHS
+    for beta2 in (0.0, 0.2)
+}
+COLUMN_CASES.update(
+    {
+        # shares that round to exactly 0 and 1 over long stretches
+        "steep-logistic": make_config(
+            adoption=AdoptionPath.logistic(k=0.5, t0=2500.0), horizon=5000, beta2=0.2
+        ),
+        "no-agi-income": make_config(horizon=5000, growth=0.0)._replace(
+            transition=TransitionParams(w0=1.0, w_inf=0.0, lam=3.0)
+        ),
+        "demo": demo_config(),
+        "demo-at-14548": demo_config(horizon=14548),
+    }
+)
+FAILING_CASES = {
+    "agi-capital-overflow": (demo_config(horizon=15000), "step 14548: AGI capital overflowed"),
+    "K-term-overflow": (
+        make_config(horizon=50)._replace(initial_model3=wide_params(K=1e300, alpha=2.0)),
+        "step 0: term 'K'**2.0 overflows",
+    ),
+    "K_AGI-term-overflow": (
+        make_config(horizon=500, growth=1.0)._replace(initial_model3=wide_params(gamma=3.0)),
+        "step 342: term 'K_AGI'**3.0 overflows",
+    ),
+    "output-not-finite": (
+        make_config(horizon=50)._replace(initial_model3=wide_params(A=1e308, K=10.0, alpha=1.0)),
+        "step 0: output is not finite: inf",
+    ),
+    "w_h-not-finite": (
+        make_config(horizon=50)._replace(initial_model3=wide_params(A=1e308, beta1=5.0)),
+        "step 0: w_h is not finite (inf)",
+    ),
+    # without growth, Y and w_h stay finite at every step
+    "w_agi-not-finite": (
+        make_config(adoption=AdoptionPath.logistic(k=0.5, t0=900.0), horizon=1000, growth=0.0)
+        ._replace(initial_model3=wide_params(A=1e306, beta2=0.3)),
+        "step 1: w_agi is not finite (inf)",
+    ),
+}
+
+
+@pytest.mark.parametrize("cfg", COLUMN_CASES.values(), ids=COLUMN_CASES.keys())
+def test_run_scenario_equals_the_step_loop(cfg):
+    assert outcome(run_scenario, cfg) == outcome(step_loop, cfg)
+
+
+@pytest.mark.parametrize("cfg,message", FAILING_CASES.values(), ids=FAILING_CASES.keys())
+def test_run_scenario_raises_the_step_loops_first_error(cfg, message):
+    assert outcome(run_scenario, cfg) == outcome(step_loop, cfg)
+    with pytest.raises(SimulationFailureError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg)
+
+
+@given(scenario_configs(), st.data())
+def test_run_scenario_equals_the_step_loop_on_extreme_params(cfg, data):
+    # exponents, scales and growth wide enough that some runs fail part way
+    p0 = cfg.initial_model3._replace(
+        A=data.draw(st.sampled_from((1.0, 1e150, 1e300, 1e308))),
+        beta1=data.draw(st.floats(0.01, 6.0)),
+        gamma=data.draw(st.floats(-3.0, 3.0)),
+    )
+    cfg = cfg._replace(
+        horizon=cfg.horizon * 10,
+        initial_model3=p0,
+        agi_capital_growth=data.draw(st.sampled_from((0.0, 0.05, 3.0, 1e300))),
+    )
+    assert outcome(run_scenario, cfg) == outcome(step_loop, cfg)

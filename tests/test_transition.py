@@ -16,6 +16,7 @@ from agiecon import (
     human_wage,
     power_curve,
 )
+from agiecon.transition import power_columns
 
 mpmath.mp.dps = 50
 
@@ -202,6 +203,13 @@ class TestPowerCurve:
         with pytest.raises(DomainError):
             power_curve(TransitionParams(), 1)
 
+    def test_curves_of_one_size_share_their_grid(self):
+        # a sweep overlays one curve per lambda on the same grid
+        first = power_curve(TransitionParams(lam=1.0), 101)
+        second = power_curve(TransitionParams(lam=3.0), 101)
+        assert second.l_agi is first.l_agi
+        assert power_curve(TransitionParams(lam=1.0), 11).l_agi == tuple(i / 10 for i in range(11))
+
 
 def reference_point(tp, l):
     """One grid point through the public single-point functions."""
@@ -241,6 +249,20 @@ def test_fused_curve_matches_the_single_point_functions_exactly(tp, n):
         want = reference_point(tp, i / (n - 1))
         # bit for bit: 0.0 and -0.0 differ, and nan matches only nan
         assert struct.pack("<4d", *point) == struct.pack("<4d", *want)
+
+
+shares = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 1e-17, 1.0 - 2**-53])),
+    max_size=50,
+)
+
+
+@given(wide_transition_params, shares)
+def test_power_columns_match_human_power_on_any_shares(tp, l_agi):
+    # run_scenario takes p_h_transition from these columns over its adoption shares
+    p_h = power_columns(tp, l_agi)[2]
+    want = [reference_point(tp, l)[3] for l in l_agi]
+    assert struct.pack(f"<{len(l_agi)}d", *p_h) == struct.pack(f"<{len(l_agi)}d", *want)
 
 
 class TestParamValidation:
