@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agiecon import SerializationError, format_number
-from agiecon.formatting import _BLOCK_ROWS, format_number_or_nan, format_rows
+from agiecon.formatting import _BLOCK_ROWS as BLOCK
+from agiecon.formatting import format_number_or_nan, format_rows
 
 PATTERN = re.compile(r"^-?\d\.\d{9}e-?(0|[1-9]\d*)$")
 
@@ -147,8 +148,6 @@ def format_outcome(render, rows):
 def format_in_blocks(rows):
     return format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS)
 
-
-BLOCK = _BLOCK_ROWS
 
 
 @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])

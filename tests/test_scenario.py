@@ -383,8 +383,8 @@ def demo_config(**changes):
     )
 
 
-def wide_params(**changes):
-    return base_params()._replace(**changes)
+def with_params(cfg, **changes):
+    return cfg._replace(initial_model3=cfg.initial_model3._replace(**changes))
 
 
 COLUMN_CASES = {
@@ -409,25 +409,28 @@ COLUMN_CASES.update(
 FAILING_CASES = {
     "agi-capital-overflow": (demo_config(horizon=15000), "step 14548: AGI capital overflowed"),
     "K-term-overflow": (
-        make_config(horizon=50)._replace(initial_model3=wide_params(K=1e300, alpha=2.0)),
+        with_params(make_config(horizon=50), K=1e300, alpha=2.0),
         "step 0: term 'K'**2.0 overflows",
     ),
     "K_AGI-term-overflow": (
-        make_config(horizon=500, growth=1.0)._replace(initial_model3=wide_params(gamma=3.0)),
+        with_params(make_config(horizon=500, growth=1.0), gamma=3.0),
         "step 342: term 'K_AGI'**3.0 overflows",
     ),
     "output-not-finite": (
-        make_config(horizon=50)._replace(initial_model3=wide_params(A=1e308, K=10.0, alpha=1.0)),
+        with_params(make_config(horizon=50), A=1e308, K=10.0, alpha=1.0),
         "step 0: output is not finite: inf",
     ),
     "w_h-not-finite": (
-        make_config(horizon=50)._replace(initial_model3=wide_params(A=1e308, beta1=5.0)),
+        with_params(make_config(horizon=50), A=1e308, beta1=5.0),
         "step 0: w_h is not finite (inf)",
     ),
     # without growth, Y and w_h stay finite at every step
     "w_agi-not-finite": (
-        make_config(adoption=AdoptionPath.logistic(k=0.5, t0=900.0), horizon=1000, growth=0.0)
-        ._replace(initial_model3=wide_params(A=1e306, beta2=0.3)),
+        with_params(
+            make_config(adoption=AdoptionPath.logistic(k=0.5, t0=900.0), horizon=1000, growth=0.0),
+            A=1e306,
+            beta2=0.3,
+        ),
         "step 1: w_agi is not finite (inf)",
     ),
 }
