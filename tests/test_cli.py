@@ -775,11 +775,25 @@ class TestErrorLines:
              _demo_scenario(("A = 1.0", "A = 1e300"), ("\nK = 1.0", "\nK = 1e300"),
                             ("alpha = 0.3", "alpha = 2")), (), 2,
              "error: step 0: term 'K'**2.0 overflows"),
+            ("simulate", _demo_scenario(("horizon = 20", "horizon = x")), (), 1,
+             "config error: [scenario].horizon: cannot parse 'x' as an integer"),
+            ("eval", "[DEFAULT]\nhorizon = 5\n", (), 1,
+             "config error: [DEFAULT] section is not supported"),
+            ("eval", _demo_scenario(("\nK = 1.0", "\nK = -1")), (), 1,
+             "config error: [model]: ModelIIIParams.K must be >= 0"),
+            ("simulate", _demo_scenario(("\nK = 1.0", "\nK = 0")), (), 1,
+             "config error: [scenario]: initial K and K_AGI must be > 0"),
+            ("simulate", _demo_scenario(("beta2 = 0.0", "beta2 = -0.1")), (), 1,
+             "config error: [scenario]: initial beta2 must be >= 0"),
+            ("simulate", _demo_scenario(("t0 = 10", "t0 = -1")), (), 1,
+             "config error: [scenario]: logistic midpoint t0 must be finite and >= 0,"
+             " got -1.0"),
         ],
         ids=[
             "unknown-adoption", "negative-growth", "threshold-above-1", "negative-steepness",
             "blank-input", "no-scenario", "no-fit", "empty-samples", "zero-lambda",
-            "overflowing-term",
+            "overflowing-term", "unparsable-horizon", "default-section", "negative-capital",
+            "zero-capital", "negative-beta2", "negative-t0",
         ],
     )
     def test_one_exact_line(self, tmp_path, capsys, command, config, extra, status, err):

@@ -103,7 +103,8 @@ class TestHumanPower:
         assert human_power(TransitionParams(w0=1, w_inf=1, lam=10), 1.0) == 0.0
 
     def test_undefined_when_no_income(self):
-        with pytest.raises(UndefinedIndexError):
+        message = "^no labor income at l_agi=1.0: power index undefined$"
+        with pytest.raises(UndefinedIndexError, match=message):
             human_power(TransitionParams(w0=1, w_inf=0, lam=2), 1.0)
 
     def test_tiny_income_is_still_defined(self):
