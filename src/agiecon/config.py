@@ -26,7 +26,7 @@ import math
 from .errors import ConfigError, DomainError
 from .models import PARAM_TYPES, ModelIIIParams, ModelParams
 from .record import Record
-from .scenario import ADOPTION_PARAMS, AdoptionKind, AdoptionPath, ScenarioConfig
+from .scenario import ADOPTION_PARAMS, AdoptionKind, AdoptionPath, ScenarioConfig, check_run
 from .transition import TransitionParams
 
 _SECTIONS = ("model", "transition", "scenario", "fit")
@@ -150,19 +150,14 @@ def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
         choices = ", ".join(k.value for k in AdoptionKind)
         raise ConfigError(f"[scenario].adoption: expected one of {choices}, got {kind_raw!r}") from None
     values = {key: reader.take_float(key) for key in ADOPTION_PARAMS[kind]}
-    try:
-        adoption = AdoptionPath(kind, **values)
-    except DomainError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
-    if adoption.t0 is not None and adoption.t0 > horizon:
-        raise ConfigError(f"[scenario].t0: must lie in [0, horizon={horizon}], got {adoption.t0}")
     growth = reader.take_float("growth", ScenarioConfig.agi_capital_growth)
     threshold = reader.take_float("collapse_threshold", ScenarioConfig.collapse_threshold)
     reader.finish()
-    if growth < 0.0:
-        raise ConfigError(f"[scenario].growth: must be >= 0, got {growth}")
-    if not (0.0 < threshold <= 1.0):
-        raise ConfigError(f"[scenario].collapse_threshold: must lie in (0, 1], got {threshold}")
+    try:
+        adoption = AdoptionPath(kind, **values)
+        growth, threshold = check_run(adoption, horizon, growth, threshold)
+    except DomainError as exc:
+        raise ConfigError(f"[scenario]: {exc}") from exc
     return ScenarioSection(
         horizon=horizon, adoption=adoption, growth=growth, collapse_threshold=threshold
     )

@@ -21,17 +21,16 @@ always a real number and ends at exactly 0.
 
 ``run_scenario`` computes the run by column, without building a parameter
 record, technology or bundle: each record field is one ``map`` pass over
-the steps, with the expressions ``_step`` evaluates for a single step, in
-its order.  Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t L_AGI^beta2_t is the
+the steps, and this kernel is the only statement of the step's formulas
+and checks.  Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t L_AGI^beta2_t is the
 ordered product and zero-quantity convention of ``production.output``,
 each wage is e * Y / x, the identity ``production.marginal_product``
 evaluates, and p_h_transition is ``transition.power_columns`` over the
 shares, so the records are bit-identical to the generic model path.
-``_step`` is the single-step reference: when any step would fail, the
-steps are replayed through it in order, and the first failing step raises
-its own error.  The adoption path's step-independent terms (horizon
-checks, the logistic end points, the exp-saturating normalizer) are
-computed once per run.
+Steps are independent, so a failing run is narrowed by halving to its
+first failing step, which raises its own error in the step's check order.
+The adoption path's step-independent terms (horizon checks, the logistic
+end points, the exp-saturating normalizer) are computed once per run.
 """
 
 from __future__ import annotations
@@ -49,16 +48,16 @@ from .errors import (
     NonFiniteOutputError,
     SimulationFailureError,
     UndefinedBaselineError,
-    UndefinedIndexError,
 )
 from .models import ModelIIIParams
 from .production import product_of_terms
 from .record import Record
-from .transition import TransitionParams, human_power, power_columns
+from .transition import TransitionParams, power_columns
 
 # unused by the step, kept importable: perfbench/tracer.py wraps these names here
 from .models import model_technology  # noqa: F401
 from .production import marginal_product, output  # noqa: F401
+from .transition import human_power  # noqa: F401
 
 
 class AdoptionKind(Enum):
@@ -207,7 +206,9 @@ class ScenarioConfig(Record):
     collapse_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        _adoption_curve(self.adoption, self.horizon)  # checks the horizon too
+        growth, theta = check_run(
+            self.adoption, self.horizon, self.agi_capital_growth, self.collapse_threshold
+        )
         p0 = self.initial_model3
         if p0.beta1 <= 0.0:
             raise DomainError("initial beta1 must be > 0 so there is elasticity to transfer")
@@ -215,14 +216,22 @@ class ScenarioConfig(Record):
             raise DomainError("initial beta2 must be >= 0")
         if p0.K <= 0.0 or p0.K_AGI <= 0.0:
             raise DomainError("initial K and K_AGI must be > 0")
-        growth = float(self.agi_capital_growth)
-        if not math.isfinite(growth) or growth < 0.0:
-            raise DomainError(f"agi_capital_growth must be finite and >= 0, got {growth!r}")
         object.__setattr__(self, "agi_capital_growth", growth)
-        theta = float(self.collapse_threshold)
-        if not (0.0 < theta <= 1.0):
-            raise DomainError(f"collapse_threshold must lie in (0, 1], got {theta!r}")
         object.__setattr__(self, "collapse_threshold", theta)
+
+
+def check_run(path: AdoptionPath, horizon: int, growth: float, theta: float) -> tuple[float, float]:
+    """The rules a run's horizon, adoption path, AGI capital growth and
+    collapse threshold obey, for ``ScenarioConfig`` and a config's
+    [scenario] section alike; returns the growth and threshold as floats."""
+    _adoption_curve(path, horizon)  # checks the horizon too
+    growth = float(growth)
+    if not math.isfinite(growth) or growth < 0.0:
+        raise DomainError(f"agi_capital_growth must be finite and >= 0, got {growth!r}")
+    theta = float(theta)
+    if not (0.0 < theta <= 1.0):
+        raise DomainError(f"collapse_threshold must lie in (0, 1], got {theta!r}")
+    return growth, theta
 
 
 class TimeSeriesRecord(NamedTuple):
@@ -246,104 +255,70 @@ class TimeSeriesRecord(NamedTuple):
     wage_bill: float
 
 
-def _factor_wage(y: float, x: float, elasticity: float) -> float:
-    if x > 0.0:
-        return elasticity * y / x  # marginal_product's e_f * Y / x_f
-    # boundary share: the factor is absent; its wage is the prefactor value
-    return 0.0 if elasticity == 0.0 else math.nan
-
-
-def _step(cfg: ScenarioConfig, t: int, s: float) -> TimeSeriesRecord:
-    p0 = cfg.initial_model3
-    beta1_t = p0.beta1 * (1.0 - s)
-    beta2_t = p0.beta2 + p0.beta1 * s
-    try:
-        k_agi = p0.K_AGI * (1.0 + cfg.agi_capital_growth) ** t
-    except OverflowError:
-        k_agi = math.inf
-    if not math.isfinite(k_agi):
-        raise SimulationFailureError(f"step {t}: AGI capital overflowed")
-    if not (0.0 <= s <= 1.0):
-        raise DomainError(f"step {t}: adoption share must lie in [0, 1], got {s!r}")
-    l_h = 1.0 - s
-    try:
-        y = product_of_terms(
-            p0.A,
-            (
-                ("K", p0.K, p0.alpha),
-                ("K_AGI", k_agi, p0.gamma),
-                ("L_h", l_h, beta1_t),
-                ("L_AGI", s, beta2_t),
-            ),
-        )
-    except NonFiniteOutputError as exc:
-        raise SimulationFailureError(f"step {t}: {exc}") from exc
-    w_h = _factor_wage(y, l_h, beta1_t)
-    w_agi = _factor_wage(y, s, beta2_t)
-    p_h_elastic = beta1_t / (beta1_t + beta2_t)
-    try:
-        p_h_transition = human_power(cfg.transition, s)
-    except UndefinedIndexError:
-        p_h_transition = math.nan
-    wage_bill = w_h * l_h
-    # product_of_terms has already rejected a non-finite Y
-    for label, value in (("w_h", w_h), ("wage_bill", wage_bill)):
-        if not math.isfinite(value):
-            raise SimulationFailureError(f"step {t}: {label} is not finite ({value!r})")
-    if math.isinf(w_agi):
-        raise SimulationFailureError(f"step {t}: w_agi is not finite ({w_agi!r})")
-    return TimeSeriesRecord(
-        t, s, beta1_t, beta2_t, p0.K, k_agi, l_h, s, y, w_h, w_agi, p_h_elastic, p_h_transition,
-        wage_bill,
-    )
-
-
 def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRecord]:
     """Simulate steps t = 0..horizon and return records in step order.
 
     Deterministic: every field is a closed-form function of (t, s(t)), so
-    repeated runs serialize byte-identically.  Record t is
-    ``_step(cfg, t, s(t))``, computed by column; if any step would fail,
-    the steps are replayed through ``_step`` so that the first one raises.
+    repeated runs serialize byte-identically.  Where a step fails one of
+    the step checks, the first failing step raises its own error.
     """
     steps = range(cfg.horizon + 1)
-    shares = _adoption_curve(cfg.adoption, cfg.horizon)(steps)
-    try:
-        records = _step_columns(cfg, steps, shares)
-    except OverflowError:  # from a ** in Y or K_AGI
-        records = None
-    if records is None:
-        return [_step(cfg, t, s) for t, s in zip(steps, shares)]
-    return records
+    return _step_columns(cfg, steps, _adoption_curve(cfg.adoption, cfg.horizon)(steps))
 
 
-def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]):
-    """``_step`` over every step, one ``map`` pass per field, or None where
-    one of ``_step``'s checks fails; an OverflowError propagates."""
+def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[TimeSeriesRecord]:
+    """The records of ``steps`` at shares ``s``, one ``map`` pass per field.
+
+    The step checks run in this order: K_AGI finite, s in [0, 1], Y finite
+    (with ``product_of_terms``' errors), w_h and the wage bill finite, w_agi
+    not infinite.  Where a check fails, ``_first_failure`` finds the first
+    failing step, and a single step raises the check's error.
+    """
     p0 = cfg.initial_model3
+    try:
+        growth = map(pow, repeat(1.0 + cfg.agi_capital_growth), steps)
+        k_agi = list(map(mul, repeat(p0.K_AGI), growth))
+    except OverflowError:
+        k_agi = [math.inf]
+    if not all(map(math.isfinite, k_agi)):
+        _first_failure(cfg, steps, s)
+        raise SimulationFailureError(f"step {steps[0]}: AGI capital overflowed")
     if not (all(map(le, repeat(0.0), s)) and all(map(le, s, repeat(1.0)))):
-        return None
+        _first_failure(cfg, steps, s)
+        raise DomainError(f"step {steps[0]}: adoption share must lie in [0, 1], got {s[0]!r}")
     l_h = list(map(sub, repeat(1.0), s))
     beta1 = list(map(mul, repeat(p0.beta1), l_h))
     beta2 = list(map(add, repeat(p0.beta2), map(mul, repeat(p0.beta1), s)))
-    growth = map(pow, repeat(1.0 + cfg.agi_capital_growth), steps)
-    k_agi = list(map(mul, repeat(p0.K_AGI), growth))
-    if not all(map(math.isfinite, k_agi)):
-        return None
     # product_of_terms' ordered product.  The labor quantities lie in [0, 1]
     # with exponents >= 0, and at a zero quantity x ** e is its convention:
     # 0 ** e = 0 for e > 0, and 0 ** 0 = 1 leaves y as it is.
-    y = map(mul, repeat(p0.A * p0.K**p0.alpha), map(pow, k_agi, repeat(p0.gamma)))
-    y = map(mul, y, map(pow, l_h, beta1))
-    y = list(map(mul, y, map(pow, s, beta2)))
+    try:
+        y = map(mul, repeat(p0.A * p0.K**p0.alpha), map(pow, k_agi, repeat(p0.gamma)))
+        y = map(mul, y, map(pow, l_h, beta1))
+        y = list(map(mul, y, map(pow, s, beta2)))
+    except OverflowError:
+        y = [math.inf]
     if not all(map(math.isfinite, y)):
-        return None
+        _first_failure(cfg, steps, s)
+        terms = (
+            ("K", p0.K, p0.alpha), ("K_AGI", k_agi[0], p0.gamma), ("L_h", l_h[0], beta1[0]),
+            ("L_AGI", s[0], beta2[0]),
+        )
+        try:
+            product_of_terms(p0.A, terms)  # raises for a Y this product leaves non-finite
+        except NonFiniteOutputError as exc:
+            raise SimulationFailureError(f"step {steps[0]}: {exc}") from exc
     w_h = _factor_wages(y, l_h, beta1)
     w_agi = _factor_wages(y, s, beta2)
     wage_bill = list(map(mul, w_h, l_h))
-    finite = all(map(math.isfinite, w_h)) and all(map(math.isfinite, wage_bill))
-    if not finite or any(map(math.isinf, w_agi)):
-        return None
+    for label, column, defined in (
+        ("w_h", w_h, all(map(math.isfinite, w_h))),
+        ("wage_bill", wage_bill, all(map(math.isfinite, wage_bill))),
+        ("w_agi", w_agi, not any(map(math.isinf, w_agi))),  # NaN flags a vanished factor
+    ):
+        if not defined:
+            _first_failure(cfg, steps, s)
+            raise SimulationFailureError(f"step {steps[0]}: {label} is not finite ({column[0]!r})")
     p_h_elastic = map(truediv, beta1, map(add, beta1, beta2))
     p_h_transition = power_columns(cfg.transition, s)[2]
     fields = (
@@ -353,8 +328,29 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]):
     return list(map(tuple.__new__, repeat(TimeSeriesRecord), zip(*fields)))
 
 
+def _first_failure(cfg: ScenarioConfig, steps: range, s: list[float]) -> None:
+    """Raise the first failing step's error from a window of several steps
+    where a check failed; return for a single step, whose error is the caller's.
+
+    Steps are independent, so a window fails exactly when it holds a failing
+    step.  A left half that fails raises its first failing step's error; one
+    that passes moves the search to the right half.  About two passes.
+    """
+    if len(steps) == 1:
+        return
+    while len(steps) > 1:
+        half = len(steps) // 2
+        _step_columns(cfg, steps[:half], s[:half])  # raises if the first failing step is here
+        steps, s = steps[half:], s[half:]
+    _step_columns(cfg, steps, s)  # the first failing step raises its own error
+
+
 def _factor_wages(y: list[float], x: list[float], elasticity: list[float]) -> list[float]:
-    """``_factor_wage`` by column: e * y / x, patched where x = 0."""
+    """Each factor's wage e * y / x, ``marginal_product``'s e_f * Y / x_f.
+
+    Where x = 0 the factor is absent, and its wage is the prefactor value:
+    0 when its elasticity is 0, NaN otherwise.
+    """
     absent = list(compress(range(len(x)), map(not_, x)))
     if absent:
         x = list(x)
@@ -362,7 +358,7 @@ def _factor_wages(y: list[float], x: list[float], elasticity: list[float]) -> li
             x[i] = 1.0  # any divisor; the wage is set below
     wages = list(map(truediv, map(mul, elasticity, y), x))
     for i in absent:
-        wages[i] = _factor_wage(y[i], 0.0, elasticity[i])
+        wages[i] = 0.0 if elasticity[i] == 0.0 else math.nan
     return wages
 
 

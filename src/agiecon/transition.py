@@ -13,10 +13,12 @@ instead gives w_h(1) / (w_h(1) + w_agi(1)) = exp(-lam) at l = 1; that
 simplified wage-ratio value is surfaced by the diagnostics report, never
 returned by ``human_power``.
 
-``power_columns`` evaluates the same expressions over a whole column of
-shares.  ``power_curve`` runs it over a uniform grid and returns the
-curve by column, as a ``PowerCurve`` of tuples; ``run_scenario`` runs it
-over a scenario's adoption shares.
+``power_columns`` is the only statement of these formulas: it evaluates
+them over a whole column of shares.  ``human_wage``, ``agi_wage`` and
+``human_power`` are its columns at one checked share, ``power_curve`` runs
+it over a uniform grid and returns the curve by column, as a
+``PowerCurve`` of tuples, and ``run_scenario`` runs it over a scenario's
+adoption shares.
 """
 
 from __future__ import annotations
@@ -68,29 +70,14 @@ def _check_share(l_agi: float) -> float:
     return l_agi
 
 
-def _rise(decay: float, exponent: float) -> float:
-    """1 - decay for decay = exp(exponent), exponent = -lam * l_agi <= 0.
-
-    Where exp rounds to 1 although exponent < 0 (|exponent| below about
-    1.1e-16), 1 - decay is 0, and -expm1(exponent) gives the small positive
-    value instead; at exponent = 0 both are 0.  Every other value is
-    1 - decay, bit for bit.
-    """
-    rise = 1.0 - decay
-    return rise if rise else -math.expm1(exponent)
-
-
 def human_wage(tp: TransitionParams, l_agi: float) -> float:
     """w0 * exp(-lam * l_agi); strictly decreasing, w0 at l_agi = 0."""
-    l_agi = _check_share(l_agi)
-    return tp.w0 * math.exp(-tp.lam * l_agi)
+    return tp.w0 * power_columns(tp, [_check_share(l_agi)])[0][0]
 
 
 def agi_wage(tp: TransitionParams, l_agi: float) -> float:
     """w_inf * (1 - exp(-lam * l_agi)); non-decreasing, 0 at l_agi = 0."""
-    l_agi = _check_share(l_agi)
-    exponent = -tp.lam * l_agi
-    return tp.w_inf * _rise(math.exp(exponent), exponent)
+    return tp.w_inf * power_columns(tp, [_check_share(l_agi)])[1][0]
 
 
 def human_power(tp: TransitionParams, l_agi: float) -> float:
@@ -103,23 +90,10 @@ def human_power(tp: TransitionParams, l_agi: float) -> float:
     positive sum is always in [0, 1].
     """
     l_agi = _check_share(l_agi)
-    exponent = -tp.lam * l_agi
-    decay = math.exp(exponent)
-    # Both incomes are taken relative to w0, so subnormal wages keep their
-    # precision.  The zero weights are settled first: then an overflowing
-    # w_inf / w0 never meets a zero weight (inf * 0 is nan), and an
-    # underflowing one never hides the positive AGI income at l_agi = 1.
-    human_income = decay * (1.0 - l_agi)
-    agi_weight = _rise(decay, exponent) * l_agi
-    if human_income == 0.0:
-        if agi_weight == 0.0 or tp.w_inf == 0.0:
-            raise UndefinedIndexError(
-                f"no labor income at l_agi={l_agi!r}: power index undefined"
-            )
-        return 0.0
-    if agi_weight == 0.0:
-        return 1.0
-    return human_income / (human_income + tp.w_inf / tp.w0 * agi_weight)
+    p_h = power_columns(tp, [l_agi])[2][0]
+    if math.isnan(p_h):
+        raise UndefinedIndexError(f"no labor income at l_agi={l_agi!r}: power index undefined")
+    return p_h
 
 
 @lru_cache(maxsize=1)
@@ -133,15 +107,16 @@ def _grid(n_points: int) -> tuple[float, ...]:
 
 
 def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
-    """(decay, rise, p_h) over a column of shares in [0, 1].
+    """(decay, rise, p_h) over a column of shares in [0, 1], unchecked.
 
-    Entry i is exp(-lam * l), ``_rise``'s 1 - exp(-lam * l) and
-    ``human_power``, or NaN where it is undefined, at l = l_agi[i], bit for
-    bit: each column is one ``map`` over the shares with the single-point
-    functions' expressions, in their order, from one exp per point.  Where an income
-    weight is zero, the few points take the single-point functions'
-    branches: ``_rise``'s expm1, then ``human_power``'s.  The shares are
-    not checked.
+    Entry i is exp(-lam * l), 1 - exp(-lam * l) and the human share of labor
+    income, or NaN where no labor income exists, at l = l_agi[i]: each
+    column is one ``map`` over the shares, from one exp per point.  Both
+    incomes are taken relative to w0, so subnormal wages keep their
+    precision.  The few points with a zero income weight are settled after
+    the maps: then an overflowing w_inf / w0 never meets a zero weight
+    (inf * 0 is nan), and an underflowing one never hides the positive AGI
+    income at l = 1.
     """
     w0, w_inf, points = tp.w0, tp.w_inf, range(len(l_agi))
     decay = list(map(math.exp, map(mul, repeat(-tp.lam), l_agi)))
@@ -149,17 +124,19 @@ def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
     human_income = list(map(mul, decay, map(sub, repeat(1.0), l_agi)))
     agi_weight = list(map(mul, rise, l_agi))
     no_agi = list(compress(points, map(not_, agi_weight)))
-    for i in no_agi:  # where 1 - exp rounds to 0, _rise's expm1
-        rise[i] = _rise(decay[i], -tp.lam * l_agi[i])
-        agi_weight[i] = rise[i] * l_agi[i]
+    for i in no_agi:
+        if not rise[i]:
+            # exp rounds to 1 where 0 < lam * l < about 1.1e-16, so 1 - exp is
+            # 0; -expm1 keeps the small positive rise (0 at l = 0 too)
+            rise[i] = -math.expm1(-tp.lam * l_agi[i])
+            agi_weight[i] = rise[i] * l_agi[i]
     no_agi = [i for i in no_agi if not agi_weight[i]]
     no_human = list(compress(points, map(not_, human_income)))
     for i in no_human:  # nan / nan, where the total could be 0; p_h is set below
         human_income[i] = math.nan
-    # human_power's w_inf / w0 * agi_weight, left to right
     agi_income = map(mul, repeat(w_inf / w0), agi_weight)
     p_h = list(map(truediv, human_income, map(add, human_income, agi_income)))
-    # human_power's branches; its zero-human-income branch comes first, so it is applied last
+    # the zero-human-income rule comes first, so it is applied last
     for i in no_agi:
         p_h[i] = 1.0  # also where an infinite w_inf / w0 made inf * 0 = nan
     for i in no_human:
@@ -175,8 +152,8 @@ def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
     deterministic and golden-file friendly.
 
     Point i is (l_agi, human_wage, agi_wage, human_power or NaN) at
-    l_agi = i / (n_points - 1), bit for bit, by ``power_columns`` over the
-    grid.  The grid needs no share check, since i / (n - 1) lies in [0, 1].
+    l_agi = i / (n_points - 1), by ``power_columns`` over the grid.  The
+    grid needs no share check, since i / (n - 1) lies in [0, 1].
     """
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 2:
         raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")

@@ -1,12 +1,17 @@
 import math
 import random
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from agiecon import CobbDouglasTechnology, FactorBundle, SampleTable
 from agiecon.diagnostics import _random_instance
 
 FACTOR_POOL = ("K", "K_AGI", "L_h", "L_AGI", "M")
+
+# Deeper runs of the differential properties, loaded only on request:
+# pytest --hypothesis-profile=thorough tests/test_scenario.py tests/test_transition.py
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 
 @st.composite

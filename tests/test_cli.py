@@ -756,9 +756,9 @@ class TestErrorLines:
              "config error: [scenario].adoption: expected one of linear, logistic,"
              " exp_saturating, got 'sigmoid'"),
             ("simulate", _demo_scenario(("growth = 0.05", "growth = -0.1")), (), 1,
-             "config error: [scenario].growth: must be >= 0, got -0.1"),
+             "config error: [scenario]: agi_capital_growth must be finite and >= 0, got -0.1"),
             ("simulate", _demo_scenario(("threshold = 0.5", "threshold = 1.5")), (), 1,
-             "config error: [scenario].collapse_threshold: must lie in (0, 1], got 1.5"),
+             "config error: [scenario]: collapse_threshold must lie in (0, 1], got 1.5"),
             ("simulate", _demo_scenario(("k = 0.6", "k = -1")), (), 1,
              "config error: [scenario]: logistic steepness k must be > 0, got -1.0"),
             ("fit", "[fit]\nfactors = K, L\ninput =\n", (), 1,
@@ -788,12 +788,15 @@ class TestErrorLines:
             ("simulate", _demo_scenario(("t0 = 10", "t0 = -1")), (), 1,
              "config error: [scenario]: logistic midpoint t0 must be finite and >= 0,"
              " got -1.0"),
+            ("sweep", _demo_scenario(("k = 0.6", "k = 1e-300")), (), 1,
+             "config error: [scenario]: logistic adoption with k=1e-300, t0=10.0 does not rise"
+             " over horizon 20: s(horizon) - s(0) rounds to 0.0"),
         ],
         ids=[
             "unknown-adoption", "negative-growth", "threshold-above-1", "negative-steepness",
             "blank-input", "no-scenario", "no-fit", "empty-samples", "zero-lambda",
             "overflowing-term", "unparsable-horizon", "default-section", "negative-capital",
-            "zero-capital", "negative-beta2", "negative-t0",
+            "zero-capital", "negative-beta2", "negative-t0", "path-cannot-rise",
         ],
     )
     def test_one_exact_line(self, tmp_path, capsys, command, config, extra, status, err):

@@ -165,8 +165,19 @@ class TestScenarioSection:
 
     def test_t0_must_fit_horizon(self):
         text = "[scenario]\nhorizon = 10\nadoption = logistic\nk = 1\nt0 = 11\n"
-        with pytest.raises(ConfigError, match=r"\[scenario\]\.t0"):
+        message = r"^\[scenario\]: logistic midpoint t0=11.0 exceeds horizon 10$"
+        with pytest.raises(ConfigError, match=message):
             parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "path",
+        ["adoption = logistic\nk = 1e-300\nt0 = 5", "adoption = exp_saturating\nr = 1e-300"],
+        ids=["logistic", "exp_saturating"],
+    )
+    def test_path_that_cannot_rise_is_rejected_at_parse(self, path):
+        # rejected for every command, not only when simulate builds the run
+        with pytest.raises(ConfigError, match=r"^\[scenario\]: .* does not rise over horizon 10"):
+            parse_config_text(f"[scenario]\nhorizon = 10\n{path}\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match=r"\[scenarios\]"):

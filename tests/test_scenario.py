@@ -13,6 +13,7 @@ from agiecon import (
     DomainError,
     EconError,
     ModelIIIParams,
+    NonFiniteOutputError,
     ScenarioConfig,
     SimulationFailureError,
     TransitionParams,
@@ -27,7 +28,7 @@ from agiecon import (
     run_scenario,
 )
 from agiecon.config import build_scenario_config, parse_config_file
-from agiecon.scenario import ADOPTION_PARAMS, _sigmoid, _step
+from agiecon.scenario import ADOPTION_PARAMS, TimeSeriesRecord, _sigmoid, _step_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -193,9 +194,12 @@ class TestRunScenario:
             assert record.wage_bill == record.w_h * record.L_h
 
     def test_stationarity_of_the_step_map(self):
-        # with g = 0 the record depends on t only through s
-        cfg = make_config(growth=0.0, horizon=50)
-        records = [_step(cfg, t, 0.0) for t in range(5)]
+        # with g = 0 the record depends on t only through s; this path's
+        # sigmoid underflows, so s(t) is exactly 0 for t <= 25
+        cfg = make_config(adoption=AdoptionPath.logistic(k=10.0, t0=100.0), growth=0.0,
+                          horizon=200)
+        records = run_scenario(cfg)[:5]
+        assert [record.s for record in records] == [0.0] * 5
         reference = records[0]._asdict()
         for record in records[1:]:
             current = record._asdict()
@@ -216,6 +220,12 @@ class TestRunScenario:
         cfg = make_config(growth=1e300, horizon=3)
         with pytest.raises(SimulationFailureError, match="step 2"):
             run_scenario(cfg)
+
+    def test_share_outside_the_unit_interval_is_a_domain_error(self):
+        # no adoption path yields such a share; the step check still holds
+        message = r"^step 3: adoption share must lie in \[0, 1\], got 1.5$"
+        with pytest.raises(DomainError, match=message):
+            _step_columns(make_config(), range(3, 4), [1.5])
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -286,22 +296,48 @@ def literal_share(path, t, horizon):
 
 
 def reference_step(cfg, t, s):
-    """(K_AGI, Y, w_h, w_agi, wage_bill) through the generic model path."""
+    """Record t through the generic model path, or the step's error, with
+    the checks in the step's order: K_AGI finite, s in [0, 1], Y finite,
+    w_h and the wage bill finite, w_agi not infinite."""
     p0 = cfg.initial_model3
+    try:
+        k_agi = p0.K_AGI * (1.0 + cfg.agi_capital_growth) ** t
+    except OverflowError:
+        k_agi = math.inf
+    if not math.isfinite(k_agi):
+        raise SimulationFailureError(f"step {t}: AGI capital overflowed")
+    if not (0.0 <= s <= 1.0):
+        raise DomainError(f"step {t}: adoption share must lie in [0, 1], got {s!r}")
     params = ModelIIIParams(
-        A=p0.A, K=p0.K, K_AGI=p0.K_AGI * (1.0 + cfg.agi_capital_growth) ** t,
-        L_h=1.0 - s, L_AGI=s, alpha=p0.alpha, gamma=p0.gamma,
+        A=p0.A, K=p0.K, K_AGI=k_agi, L_h=1.0 - s, L_AGI=s, alpha=p0.alpha, gamma=p0.gamma,
         beta1=p0.beta1 * (1.0 - s), beta2=p0.beta2 + p0.beta1 * s,
     )
     tech, bundle = model_technology(params)
+    try:
+        y = output(tech, bundle)
+    except NonFiniteOutputError as exc:
+        raise SimulationFailureError(f"step {t}: {exc}") from exc
 
     def wage(name, elasticity):
         if bundle.quantity(name) > 0.0:
             return marginal_product(tech, bundle, name)
         return 0.0 if elasticity == 0.0 else math.nan
 
-    w_h = wage("L_h", params.beta1)
-    return params.K_AGI, output(tech, bundle), w_h, wage("L_AGI", params.beta2), w_h * params.L_h
+    w_h, w_agi = wage("L_h", params.beta1), wage("L_AGI", params.beta2)
+    wage_bill = w_h * params.L_h
+    for label, value in (("w_h", w_h), ("wage_bill", wage_bill)):
+        if not math.isfinite(value):
+            raise SimulationFailureError(f"step {t}: {label} is not finite ({value!r})")
+    if math.isinf(w_agi):
+        raise SimulationFailureError(f"step {t}: w_agi is not finite ({w_agi!r})")
+    try:
+        p_h = human_power(cfg.transition, s)
+    except UndefinedIndexError:
+        p_h = math.nan
+    return TimeSeriesRecord(
+        t, s, params.beta1, params.beta2, p0.K, k_agi, params.L_h, s, y, w_h, w_agi,
+        params.beta1 / (params.beta1 + params.beta2), p_h, wage_bill,
+    )
 
 
 @st.composite
@@ -340,6 +376,14 @@ def scenario_configs(draw):
     )
 
 
+def step_loop(cfg):
+    """run_scenario as a per-step loop through the generic model path."""
+    return [
+        reference_step(cfg, t, adoption_share(cfg.adoption, t, cfg.horizon))
+        for t in range(cfg.horizon + 1)
+    ]
+
+
 @given(scenario_configs())
 def test_closed_form_step_matches_the_generic_model_path_exactly(cfg):
     series = run_scenario(cfg)
@@ -347,25 +391,8 @@ def test_closed_form_step_matches_the_generic_model_path_exactly(cfg):
     for record in series:
         s = literal_share(cfg.adoption, record.t, cfg.horizon)
         assert record.s == s and record.L_AGI == s and record.L_h == 1.0 - s
-        k_agi, y, w_h, w_agi, wage_bill = reference_step(cfg, record.t, s)
-        assert record.K_AGI == k_agi
-        assert record.Y == y
-        assert record.w_h == w_h
-        assert same(record.w_agi, w_agi)
-        assert record.wage_bill == wage_bill
-        try:
-            p_h = human_power(cfg.transition, s)
-        except UndefinedIndexError:
-            p_h = math.nan
-        assert same(record.p_h_transition, p_h)
-
-
-def step_loop(cfg):
-    """run_scenario as a per-step loop over ``_step``, the single-step reference."""
-    return [
-        _step(cfg, t, adoption_share(cfg.adoption, t, cfg.horizon))
-        for t in range(cfg.horizon + 1)
-    ]
+        # repr tells NaN and the sign of zero apart
+        assert repr(record) == repr(reference_step(cfg, record.t, s))
 
 
 def outcome(run, cfg):
@@ -430,6 +457,16 @@ FAILING_CASES = {
             make_config(adoption=AdoptionPath.logistic(k=0.5, t0=900.0), horizon=1000, growth=0.0),
             A=1e306,
             beta2=0.3,
+        ),
+        "step 1: w_agi is not finite (inf)",
+    ),
+    # K_AGI, checked first, overflows from step 775 on; the first failing step still raises
+    "w_agi-before-agi-capital-overflow": (
+        with_params(
+            make_config(adoption=AdoptionPath.logistic(k=0.5, t0=900.0), horizon=1000, growth=1.5),
+            A=1e306,
+            beta2=0.3,
+            gamma=0.0,
         ),
         "step 1: w_agi is not finite (inf)",
     ),

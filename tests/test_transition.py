@@ -221,6 +221,27 @@ def reference_point(tp, l):
     return (l, human_wage(tp, l), agi_wage(tp, l), p_h)
 
 
+def scalar_point(tp, l):
+    """One grid point by scalar formulas, written apart from ``power_columns``.
+
+    Where exp rounds to 1 although lam * l > 0, 1 - exp is 0 and -expm1
+    gives the rise; the incomes are relative to w0, and the zero income
+    weights are settled before the ratio.
+    """
+    exponent = -tp.lam * l
+    decay = math.exp(exponent)
+    rise = 1.0 - decay or -math.expm1(exponent)
+    human_income = decay * (1.0 - l)
+    agi_weight = rise * l
+    if human_income == 0.0:
+        p_h = math.nan if agi_weight == 0.0 or tp.w_inf == 0.0 else 0.0
+    elif agi_weight == 0.0:
+        p_h = 1.0
+    else:
+        p_h = human_income / (human_income + tp.w_inf / tp.w0 * agi_weight)
+    return (l, tp.w0 * decay, tp.w_inf * rise, p_h)
+
+
 # the extremes make w_inf / w0 overflow or underflow, lam = 1000 makes the
 # decay underflow to 0 from l = 0.746 on, before the grid reaches l = 1, and
 # lam = 1e-320 leaves exp(-lam * l) at 1, so 1 - exp(-lam * l) is 0 everywhere
@@ -247,9 +268,10 @@ def test_fused_curve_matches_the_single_point_functions_exactly(tp, n):
     curve = power_curve(tp, n)
     assert type(curve) is PowerCurve and len(curve) == n
     for i, point in enumerate(zip(curve.l_agi, curve.w_h, curve.w_agi, curve.p_h)):
-        want = reference_point(tp, i / (n - 1))
+        want = struct.pack("<4d", *scalar_point(tp, i / (n - 1)))
         # bit for bit: 0.0 and -0.0 differ, and nan matches only nan
-        assert struct.pack("<4d", *point) == struct.pack("<4d", *want)
+        assert struct.pack("<4d", *point) == want
+        assert struct.pack("<4d", *reference_point(tp, i / (n - 1))) == want
 
 
 shares = st.lists(
@@ -262,8 +284,10 @@ shares = st.lists(
 def test_power_columns_match_human_power_on_any_shares(tp, l_agi):
     # run_scenario takes p_h_transition from these columns over its adoption shares
     p_h = power_columns(tp, l_agi)[2]
-    want = [reference_point(tp, l)[3] for l in l_agi]
-    assert struct.pack(f"<{len(l_agi)}d", *p_h) == struct.pack(f"<{len(l_agi)}d", *want)
+    want = struct.pack(f"<{len(l_agi)}d", *[scalar_point(tp, l)[3] for l in l_agi])
+    assert struct.pack(f"<{len(l_agi)}d", *p_h) == want
+    public = [reference_point(tp, l)[3] for l in l_agi]
+    assert struct.pack(f"<{len(l_agi)}d", *public) == want
 
 
 class TestParamValidation:
