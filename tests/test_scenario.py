@@ -280,10 +280,6 @@ class TestDetectCollapse:
             detect_collapse(series, 1.5)
 
 
-def same(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 def literal_share(path, t, horizon):
     """s(t) written out per call, with no term shared between steps."""
     if path.kind is AdoptionKind.LINEAR:
