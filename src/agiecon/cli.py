@@ -23,6 +23,8 @@ import contextlib
 import math
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from .calibration import fit_cobb_douglas, read_samples
@@ -68,20 +70,22 @@ def _build_parser() -> _Parser:
 
 
 def _write(path: Path, text: str) -> None:
-    """Write one artifact through ``_write_all``."""
-    _write_all({path: text})
+    """Write one small artifact through ``_write_all``."""
+    _write_all({path: [text]})
 
 
-def _write_all(artifacts: dict[Path, str]) -> None:
+def _write_all(artifacts: dict[Path, Iterable[str]]) -> None:
     """Write every artifact or, on failure, leave each path as it was.
 
-    Each text goes to a temp file beside its path; only once all are written
+    Each artifact is an iterable of text chunks, such as ``format_rows``'
+    blocks, and its chunks go one by one into a temp file beside its path,
+    so a large CSV is never held as one string.  Only once all are written
     are they renamed into place, in order.  If a rename fails, those already
     done are undone: a file that was there before is restored from a hard
     link taken just before its rename, and a new one is removed (as is one
-    whose old file could not be linked).  Each command computes every
-    artifact's text before it calls this.  An ``OSError`` becomes a
-    ``UsageError`` naming the path it struck.
+    whose old file could not be linked).  Any error, including one raised
+    by a chunk iterator part way through, removes every temp file.  An
+    ``OSError`` becomes a ``UsageError`` naming the path it struck.
     """
     pid = os.getpid()
     staged = [(path, path.with_name(f".{path.name}.{pid}.tmp")) for path in artifacts]
@@ -91,7 +95,7 @@ def _write_all(artifacts: dict[Path, str]) -> None:
         for path, temp in staged:
             failing = path
             with open(temp, "w", encoding="utf-8", newline="") as handle:
-                handle.write(artifacts[path])
+                handle.writelines(artifacts[path])
         for path, temp in staged:
             failing = path
             backup: Path | None = path.with_name(f".{path.name}.{pid}.old")
@@ -152,7 +156,6 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     # the SVG overlays the whole family.
     first = curves[0][1]
     rows = list(zip(first.l_agi, first.w_h, first.w_agi, first.p_h))
-    body = format_rows(rows, nan_columns=(3,))  # P_h is nan where the index is undefined
     chart = line_chart(
         curves=[(f"lambda={lam:g}", curve.l_agi, curve.p_h) for lam, curve in curves],
         title="Human economic power vs AGI labor share",
@@ -161,8 +164,11 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     )
     _write_all(
         {
-            out_dir / "power_curve.csv": "L_AGI,w_h,w_AGI,P_h\n" + body,
-            out_dir / "power_curve.svg": chart,
+            out_dir / "power_curve.csv": chain(
+                ["L_AGI,w_h,w_AGI,P_h\n"],
+                format_rows(rows, nan_columns=(3,)),  # P_h is nan where the index is undefined
+            ),
+            out_dir / "power_curve.svg": [chart],
         }
     )
     return 0
@@ -176,8 +182,8 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
     series = run_scenario(cfg)
     # each record is a row in header order; t is an integer, and w_AGI and
     # p_h_transition may be nan
-    body = format_rows(series, integer_columns=(0,), nan_columns=(10, 12))
-    _write(out_dir / "series.csv", _SERIES_HEADER + "\n" + body)
+    blocks = format_rows(series, integer_columns=(0,), nan_columns=(10, 12))
+    _write_all({out_dir / "series.csv": chain([_SERIES_HEADER + "\n"], blocks)})
     try:
         step = detect_collapse(series, cfg.collapse_threshold)
     except UndefinedBaselineError as exc:

@@ -5,19 +5,19 @@ golden files: shortest-round-trip output differs across language runtimes,
 fixed-digit output does not.
 
 ``format_number`` writes one value.  ``format_rows`` writes whole CSV rows
-with the same definition: each row goes through a single ``%``-format
-(``%.9e`` per number cell), and the exponents of the whole table are then
-normalized by a few ``str.replace`` passes over the whole text, in place
-of one Python-level call per cell.  A row that formats to ``nan`` or
-``inf`` is rewritten cell by cell with ``format_number`` and
-``format_number_or_nan``, which accept or reject it exactly as they would
-alone.
+with the same definition, as an iterator of text blocks that a caller can
+write out one by one: each row goes through a single ``%``-format
+(``%.9e`` per number cell), and the exponents of a block are then
+normalized by a few ``str.replace`` passes over its text, in place of one
+Python-level call per cell.  A row that formats to ``nan`` or ``inf`` is
+rewritten cell by cell with ``format_number`` and ``format_number_or_nan``,
+which accept or reject it exactly as they would alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Container, Sequence
+from collections.abc import Container, Iterator, Sequence
 from itertools import repeat
 from operator import mod
 
@@ -62,41 +62,36 @@ def format_rows(
     rows: Sequence[Sequence[float]],
     integer_columns: Container[int] = (),
     nan_columns: Container[int] = (),
-) -> str:
-    """CSV text of ``rows``, one ``\\n``-terminated line per row.
+) -> Iterator[str]:
+    """CSV text of ``rows`` in blocks, one ``\\n``-terminated line per row.
 
     Every row has the length of the first.  A column listed in
     ``integer_columns`` is written with ``%d``; every other cell is written
     as ``format_number`` would write it, or as ``format_number_or_nan``
     for a column listed in ``nan_columns``.  Raises SerializationError for
     an infinite cell, or a NaN cell outside ``nan_columns``: the first such
-    row's.
+    row's, once the blocks before it have been yielded.
 
-    The rows are formatted and normalized in blocks of ``_BLOCK_ROWS``,
-    which are then joined.  A block ends at a ``\\n`` and no ``_normalize``
-    pattern holds one, so the text is the one a single pass would give.
+    Each block holds ``_BLOCK_ROWS`` rows (the last may hold fewer) and
+    ends at a ``\\n``.  No ``_normalize`` pattern holds one, so the blocks
+    join to the text a single pass over all rows would give.
     """
     if not rows:
-        return ""
+        return
     template = ",".join(
         "%d" if i in integer_columns else _NUMBER for i in range(len(rows[0]))
     ) + "\n"
-    return "".join(
-        _format_block(rows[start:start + _BLOCK_ROWS], template, integer_columns, nan_columns)
-        for start in range(0, len(rows), _BLOCK_ROWS)
-    )
-
-
-def _format_block(rows, template, integer_columns, nan_columns) -> str:
-    lines = list(map(mod, repeat(template), rows))
-    text = "".join(lines)
-    # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold an "n"
-    if "n" in text:
-        for i, line in enumerate(lines):
-            if "n" in line:
-                lines[i] = _checked_line(rows[i], integer_columns, nan_columns)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        lines = list(map(mod, repeat(template), block))
         text = "".join(lines)
-    return _normalize(text)
+        # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold an "n"
+        if "n" in text:
+            for i, line in enumerate(lines):
+                if "n" in line:
+                    lines[i] = _checked_line(block[i], integer_columns, nan_columns)
+            text = "".join(lines)
+        yield _normalize(text)
 
 
 def _checked_line(row, integer_columns, nan_columns) -> str:

@@ -7,8 +7,10 @@ conventions, chosen so degenerate corners behave like their limits:
   even when its quantity is zero;
 * zero quantity with positive elasticity gives a zero output term;
 * zero quantity with negative elasticity has no finite value and raises;
-* marginal products at zero quantity raise (the power-rule derivative
-  diverges there for elasticities below one).
+* the marginal product of a zero-elasticity factor is 0 at any quantity,
+  zero included: output does not depend on that factor;
+* any other marginal product at zero quantity raises (the power-rule
+  derivative diverges there for elasticities below one).
 
 All computation is plain 64-bit floating point.  Everything is a pure
 function of immutable inputs, safe to share across threads.
@@ -147,12 +149,16 @@ def product_of_terms(tfp: float, terms) -> float:
 def marginal_product(tech: CobbDouglasTechnology, bundle: FactorBundle, factor: str) -> float:
     """Exact analytic dY/dx_f, i.e. ``e_f * Y / x_f``.
 
-    Requires the factor quantity to be strictly positive; equals the closed
-    form ``e_f * A * x_f**(e_f - 1) * prod_{i != f} x_i**e_i``.
+    Requires the factor quantity to be strictly positive, unless ``e_f`` is
+    0: then Y does not depend on x_f and the result is 0 (once Y itself is
+    finite).  Equals the closed form
+    ``e_f * A * x_f**(e_f - 1) * prod_{i != f} x_i**e_i``.
     """
     exponent = tech.exponent(factor)
     x = bundle.quantity(factor)
     if x == 0.0:
+        if exponent == 0.0:
+            return 0.0 * output(tech, bundle)
         raise NonFiniteDerivativeError(
             f"marginal product of {factor!r} at quantity 0 is not finite"
         )
@@ -168,8 +174,9 @@ def euler_residual(tech: CobbDouglasTechnology, bundle: FactorBundle) -> float:
     """``sum_f x_f * MP_f - h * Y``; identically zero for Cobb-Douglas.
 
     Diagnoses the factor-income decomposition behind the wage identities:
-    each factor's income equals its elasticity times output.  Requires all
-    of the technology's factor quantities to be strictly positive.
+    each factor's income equals its elasticity times output.  Requires the
+    quantity of each factor with a non-zero elasticity to be strictly
+    positive.
     """
     y = output(tech, bundle)
     income = math.fsum(

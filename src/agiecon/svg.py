@@ -4,7 +4,9 @@ Emitting the markup directly (no plotting library) keeps repeated runs
 byte-identical, which golden tests rely on.  Each curve comes as two
 columns, xs and ys, and is mapped affinely into the plot rectangle left
 after 10% margins on every side; dense curves are decimated per pixel
-column with C-level passes over those columns.
+column with C-level passes over those columns.  The pixel columns of an x
+column are found once per chart: curves that share one xs object (and the
+same NaN points) share its partition, as the curves of one sweep do.
 """
 
 from __future__ import annotations
@@ -34,6 +36,18 @@ _TICKS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 _WIDTH = 800
 _HEIGHT = 600
+
+
+def _partition(xs: Sequence[float], left: float, right: float) -> tuple[list, list]:
+    """px(x) of each x, and the (start, end) bounds of each run of
+    consecutive points in one pixel column, floor(px(x))."""
+    pxs = list(map(add, repeat(left), map(mul, xs, repeat(right - left))))
+    runs, start = [], 0
+    for _, run in groupby(map(math.floor, pxs)):
+        end = start + len(list(run))
+        runs.append((start, end))
+        start = end
+    return pxs, runs
 
 
 def line_chart(
@@ -110,22 +124,27 @@ def line_chart(
         f'transform="rotate(-90 {left - 44:.2f} {(top + bottom) / 2:.2f})">{escape(y_label)}</text>'
     )
 
+    partitions = []  # (xs, drawn, pxs, runs) for each x column met so far
     for index, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[index % len(_PALETTE)]
+        drawn = None
         if math.isnan(sum(xs) + sum(ys)):  # a sum holding a NaN is NaN
             drawn = list(map(and_, map(eq, xs, xs), map(eq, ys, ys)))  # x == x: not NaN
-            xs, ys = list(compress(xs, drawn)), list(compress(ys, drawn))
-        pxs = list(map(add, repeat(left), map(mul, xs, repeat(right - left))))  # px(x)
-        kept, start = [], 0
-        for _, run in groupby(map(math.floor, pxs)):
-            end = start + len(list(run))
+            ys = list(compress(ys, drawn))
+        for seen, seen_drawn, pxs, runs in partitions:
+            if seen is xs and seen_drawn == drawn:
+                break
+        else:
+            pxs, runs = _partition(xs if drawn is None else list(compress(xs, drawn)), left, right)
+            partitions.append((xs, drawn, pxs, runs))
+        kept = []
+        for start, end in runs:
             if end - start <= 4:
                 kept += range(start, end)
             else:
                 run_ys = ys[start:end]
                 low, high = run_ys.index(min(run_ys)), run_ys.index(max(run_ys))
                 kept += sorted({start, start + low, start + high, end - 1})
-            start = end
         coords = " ".join(f"{pxs[i]:.2f},{py(ys[i]):.2f}" for i in kept)
         lines.append(
             f'<polyline class="curve" fill="none" stroke="{color}" stroke-width="2" '

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, mul, not_, sub, truediv
+from itertools import repeat
+from operator import add, mul, sub, truediv
 
 from .errors import DomainError, UndefinedIndexError
 from .record import Record
@@ -106,6 +106,19 @@ def _grid(n_points: int) -> tuple[float, ...]:
     return tuple(map(truediv, range(n_points), repeat(n_points - 1)))
 
 
+def _zeros(column: list) -> list[int]:
+    """Indices of the entries equal to 0 (-0.0 too, NaN not), in order.
+
+    ``count`` and ``index`` compare at C level, so a column with a handful
+    of zeros costs a few passes that make no Python call per entry.
+    """
+    found, i = [], -1
+    for _ in range(column.count(0.0)):
+        i = column.index(0.0, i + 1)
+        found.append(i)
+    return found
+
+
 def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
     """(decay, rise, p_h) over a column of shares in [0, 1], unchecked.
 
@@ -118,12 +131,12 @@ def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
     (inf * 0 is nan), and an underflowing one never hides the positive AGI
     income at l = 1.
     """
-    w0, w_inf, points = tp.w0, tp.w_inf, range(len(l_agi))
+    w0, w_inf = tp.w0, tp.w_inf
     decay = list(map(math.exp, map(mul, repeat(-tp.lam), l_agi)))
     rise = list(map(sub, repeat(1.0), decay))
     human_income = list(map(mul, decay, map(sub, repeat(1.0), l_agi)))
     agi_weight = list(map(mul, rise, l_agi))
-    no_agi = list(compress(points, map(not_, agi_weight)))
+    no_agi = _zeros(agi_weight)
     for i in no_agi:
         if not rise[i]:
             # exp rounds to 1 where 0 < lam * l < about 1.1e-16, so 1 - exp is
@@ -131,7 +144,7 @@ def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
             rise[i] = -math.expm1(-tp.lam * l_agi[i])
             agi_weight[i] = rise[i] * l_agi[i]
     no_agi = [i for i in no_agi if not agi_weight[i]]
-    no_human = list(compress(points, map(not_, human_income)))
+    no_human = _zeros(human_income)
     for i in no_human:  # nan / nan, where the total could be 0; p_h is set below
         human_income[i] = math.nan
     agi_income = map(mul, repeat(w_inf / w0), agi_weight)

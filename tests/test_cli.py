@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import math
@@ -30,6 +31,7 @@ from agiecon import (
 from agiecon.cli import _write, main
 from agiecon.config import MAX_HORIZON, MAX_N_POINTS
 from agiecon.errors import ConfigError
+from agiecon.formatting import format_rows
 from agiecon.models import PARAM_TYPES
 from agiecon.scenario import ADOPTION_PARAMS
 
@@ -64,6 +66,15 @@ class TestEval:
             "[model]\nid = model_i\nA = 1\nK = 1\nK_AGI = 1\nL = 0\nalpha = 0.5\nbeta = 0.5\n"
         )
         assert run_cli("eval", "--config", config, "--out", tmp_path / "out") == 2
+
+    def test_zero_labor_with_zero_elasticity_has_zero_wage(self, tmp_path, capsys):
+        # the simulate demo seeds L_AGI = 0 with beta2 = 0; eval used to exit 2
+        # with "marginal product of 'L_AGI' at quantity 0 is not finite"
+        assert run_cli("eval", "--config", CONFIGS / "simulate_demo.ini", "--out", tmp_path) == 0
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "eval.csv").read_text() == (
+            "quantity,value\nY,1.000000000e0\nw_L_h,4.000000000e-1\nw_L_AGI,0.000000000e0\n"
+        )
 
     def test_config_may_start_with_a_byte_order_mark(self, tmp_path):
         # editors that save "UTF-8 with BOM" write one
@@ -603,6 +614,23 @@ class TestConfigDocuments:
         assert stderr.getvalue().count("\n") == (0 if code == 0 else 1)
 
 
+class _FullDisk(io.TextIOWrapper):
+    """A text file whose second ``write`` fails as a full disk would."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+def _full_disk_open(path, mode, encoding, newline):
+    assert mode == "w"
+    return _FullDisk(io.FileIO(path, mode), encoding=encoding, newline=newline)
+
+
 class TestWrite:
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         # the file used to be truncated before the failing write
@@ -612,6 +640,46 @@ class TestWrite:
             _write(target, "new\ud800\n")
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    # series.csv is written block by block; a failure part way through the
+    # blocks must leave the out directory as it was, with no temp file
+    @pytest.fixture(params=[None, b"old\r\nbytes\n"], ids=["fresh", "existing"])
+    def out_dir(self, request, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        if request.param is not None:
+            (out / "series.csv").write_bytes(request.param)
+        return out, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def simulate_long(self, tmp_path, out):
+        config = tmp_path / "long.ini"
+        config.write_text(_demo_scenario(("horizon = 20", "horizon = 5000")))
+        return run_cli("simulate", "--config", config, "--out", out)
+
+    def test_block_that_fails_to_serialize_writes_nothing(self, tmp_path, capsys, monkeypatch, out_dir):
+        out, before = out_dir
+        blocks_given = []
+
+        def failing_rows(*args, **kwargs):
+            blocks = format_rows(*args, **kwargs)
+            yield next(blocks)
+            blocks_given.append(1)
+            raise SerializationError("cannot serialize non-finite value inf")
+
+        monkeypatch.setattr(cli, "format_rows", failing_rows)
+        assert self.simulate_long(tmp_path, out) == 2
+        assert blocks_given == [1]
+        assert capsys.readouterr() == ("", "error: cannot serialize non-finite value inf\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_write_that_fails_part_way_writes_nothing(self, tmp_path, capsys, monkeypatch, out_dir):
+        out, before = out_dir
+        monkeypatch.setattr(cli, "open", _full_disk_open, raising=False)
+        assert self.simulate_long(tmp_path, out) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: cannot write {out / 'series.csv'}: No space left on device\n"
+        )
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 CHECK_NAMES = [

@@ -104,8 +104,7 @@ def per_cell(rows):
 
 @given(rows_strategy)
 def test_format_rows_matches_per_cell_formatting(rows):
-    text = format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS)
-    assert text == per_cell(rows)
+    assert format_in_blocks(rows) == per_cell(rows)
 
 
 @given(rows_strategy.filter(bool), st.data())
@@ -119,7 +118,7 @@ def test_format_rows_rejects_non_finite_cells(rows, data):
     row[column] = bad
     rows[index] = tuple(row)
     with pytest.raises(SerializationError):
-        format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS)
+        format_in_blocks(rows)
 
 
 def block_table(n_rows, seed, nan_rows=()):
@@ -145,18 +144,29 @@ def format_outcome(render, rows):
         return str(exc)
 
 
-def format_in_blocks(rows):
-    return format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS)
+def blocks_of(rows):
+    return list(format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS))
 
+
+def format_in_blocks(rows):
+    return "".join(blocks_of(rows))
+
+
+def test_format_rows_of_no_rows_yields_no_block():
+    assert blocks_of([]) == []
 
 
 @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_format_rows_blocks_match_per_cell_formatting(n_rows):
     nan_rows = sorted({0, n_rows // 2, n_rows - 1, min(BLOCK, n_rows - 1)})
     rows = block_table(n_rows, seed=n_rows, nan_rows=nan_rows)
-    text = format_in_blocks(rows)
-    assert text == per_cell(rows)
-    assert text.count("\n") == n_rows
+    blocks = blocks_of(rows)
+    # whole blocks of BLOCK rows, each ending at a line end, then the rest
+    assert [block.count("\n") for block in blocks] == [
+        min(BLOCK, n_rows - start) for start in range(0, n_rows, BLOCK)
+    ]
+    assert all(block.endswith("\n") for block in blocks)
+    assert "".join(blocks) == per_cell(rows)
 
 
 @pytest.mark.parametrize("n_rows", [2 * BLOCK + 2, 3 * BLOCK + 7])

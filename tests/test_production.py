@@ -87,6 +87,20 @@ class TestMarginalProduct:
         with pytest.raises(NonFiniteDerivativeError):
             marginal_product(tech, FactorBundle.of(K=0.0), "K")
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_elasticity_at_zero_quantity_is_zero(self, zero):
+        # Y does not depend on a zero-elasticity factor, so its marginal
+        # product is 0 at every quantity; it used to raise at quantity 0
+        tech = CobbDouglasTechnology.of(2.0, K=0.5, L=zero)
+        for bundle in (FactorBundle.of(K=4.0, L=0.0), FactorBundle.of(K=4.0, L=9.0)):
+            assert marginal_product(tech, bundle, "L") == 0.0
+        assert euler_residual(tech, FactorBundle.of(K=4.0, L=0.0)) == 0.0
+
+    def test_zero_elasticity_keeps_the_output_errors(self):
+        tech = CobbDouglasTechnology.of(1.0, K=-0.5, L=0.0)
+        with pytest.raises(NonFiniteOutputError):
+            marginal_product(tech, FactorBundle.of(K=0.0, L=0.0), "L")
+
     def test_factor_not_in_technology(self):
         tech = CobbDouglasTechnology.of(1.0, K=0.5)
         with pytest.raises(ContractViolationError):

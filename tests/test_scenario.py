@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from agiecon import (
     AdoptionKind,
     AdoptionPath,
+    ContractViolationError,
     DomainError,
     EconError,
     ModelIIIParams,
@@ -278,6 +279,12 @@ class TestDetectCollapse:
         series = run_scenario(make_config(horizon=3))
         with pytest.raises(DomainError):
             detect_collapse(series, 1.5)
+
+    def test_empty_series_breaks_the_contract(self):
+        # run_scenario never returns an empty series, so only a library
+        # caller can pass one
+        with pytest.raises(ContractViolationError, match="^empty series$"):
+            detect_collapse([], 0.5)
 
 
 def literal_share(path, t, horizon):

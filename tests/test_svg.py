@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from itertools import groupby
 
@@ -7,6 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from agiecon import TransitionParams, power_curve
+from agiecon import svg
+from agiecon.svg import _partition as partition
 from agiecon.svg import line_chart
 
 # the plot rectangle inside the chart's 10 % margins, by the chart's own expressions
@@ -130,3 +133,36 @@ def test_dense_power_curve_keeps_at_most_four_vertices_per_column():
     points = list(zip(curve.l_agi, curve.p_h))
     assert_columns_keep_ends_and_extremes(points)
     assert len(chart_vertices(points)) <= 4 * 641
+
+
+def chart_of(curves):
+    return line_chart(curves=curves, title="t", x_label="x", y_label="y")
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 50000])
+@pytest.mark.parametrize("order", ["ascending", "unsorted"])
+def test_curves_sharing_an_x_column_draw_as_over_copies(n, order, monkeypatch):
+    rng = random.Random(n)
+    xs = [i / max(n - 1, 1) for i in range(n)]
+    if order == "unsorted":
+        xs = shuffled_columns(xs, rng)
+    xs = tuple(xs)
+    falling = [1.0 - x for x in xs]
+    noisy = [rng.random() for _ in xs]
+    holes = sorted({0, n // 3, n - 1})
+    ys_family = [falling, noisy, list(falling), list(noisy), falling]
+    for ys in ys_family[2:4]:  # the same NaN mask in two curves
+        for i in holes:
+            ys[i] = math.nan
+    calls = []
+    monkeypatch.setattr(svg, "_partition", lambda *args: calls.append(1) or partition(*args))
+    shared = chart_of([(f"c{i}", xs, ys) for i, ys in enumerate(ys_family)])
+    # one partition per x column and NaN mask: none, and the holes
+    assert len(calls) == 2
+    copied = chart_of([(f"c{i}", list(xs), ys) for i, ys in enumerate(ys_family)])
+    assert len(calls) == 2 + len(ys_family)
+    assert shared == copied
+    # each curve is drawn as it is alone
+    curves = re.findall(r'points="([^"]*)"', shared)
+    assert curves == [re.findall(r'points="([^"]*)"', chart_of([("c", xs, ys)]))[0]
+                      for ys in ys_family]

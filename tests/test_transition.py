@@ -1,5 +1,7 @@
 import math
 import struct
+from itertools import compress
+from operator import not_
 
 import mpmath
 import pytest
@@ -16,7 +18,7 @@ from agiecon import (
     human_wage,
     power_curve,
 )
-from agiecon.transition import power_columns
+from agiecon.transition import _zeros, power_columns
 
 mpmath.mp.dps = 50
 
@@ -288,6 +290,32 @@ def test_power_columns_match_human_power_on_any_shares(tp, l_agi):
     assert struct.pack(f"<{len(l_agi)}d", *p_h) == want
     public = [reference_point(tp, l)[3] for l in l_agi]
     assert struct.pack(f"<{len(l_agi)}d", *public) == want
+
+
+def compress_zeros(column):
+    """The indices ``power_columns`` once found with a Python-level pass."""
+    return list(compress(range(len(column)), map(not_, column)))
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [],
+        [math.nan],
+        [0.0, 0.5, -0.0, math.nan, 1.0, 0.0],  # zeros at both ends
+        [-0.0, math.nan, math.nan, 5e-324, -0.0],
+        [0.0] * 7,
+        [0.25, -5e-324, math.nan],
+    ],
+)
+def test_zero_indices_match_the_compress_form(column):
+    # -0.0 is a zero and NaN is not, as for ``not x``
+    assert _zeros(column) == compress_zeros(column)
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, math.nan, 1.0, 5e-324, -1.0]), max_size=40))
+def test_zero_indices_match_the_compress_form_on_any_column(column):
+    assert _zeros(column) == compress_zeros(column)
 
 
 class TestParamValidation:
