@@ -38,6 +38,7 @@ from .errors import (
     NonFiniteOutputError,
     RankDeficiencyError,
 )
+from .production import FactorBundle
 from .record import Record
 
 _RANK_RCOND = 1e-10
@@ -53,14 +54,9 @@ _EPSILON = sys.float_info.epsilon
 
 
 def _check_row(output: float, names, quantities) -> None:
-    """Raise the DomainError of a sample row's first bad value: a factor not
-    finite or negative (worded as ``FactorBundle`` words it), the output,
-    then a zero factor."""
-    for name, value in zip(names, quantities):
-        if not math.isfinite(value):
-            raise DomainError(f"FactorBundle: {name} must be finite, got {value!r}")
-        if value < 0.0:
-            raise DomainError(f"FactorBundle: {name} must be >= 0, got {float(value)!r}")
+    """Raise the DomainError of a sample row's first bad value: a factor
+    ``FactorBundle`` rejects, the output, then a zero factor."""
+    FactorBundle(tuple(zip(names, quantities)))
     if not math.isfinite(output) or output <= 0.0:
         raise DomainError(f"sample output must be > 0 and finite, got {output!r}")
     for name, value in zip(names, quantities):

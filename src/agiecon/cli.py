@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from collections.abc import Iterable
@@ -28,19 +27,14 @@ from itertools import chain
 from pathlib import Path
 
 from .calibration import fit_cobb_douglas, read_samples
-from .config import (
-    MAX_N_POINTS,
-    ParsedConfig,
-    build_scenario_config,
-    parse_config_file,
-)
+from .config import ParsedConfig, build_scenario_config, parse_config_file
 from .diagnostics import run_diagnostics
-from .errors import ConfigError, EconError, UndefinedBaselineError, UsageError
+from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError, UsageError
 from .formatting import format_number, format_rows
 from .models import model_output, model_wages
 from .scenario import detect_collapse, run_scenario
 from .svg import line_chart
-from .transition import power_curve
+from .transition import check_n_points, power_curve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,11 +61,6 @@ def _build_parser() -> _Parser:
                 help="decay constant; repeat to overlay curves",
             )
     return parser
-
-
-def _write(path: Path, text: str) -> None:
-    """Write one small artifact through ``_write_all``."""
-    _write_all({path: [text]})
 
 
 def _write_all(artifacts: dict[Path, Iterable[str]]) -> None:
@@ -133,24 +122,24 @@ def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
     wages = model_wages(parsed.model_params)
     lines = ["quantity,value", f"Y,{format_number(y)}"]
     lines += [f"w_{factor},{format_number(wage)}" for factor, wage in wages.items()]
-    _write(out_dir / "eval.csv", "\n".join(lines) + "\n")
+    _write_all({out_dir / "eval.csv": ["\n".join(lines) + "\n"]})
     return 0
 
 
 def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     n_points = parsed.n_points
     if args.points is not None:
-        if not 2 <= args.points <= MAX_N_POINTS:
-            raise UsageError(f"--points must lie in [2, {MAX_N_POINTS}], got {args.points}")
+        try:
+            check_n_points(args.points)
+        except DomainError as exc:
+            raise UsageError(f"--points: {exc}") from exc
         n_points = args.points
     lambdas = args.lambdas if args.lambdas else [parsed.transition.lam]
-    for lam in lambdas:
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise UsageError(f"--lambda must be a positive finite real, got {lam!r}")
-
-    curves = [
-        (lam, power_curve(parsed.transition._replace(lam=lam), n_points)) for lam in lambdas
-    ]
+    try:
+        params = [parsed.transition._replace(lam=lam) for lam in lambdas]
+    except DomainError as exc:
+        raise UsageError(f"--lambda: {exc}") from exc
+    curves = [(tp.lam, power_curve(tp, n_points)) for tp in params]
 
     # The CSV schema has no lambda column, so it carries the first curve;
     # the SVG overlays the whole family.
@@ -211,13 +200,13 @@ def _cmd_fit(parsed: ParsedConfig, out_dir: Path, args) -> int:
     ]
     lines.append(f"rss,{format_number(result.residual_sum_squares)}")
     lines.append(f"n_samples,{result.sample_count}")
-    _write(out_dir / "fit.csv", "\n".join(lines) + "\n")
+    _write_all({out_dir / "fit.csv": ["\n".join(lines) + "\n"]})
     return 0
 
 
 def _cmd_check(parsed: ParsedConfig, out_dir: Path, args) -> int:
     diagnostics = run_diagnostics()
-    _write(out_dir / "check.txt", "\n".join(d.line() for d in diagnostics) + "\n")
+    _write_all({out_dir / "check.txt": ["\n".join(d.line() for d in diagnostics) + "\n"]})
     return 0 if all(d.ok for d in diagnostics) else 2
 
 

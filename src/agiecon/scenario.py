@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
-from itertools import compress, repeat
-from operator import add, le, mul, neg, not_, sub, truediv
+from itertools import repeat
+from operator import add, le, mul, neg, sub, truediv
 from typing import NamedTuple
 
 from .errors import (
@@ -52,12 +52,18 @@ from .errors import (
 from .models import ModelIIIParams
 from .production import product_of_terms
 from .record import Record
-from .transition import TransitionParams, power_columns
+from .transition import TransitionParams, _zeros, power_columns
 
 # unused by the step, kept importable: perfbench/tracer.py wraps these names here
 from .models import model_technology  # noqa: F401
 from .production import marginal_product, output  # noqa: F401
 from .transition import human_power  # noqa: F401
+
+
+# A step peaks at about 670 bytes of heap while ``simulate`` builds and writes its
+# run (VmHWM at 2 * 10**5 steps, CPython 3.11, x86-64 Linux), so this bound keeps
+# one run near 700 MB: a larger horizon is a DomainError, not a MemoryError.
+MAX_HORIZON = 1_000_000
 
 
 class AdoptionKind(Enum):
@@ -104,11 +110,11 @@ class AdoptionPath(Record):
         for name in takes:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.k is not None and (not math.isfinite(self.k) or self.k <= 0.0):
-            raise DomainError(f"logistic steepness k must be > 0, got {self.k!r}")
+            raise DomainError(f"logistic steepness k must be finite and > 0, got {self.k!r}")
         if self.t0 is not None and (not math.isfinite(self.t0) or self.t0 < 0.0):
             raise DomainError(f"logistic midpoint t0 must be finite and >= 0, got {self.t0!r}")
         if self.r is not None and (not math.isfinite(self.r) or self.r <= 0.0):
-            raise DomainError(f"exp_saturating rate r must be > 0, got {self.r!r}")
+            raise DomainError(f"exp_saturating rate r must be finite and > 0, got {self.r!r}")
 
     @classmethod
     def linear(cls) -> "AdoptionPath":
@@ -133,10 +139,6 @@ def _sigmoids(z: list[float]) -> list[float]:
     )
 
 
-def _sigmoid(z: float) -> float:
-    return _sigmoids([z])[0]
-
-
 def _adoption_curve(path: AdoptionPath, horizon: int):
     """Validate ``horizon`` for ``path`` and return steps -> [s(t) for t in steps].
 
@@ -153,8 +155,9 @@ def _adoption_curve(path: AdoptionPath, horizon: int):
         k, t0 = path.k, path.t0
         if t0 > horizon:
             raise DomainError(f"logistic midpoint t0={t0!r} exceeds horizon {horizon}")
-        low = _sigmoid(k * (0.0 - t0))
-        span = _sigmoid(k * (horizon - t0)) - low
+        # the end points as one column, non-decreasing because t0 <= horizon
+        low, high = _sigmoids([k * (0.0 - t0), k * (horizon - t0)])
+        span = high - low
         if not span > 0.0:
             raise DomainError(
                 f"logistic adoption with k={k!r}, t0={t0!r} does not rise over horizon"
@@ -206,6 +209,9 @@ class ScenarioConfig(Record):
     collapse_threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        if type(self.initial_model3) is not ModelIIIParams:
+            got = type(self.initial_model3).__name__
+            raise ContractViolationError(f"ScenarioConfig expects ModelIIIParams, got {got}")
         growth, theta = check_run(
             self.adoption, self.horizon, self.agi_capital_growth, self.collapse_threshold
         )
@@ -224,7 +230,9 @@ def check_run(path: AdoptionPath, horizon: int, growth: float, theta: float) -> 
     """The rules a run's horizon, adoption path, AGI capital growth and
     collapse threshold obey, for ``ScenarioConfig`` and a config's
     [scenario] section alike; returns the growth and threshold as floats."""
-    _adoption_curve(path, horizon)  # checks the horizon too
+    _adoption_curve(path, horizon)  # checks the horizon >= 1 too
+    if horizon > MAX_HORIZON:
+        raise DomainError(f"horizon must be <= {MAX_HORIZON}, got {horizon!r}")
     growth = float(growth)
     if not math.isfinite(growth) or growth < 0.0:
         raise DomainError(f"agi_capital_growth must be finite and >= 0, got {growth!r}")
@@ -351,7 +359,7 @@ def _factor_wages(y: list[float], x: list[float], elasticity: list[float]) -> li
     Where x = 0 the factor is absent, and its wage is the prefactor value:
     0 when its elasticity is 0, NaN otherwise.
     """
-    absent = list(compress(range(len(x)), map(not_, x)))
+    absent = _zeros(x)
     if absent:
         x = list(x)
         for i in absent:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tempfile
 from functools import reduce
 from operator import add
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agiecon import (
+    ConfigError,
     ContractViolationError,
     DomainError,
     EconError,
@@ -39,6 +41,11 @@ def log_space_rss(table, factor_names, tfp, elasticities):
 
 
 class TestFit:
+    def test_no_factor_names_violates_contract(self):
+        samples = sample_table(("x",), [(2.0, 1.0), (3.0, 2.0)])
+        with pytest.raises(ContractViolationError, match="^factor_names must not be empty$"):
+            fit_cobb_douglas(samples, [])
+
     def test_two_samples_hand_solvable(self):
         # ln Y = ln 2 + 0.5 ln x passes exactly through both points
         samples = sample_table(("x",), [(2.0, 1.0), (2.0 * math.exp(0.5), math.e)])
@@ -149,6 +156,14 @@ class TestSampleValidation:
     def test_rejects_zero_quantity(self):
         with pytest.raises(DomainError, match="sample factor 'K' must be > 0"):
             sample_table(("K",), [(1.0, 0.0)])
+
+    def test_unparsable_cell_names_its_row(self, tmp_path):
+        # the flat pass gives up on the cell, and the csv reader names its row
+        path = tmp_path / "samples.csv"
+        path.write_text("Y,K\n1.0,2.0\n3.0,abc\n")
+        message = rf"^sample file {re.escape(str(path))}: row 3: could not convert string to float: 'abc'$"
+        with pytest.raises(ConfigError, match=message):
+            read_samples(path, ("K",))
 
 
 def fit_outcome(samples, factor_names):

@@ -28,12 +28,12 @@ from agiecon import (
     diagnostics,
     marginal_product,
 )
-from agiecon.cli import _write, main
-from agiecon.config import MAX_HORIZON, MAX_N_POINTS
+from agiecon.cli import _write_all, main
 from agiecon.errors import ConfigError
 from agiecon.formatting import format_rows
 from agiecon.models import PARAM_TYPES
-from agiecon.scenario import ADOPTION_PARAMS
+from agiecon.scenario import ADOPTION_PARAMS, MAX_HORIZON
+from agiecon.transition import MAX_N_POINTS
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -201,7 +201,10 @@ class TestSweep:
         argv = ("--config", CONFIGS / "sweep_default.ini", "--out", tmp_path)
         assert run_cli("sweep", *argv, "--points", MAX_N_POINTS + 1) == 1
         err = capsys.readouterr().err
-        assert err == f"usage error: --points must lie in [2, {MAX_N_POINTS}], got {MAX_N_POINTS + 1}\n"
+        assert err == (
+            f"usage error: --points: n_points must be an integer in [2, {MAX_N_POINTS}],"
+            f" got {MAX_N_POINTS + 1}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
 
@@ -255,8 +258,7 @@ class TestSimulate:
         assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err == (
-            f"config error: [scenario].horizon: must lie in [1, {MAX_HORIZON}],"
-            f" got {MAX_HORIZON + 1}\n"
+            f"config error: [scenario]: horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}\n"
         )
 
 
@@ -637,7 +639,7 @@ class TestWrite:
         target = tmp_path / "fit.csv"
         target.write_text("old\n")
         with pytest.raises(UnicodeEncodeError):
-            _write(target, "new\ud800\n")
+            _write_all({target: ["new\ud800\n"]})
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -828,7 +830,7 @@ class TestErrorLines:
             ("simulate", _demo_scenario(("threshold = 0.5", "threshold = 1.5")), (), 1,
              "config error: [scenario]: collapse_threshold must lie in (0, 1], got 1.5"),
             ("simulate", _demo_scenario(("k = 0.6", "k = -1")), (), 1,
-             "config error: [scenario]: logistic steepness k must be > 0, got -1.0"),
+             "config error: [scenario]: logistic steepness k must be finite and > 0, got -1.0"),
             ("fit", "[fit]\nfactors = K, L\ninput =\n", (), 1,
              "config error: [fit].input: path must not be empty"),
             ("simulate", _demo_scenario().partition("[scenario]")[0], (), 1,
@@ -838,7 +840,7 @@ class TestErrorLines:
             ("fit", "[fit]\nfactors = K, L\ninput = samples.csv\n", (), 1,
              "config error: sample file {samples} is empty"),
             ("sweep", "[transition]\nlambda = 2\n", ("--lambda", "0"), 1,
-             "usage error: --lambda must be a positive finite real, got 0.0"),
+             "usage error: --lambda: lambda must be a positive finite real, got 0.0"),
             ("simulate",
              _demo_scenario(("A = 1.0", "A = 1e300"), ("\nK = 1.0", "\nK = 1e300"),
                             ("alpha = 0.3", "alpha = 2")), (), 2,
@@ -849,6 +851,14 @@ class TestErrorLines:
              "config error: [DEFAULT] section is not supported"),
             ("eval", _demo_scenario(("\nK = 1.0", "\nK = -1")), (), 1,
              "config error: [model]: ModelIIIParams.K must be >= 0"),
+            ("eval", _demo_scenario(("\nK = 1.0", "\nK = inf")), (), 1,
+             "config error: [model]: ModelIIIParams.K must be finite, got inf"),
+            ("simulate", _demo_scenario(("k = 0.6", "k = nan")), (), 1,
+             "config error: [scenario]: logistic steepness k must be finite and > 0, got nan"),
+            ("sweep", "[transition]\nlambda = 2\n", ("--lambda", "inf"), 1,
+             "usage error: --lambda: lambda must be a positive finite real, got inf"),
+            ("sweep", "[transition]\nlambda = 2\n", ("--points", "1"), 1,
+             "usage error: --points: n_points must be an integer in [2, 10000000], got 1"),
             ("simulate", _demo_scenario(("\nK = 1.0", "\nK = 0")), (), 1,
              "config error: [scenario]: initial K and K_AGI must be > 0"),
             ("simulate", _demo_scenario(("beta2 = 0.0", "beta2 = -0.1")), (), 1,
@@ -864,6 +874,7 @@ class TestErrorLines:
             "unknown-adoption", "negative-growth", "threshold-above-1", "negative-steepness",
             "blank-input", "no-scenario", "no-fit", "empty-samples", "zero-lambda",
             "overflowing-term", "unparsable-horizon", "default-section", "negative-capital",
+            "infinite-capital", "nan-steepness", "infinite-lambda", "one-point",
             "zero-capital", "negative-beta2", "negative-t0", "path-cannot-rise",
         ],
     )

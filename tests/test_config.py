@@ -4,8 +4,6 @@ from hypothesis import strategies as st
 
 from agiecon import AdoptionKind, AdoptionPath, ConfigError, ModelIIIParams
 from agiecon.config import (
-    MAX_HORIZON,
-    MAX_N_POINTS,
     FitSpec,
     ParsedConfig,
     ScenarioSection,
@@ -14,8 +12,8 @@ from agiecon.config import (
     render_config,
 )
 from agiecon.models import PARAM_TYPES
-from agiecon.scenario import ADOPTION_PARAMS
-from agiecon.transition import TransitionParams
+from agiecon.scenario import ADOPTION_PARAMS, MAX_HORIZON
+from agiecon.transition import MAX_N_POINTS, TransitionParams
 
 
 class TestTransitionSection:
@@ -35,7 +33,9 @@ class TestTransitionSection:
             parse_config_text("[transition]\ndecay = 2\n")
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ConfigError, match=r"\[transition\]\.lambda"):
+        # the record's finiteness rule, reported under the section
+        message = r"^\[transition\]: lambda must be a positive finite real, got inf$"
+        with pytest.raises(ConfigError, match=message):
             parse_config_text("[transition]\nlambda = inf\n")
 
     def test_invariant_violation_located(self):
@@ -50,7 +50,11 @@ class TestTransitionSection:
         # parsing allocates no grid, so the bound itself can be tested
         parsed = parse_config_text(f"[transition]\nn_points = {MAX_N_POINTS}\n")
         assert parsed.n_points == MAX_N_POINTS
-        with pytest.raises(ConfigError, match=rf"n_points: must lie in \[2, {MAX_N_POINTS}\]"):
+        message = (
+            rf"^\[transition\]: n_points must be an integer in \[2, {MAX_N_POINTS}\],"
+            rf" got {MAX_N_POINTS + 1}$"
+        )
+        with pytest.raises(ConfigError, match=message):
             parse_config_text(f"[transition]\nn_points = {MAX_N_POINTS + 1}\n")
 
 
@@ -159,8 +163,11 @@ class TestScenarioSection:
         # parsing runs no scenario, so the bound itself can be tested
         parsed = parse_config_text(f"[scenario]\nhorizon = {MAX_HORIZON}\n")
         assert parsed.scenario.horizon == MAX_HORIZON
-        for horizon in (0, MAX_HORIZON + 1):
-            with pytest.raises(ConfigError, match=rf"horizon: must lie in \[1, {MAX_HORIZON}\]"):
+        for horizon, message in (
+            (0, r"horizon must be an integer >= 1, got 0"),
+            (MAX_HORIZON + 1, rf"horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}"),
+        ):
+            with pytest.raises(ConfigError, match=rf"^\[scenario\]: {message}$"):
                 parse_config_text(f"[scenario]\nhorizon = {horizon}\n")
 
     def test_t0_must_fit_horizon(self):
@@ -198,6 +205,58 @@ class TestScenarioSection:
         cfg = build_scenario_config(parsed)
         assert cfg.horizon == 10
         assert cfg.initial_model3.A == 1.5
+
+
+# one valid value for every key a section reads as a number
+NUMERIC_KEYS = {
+    "model": {
+        "A": "1", "K": "1", "K_AGI": "1", "L_h": "1", "L_AGI": "0", "alpha": "0.3",
+        "gamma": "0.2", "beta1": "0.4", "beta2": "0",
+    },
+    "transition": {"w0": "1", "w_inf": "1", "lambda": "2"},
+    "scenario": {"k": "1", "t0": "5", "r": "0.5", "growth": "0.05", "collapse_threshold": "0.5"},
+}
+
+
+def _document(section, key, value):
+    """A valid config reading ``key`` of ``section``, with that key set to ``value``."""
+    values = dict(NUMERIC_KEYS[section], **{key: value})
+    if section == "model":
+        values["id"] = "model_iii"
+    elif section == "scenario":  # r is exp_saturating's, k and t0 are logistic's
+        foreign = ("k", "t0") if key == "r" else ("r",)
+        values = {name: v for name, v in values.items() if name not in foreign}
+        values.update(horizon="10", adoption="exp_saturating" if key == "r" else "logistic")
+    return f"[{section}]\n" + "".join(f"{name} = {v}\n" for name, v in values.items())
+
+
+class TestNonFiniteValues:
+    """No reader checks finiteness: every number ends in a record or in
+    ``check_run``, whose rule rejects NaN and infinities under the section."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section, key", [(section, key) for section in NUMERIC_KEYS for key in NUMERIC_KEYS[section]]
+    )
+    def test_rejected_by_the_rule_the_value_ends_in(self, section, key, value):
+        parse_config_text(_document(section, key, NUMERIC_KEYS[section][key]))  # the control
+        pattern = rf"^\[{section}\]: .*(?<![A-Za-z]){key}(?!\w).*, got {value}$"
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config_text(_document(section, key, value))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[transition]\nlambda = inf\nlambdas = 2\n", "transition].lambdas"),
+            ("[scenario]\nhorizon = 0\nsteps = 2\n", "scenario].steps"),
+            ("[model]\nid = model_i\nA = nan\nK = 1\nK_AGI = 1\nL = 1\nalpha = 1\n", "model].beta"),
+        ],
+        ids=["unknown-key", "unknown-key-after-horizon", "missing-key"],
+    )
+    def test_key_errors_come_before_value_errors(self, text, key):
+        # a section's keys are all read before any of its values is checked
+        with pytest.raises(ConfigError, match=rf"^\[{key}: (unknown|missing required) key$"):
+            parse_config_text(text)
 
 
 class TestFitSection:

@@ -166,6 +166,32 @@ class TestPowerIndex:
         with pytest.raises(ContractViolationError):
             power_index_model3(params)
 
+    def test_other_models_violate_contract(self):
+        params = ModelIIParams(A=1, K=1, L1=2, L2=9, alpha=0.2, beta1=0.3, beta2=0.4)
+        with pytest.raises(
+            ContractViolationError, match="^model_iii expects ModelIIIParams, got ModelIIParams$"
+        ):
+            power_index_model3(params)
+
+    def test_negative_labor_elasticity_violates_contract(self):
+        params = ModelIIIParams(
+            A=1, K=1, K_AGI=1, L_h=2, L_AGI=9, alpha=0.2, gamma=0.2, beta1=-0.1, beta2=0.4
+        )
+        with pytest.raises(
+            ContractViolationError, match="^power index needs beta1 >= 0 and beta2 >= 0$"
+        ):
+            power_index_model3(params)
+
+    def test_no_output_means_no_labor_income(self):
+        # K = 0 with alpha > 0 makes Y = 0, so both wages and both incomes are 0
+        params = ModelIIIParams(
+            A=1, K=0, K_AGI=1, L_h=2, L_AGI=9, alpha=0.2, gamma=0.2, beta1=0.3, beta2=0.4
+        )
+        with pytest.raises(
+            UndefinedIndexError, match="^total labor income is zero; index undefined$"
+        ):
+            power_index_model3(params)
+
     @given(
         st.floats(0.1, 10.0),
         st.floats(0.1, 10.0),
@@ -253,6 +279,20 @@ def _all_cases(cls, values):
 
 
 class TestClassifyLimit:
+    def test_unknown_wage_violates_contract(self):
+        params = ModelIIParams(A=1, K=1, L1=1, L2=1, alpha=0.3, beta1=0.4, beta2=0.2)
+        with pytest.raises(ContractViolationError, match="^model_ii has no wage for factor 'L'$"):
+            classify_limit(params, "K", TO_ZERO, "L")
+
+    def test_negative_wage_prefactor_keeps_its_sign(self):
+        # w_L1 = beta1 * A * K**alpha * L1**(beta1 - 1) * L2**beta2 < 0 for
+        # beta1 < 0, and tends to that value without K**alpha as alpha -> 0+;
+        # the numeric probe confirms it only if it carries the negative sign
+        params = ModelIIParams(A=2, K=3, L1=2, L2=1.5, alpha=0.3, beta1=-0.5, beta2=0.4)
+        result = classify_limit(params, "alpha", TO_ZERO, "L1")
+        assert result.kind is LimitKind.FINITE
+        assert result.value == pytest.approx(2 * -0.5 * 2**-1.5 * 1.5**0.4, rel=1e-12)
+
     def test_wage_diverges_as_labor_vanishes(self):
         # the literal marginal product grows without bound: w ~ L**(beta-1)
         params = ModelIParams(A=1, K=1, K_AGI=1, L=1, alpha=0.5, beta=0.5)

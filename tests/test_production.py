@@ -150,6 +150,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             FactorBundle.of(K=math.inf)
 
+    def test_bundle_rejects_a_name_that_is_not_a_string(self):
+        with pytest.raises(
+            DomainError, match="^FactorBundle: factor names must be non-empty strings$"
+        ):
+            FactorBundle(((1, 2.0),))
+
     def test_bundle_rejects_duplicate_names(self):
         with pytest.raises(DomainError):
             FactorBundle((("K", 1.0), ("K", 2.0)))

@@ -14,6 +14,7 @@ from agiecon import (
     DomainError,
     EconError,
     ModelIIIParams,
+    ModelIParams,
     NonFiniteOutputError,
     ScenarioConfig,
     SimulationFailureError,
@@ -29,7 +30,7 @@ from agiecon import (
     run_scenario,
 )
 from agiecon.config import build_scenario_config, parse_config_file
-from agiecon.scenario import ADOPTION_PARAMS, TimeSeriesRecord, _sigmoid, _step_columns
+from agiecon.scenario import ADOPTION_PARAMS, TimeSeriesRecord, _step_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +107,17 @@ class TestAdoptionShare:
             adoption_share(path, 3, 10)
         with pytest.raises(DomainError, match="does not rise"):
             make_config(adoption=path, horizon=10)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_rates_must_be_finite_and_positive(self, value):
+        with pytest.raises(
+            DomainError, match=rf"^logistic steepness k must be finite and > 0, got {value!r}$"
+        ):
+            AdoptionPath.logistic(k=value, t0=5.0)
+        with pytest.raises(
+            DomainError, match=rf"^exp_saturating rate r must be finite and > 0, got {value!r}$"
+        ):
+            AdoptionPath.exp_saturating(r=value)
 
     def test_path_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -242,6 +254,17 @@ class TestRunScenario:
         with pytest.raises(DomainError):
             make_config(threshold=0.0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [ModelIParams(1, 1, 1, 1, 0.3, 0.6), None],
+        ids=["model_i", "none"],
+    )
+    def test_initial_params_must_be_model3(self, params):
+        # any other record used to escape as an AttributeError on beta1
+        message = f"^ScenarioConfig expects ModelIIIParams, got {type(params).__name__}$"
+        with pytest.raises(ContractViolationError, match=message):
+            ScenarioConfig(10, params, AdoptionPath.linear())
+
 
 class TestDetectCollapse:
     def test_constant_series_never_collapses(self):
@@ -287,14 +310,21 @@ class TestDetectCollapse:
             detect_collapse([], 0.5)
 
 
+def sigmoid(z):
+    """1 / (1 + e^-z), or e^z / (1 + e^z) below 0 so that no exp overflows."""
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    return math.exp(z) / (1.0 + math.exp(z))
+
+
 def literal_share(path, t, horizon):
     """s(t) written out per call, with no term shared between steps."""
     if path.kind is AdoptionKind.LINEAR:
         return t / horizon
     if path.kind is AdoptionKind.LOGISTIC:
-        low = _sigmoid(path.k * (0.0 - path.t0))
-        high = _sigmoid(path.k * (horizon - path.t0))
-        return (_sigmoid(path.k * (t - path.t0)) - low) / (high - low)
+        low = sigmoid(path.k * (0.0 - path.t0))
+        high = sigmoid(path.k * (horizon - path.t0))
+        return (sigmoid(path.k * (t - path.t0)) - low) / (high - low)
     return (1.0 - math.exp(-path.r * t)) / (1.0 - math.exp(-path.r * horizon))
 
 
