@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """List the statements of src/agiecon that the tier-1 tests never run.
 
-    python scripts/coverage.py [PYTEST_ARGS...]     # from the repository root
+    python scripts/coverage.py     # from the repository root
 
 Runs the tier-1 suite in this process under a ``sys.settrace`` line tracer
 that follows only frames of ``src/agiecon``, then prints every statement
@@ -40,8 +40,8 @@ ALLOWED = {
 }
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """Run pytest with the tracer on; return its exit status and the
+def run_traced() -> tuple[int, set[tuple[str, int]]]:
+    """Run the tier-1 suite with the tracer on; return its exit status and the
     (file, line) pairs of src/agiecon that ran."""
     import pytest
     from hypothesis import HealthCheck, settings
@@ -68,7 +68,9 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        status = pytest.main(["--hypothesis-profile=coverage", *pytest_args])
+        status = pytest.main(
+            ["-q", "--continue-on-collection-errors", "--hypothesis-profile=coverage"]
+        )
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -107,11 +109,11 @@ def never_run(path: Path, ran: set[int]) -> list[ast.stmt]:
     return found
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     src = str(PACKAGE.parent)
     sys.path.insert(0, src)  # and for the tests' child processes:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    status, ran = run_traced(argv or ["-q", "--continue-on-collection-errors"])
+    status, ran = run_traced()
     unexpected = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -127,4 +129,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

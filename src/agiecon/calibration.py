@@ -77,9 +77,9 @@ def _all_positive_finite(column: list[float]) -> bool:
 class SampleTable(Record):
     """Samples by column: the output and one column per named factor.
 
-    Every value must be finite and > 0.  Where the column test fails, the
-    rows are checked in order by ``_check_row``, so the error raised is the
-    first bad row's.
+    Every value must be finite and > 0, and every factor name a non-empty
+    string (``FactorBundle``'s rule).  Where the column test fails, the rows
+    are checked in order by ``_check_row``; the error is the first bad row's.
     """
 
     output: list[float]
@@ -89,6 +89,7 @@ class SampleTable(Record):
         columns = (self.output, *self.factors.values())
         if any(len(column) != len(self.output) for column in columns):
             raise ContractViolationError("sample table columns differ in length")
+        FactorBundle(tuple(zip(self.factors, repeat(1.0))))  # the names, in every table
         if not all(map(_all_positive_finite, columns)):
             for output, *quantities in zip(*columns):
                 _check_row(output, self.factors, quantities)

@@ -230,9 +230,9 @@ def check_run(path: AdoptionPath, horizon: int, growth: float, theta: float) -> 
     """The rules a run's horizon, adoption path, AGI capital growth and
     collapse threshold obey, for ``ScenarioConfig`` and a config's
     [scenario] section alike; returns the growth and threshold as floats."""
-    _adoption_curve(path, horizon)  # checks the horizon >= 1 too
-    if horizon > MAX_HORIZON:
+    if isinstance(horizon, int) and horizon > MAX_HORIZON:  # before any float of it
         raise DomainError(f"horizon must be <= {MAX_HORIZON}, got {horizon!r}")
+    _adoption_curve(path, horizon)  # checks the horizon is an integer >= 1 too
     growth = float(growth)
     if not math.isfinite(growth) or growth < 0.0:
         raise DomainError(f"agi_capital_growth must be finite and >= 0, got {growth!r}")

@@ -241,6 +241,15 @@ class TestSampleTable:
         table = SampleTable(output=[1e308, 1e308, 1.0], factors={"K": [1.0, 2.0, 3.0]})
         assert len(table) == 3
 
+    @pytest.mark.parametrize("name", ["", 3], ids=["empty", "int"])
+    @pytest.mark.parametrize("bad_row", [False, True], ids=["valid_rows", "bad_row"])
+    def test_factor_names_are_checked_in_every_table(self, name, bad_row):
+        # the name rule is FactorBundle's, whether or not some row is bad
+        factor = [1.0, 2.0, -1.0 if bad_row else 3.0]
+        message = "^FactorBundle: factor names must be non-empty strings$"
+        with pytest.raises(DomainError, match=message):
+            SampleTable(output=[1.0, 2.0, 3.0], factors={"K": [1.0, 2.0, 3.0], name: factor})
+
     def test_columns_must_have_one_length(self):
         with pytest.raises(ContractViolationError):
             SampleTable(output=[1.0, 2.0], factors={"K": [1.0]})

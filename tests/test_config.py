@@ -170,6 +170,18 @@ class TestScenarioSection:
             with pytest.raises(ConfigError, match=rf"^\[scenario\]: {message}$"):
                 parse_config_text(f"[scenario]\nhorizon = {horizon}\n")
 
+    @pytest.mark.parametrize(
+        "path",
+        ["", "adoption = logistic\nk = 1\nt0 = 5", "adoption = exp_saturating\nr = 0.5"],
+        ids=["linear", "logistic", "exp_saturating"],
+    )
+    def test_horizon_too_large_for_a_float_is_a_config_error(self, path):
+        # the bound is checked before the path computes with the horizon as a float
+        horizon = 10**400
+        message = rf"^\[scenario\]: horizon must be <= {MAX_HORIZON}, got {horizon}$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"[scenario]\nhorizon = {horizon}\n{path}\n")
+
     def test_t0_must_fit_horizon(self):
         text = "[scenario]\nhorizon = 10\nadoption = logistic\nk = 1\nt0 = 11\n"
         message = r"^\[scenario\]: logistic midpoint t0=11.0 exceeds horizon 10$"

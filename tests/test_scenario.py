@@ -30,7 +30,7 @@ from agiecon import (
     run_scenario,
 )
 from agiecon.config import build_scenario_config, parse_config_file
-from agiecon.scenario import ADOPTION_PARAMS, TimeSeriesRecord, _step_columns
+from agiecon.scenario import ADOPTION_PARAMS, MAX_HORIZON, TimeSeriesRecord, _step_columns
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -253,6 +253,14 @@ class TestRunScenario:
             make_config(adoption=AdoptionPath.logistic(k=1.0, t0=99.0), horizon=10)
         with pytest.raises(DomainError):
             make_config(threshold=0.0)
+
+    @pytest.mark.parametrize("path", ALL_PATHS, ids=lambda path: path.kind.value)
+    def test_horizon_too_large_for_a_float_is_a_domain_error(self, path):
+        # the bound comes before any float arithmetic on the horizon
+        horizon = 10**400
+        message = f"^horizon must be <= {MAX_HORIZON}, got {horizon}$"
+        with pytest.raises(DomainError, match=message):
+            make_config(adoption=path, horizon=horizon)
 
     @pytest.mark.parametrize(
         "params",
