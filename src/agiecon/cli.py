@@ -33,8 +33,8 @@ from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError,
 from .formatting import format_number, format_rows
 from .models import model_output, model_wages
 from .scenario import detect_collapse, run_scenario
-from .svg import line_chart
-from .transition import check_n_points, power_curve
+from .svg import check_n_curves, line_chart
+from .transition import check_n_points, power_columns, power_curve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,17 +136,19 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
         n_points = args.points
     lambdas = args.lambdas if args.lambdas else [parsed.transition.lam]
     try:
+        check_n_curves(len(lambdas))
         params = [parsed.transition._replace(lam=lam) for lam in lambdas]
     except DomainError as exc:
         raise UsageError(f"--lambda: {exc}") from exc
-    curves = [(tp.lam, power_curve(tp, n_points)) for tp in params]
 
     # The CSV schema has no lambda column, so it carries the first curve;
-    # the SVG overlays the whole family.
-    first = curves[0][1]
+    # the SVG overlays the whole family, each p_h over the first curve's grid.
+    first = power_curve(params[0], n_points)
     rows = list(zip(first.l_agi, first.w_h, first.w_agi, first.p_h))
+    p_h = [first.p_h] + [power_columns(tp, first.l_agi)[2] for tp in params[1:]]
     chart = line_chart(
-        curves=[(f"lambda={lam:g}", curve.l_agi, curve.p_h) for lam, curve in curves],
+        xs=first.l_agi,
+        curves=[(f"lambda={tp.lam:g}", ys) for tp, ys in zip(params, p_h)],
         title="Human economic power vs AGI labor share",
         x_label="AGI labor share",
         y_label="human share of labor income",

@@ -1,12 +1,12 @@
 """Dependency-free SVG line charts with deterministic bytes.
 
 Emitting the markup directly (no plotting library) keeps repeated runs
-byte-identical, which golden tests rely on.  Each curve comes as two
-columns, xs and ys, and is mapped affinely into the plot rectangle left
-after 10% margins on every side; dense curves are decimated per pixel
-column with C-level passes over those columns.  The pixel columns of an x
-column are found once per chart: curves that share one xs object (and the
-same NaN points) share its partition, as the curves of one sweep do.
+byte-identical, which golden tests rely on.  A chart has one x column and
+a y column per curve, as a sweep's curves share one grid; each curve is
+mapped affinely into the plot rectangle left after 10% margins on every
+side, and dense curves are decimated per pixel column with C-level passes
+over those columns.  The pixel columns of the x column are found once per
+NaN mask: curves with NaN at the same points share one partition.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from collections.abc import Sequence
 from itertools import compress, groupby, repeat
 from operator import add, and_, eq, mul
+
+from .errors import DomainError
 
 
 def escape(text: str) -> str:
@@ -31,6 +33,9 @@ _PALETTE = (
     "#8c564b",
     "#17becf",
 )
+
+# one colour and one legend row inside the plot per curve
+MAX_CURVES = len(_PALETTE)
 
 _TICKS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -50,16 +55,25 @@ def _partition(xs: Sequence[float], left: float, right: float) -> tuple[list, li
     return pxs, runs
 
 
+def check_n_curves(n_curves: int) -> None:
+    """Raise the DomainError of a curve count ``line_chart`` rejects."""
+    if n_curves > MAX_CURVES:
+        raise DomainError(f"a chart draws at most {MAX_CURVES} curves, got {n_curves}")
+
+
 def line_chart(
-    curves: list[tuple[str, Sequence[float], Sequence[float]]],
+    xs: Sequence[float],
+    curves: list[tuple[str, Sequence[float]]],
     title: str,
     x_label: str,
     y_label: str,
 ) -> str:
     """Chart of unit-square data (x and y both in [0, 1]).
 
-    One polyline per (label, xs, ys) curve plus a legend entry for each;
-    points where x or y is NaN are skipped.  Axes carry six labeled ticks.
+    One polyline per (label, ys) curve over the x column xs, plus a legend
+    entry for each, in its own colour; at most ``MAX_CURVES`` curves.  A
+    curve skips the points where x or its y is NaN.  Axes carry six labeled
+    ticks.
 
     M4 aggregation (Jugel et al., PVLDB 7(10), 2014): of each run of
     consecutive points in one pixel column, floor(px(x)), at most the first,
@@ -71,6 +85,7 @@ def line_chart(
     one through every point.  x need not be sorted: a column visited twice
     is two runs.
     """
+    check_n_curves(len(curves))
     left = 0.1 * _WIDTH
     right = 0.9 * _WIDTH
     top = 0.1 * _HEIGHT
@@ -124,19 +139,24 @@ def line_chart(
         f'transform="rotate(-90 {left - 44:.2f} {(top + bottom) / 2:.2f})">{escape(y_label)}</text>'
     )
 
-    partitions = []  # (xs, drawn, pxs, runs) for each x column met so far
-    for index, (label, xs, ys) in enumerate(curves):
-        color = _PALETTE[index % len(_PALETTE)]
-        drawn = None
-        if math.isnan(sum(xs) + sum(ys)):  # a sum holding a NaN is NaN
-            drawn = list(map(and_, map(eq, xs, xs), map(eq, ys, ys)))  # x == x: not NaN
+    # which points are drawn (x == x: not NaN), or None for all; a sum
+    # holding a NaN is NaN
+    x_drawn = list(map(eq, xs, xs)) if math.isnan(sum(xs)) else None
+    partitions = []  # (drawn, pxs, runs) for each NaN mask met so far
+    for index, (label, ys) in enumerate(curves):
+        color = _PALETTE[index]
+        drawn = x_drawn
+        if math.isnan(sum(ys)):
+            y_drawn = map(eq, ys, ys)
+            drawn = list(y_drawn if x_drawn is None else map(and_, x_drawn, y_drawn))
+        if drawn is not None:
             ys = list(compress(ys, drawn))
-        for seen, seen_drawn, pxs, runs in partitions:
-            if seen is xs and seen_drawn == drawn:
+        for seen, pxs, runs in partitions:
+            if seen == drawn:
                 break
         else:
             pxs, runs = _partition(xs if drawn is None else list(compress(xs, drawn)), left, right)
-            partitions.append((xs, drawn, pxs, runs))
+            partitions.append((drawn, pxs, runs))
         kept = []
         for start, end in runs:
             if end - start <= 4:

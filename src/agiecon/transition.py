@@ -18,13 +18,13 @@ them over a whole column of shares.  ``human_wage``, ``agi_wage`` and
 ``human_power`` are its columns at one checked share, ``power_curve`` runs
 it over a uniform grid and returns the curve by column, as a
 ``PowerCurve`` of tuples, and ``run_scenario`` runs it over a scenario's
-adoption shares.
+adoption shares.  ``sweep`` runs it over its first curve's grid for each
+further decay constant, so a sweep shares one grid without a cache.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
@@ -101,16 +101,6 @@ def human_power(tp: TransitionParams, l_agi: float) -> float:
     return p_h
 
 
-@lru_cache(maxsize=1)
-def _grid(n_points: int) -> tuple[float, ...]:
-    """l_agi = i / (n_points - 1) for i in range(n_points).
-
-    The last grid is kept, so the curves of one sweep, one per decay
-    constant, share a single tuple.
-    """
-    return tuple(map(truediv, range(n_points), repeat(n_points - 1)))
-
-
 def _zeros(column: list) -> list[int]:
     """Indices of the entries equal to 0 (-0.0 too, NaN not), in order.
 
@@ -179,10 +169,12 @@ def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
 
     Point i is (l_agi, human_wage, agi_wage, human_power or NaN) at
     l_agi = i / (n_points - 1), by ``power_columns`` over the grid.  The
-    grid needs no share check, since i / (n - 1) lies in [0, 1].
+    grid needs no share check, since i / (n - 1) lies in [0, 1].  Each call
+    builds its own grid, which lives as long as the curve; another decay
+    constant over the same grid is ``power_columns(tp, curve.l_agi)``.
     """
     check_n_points(n_points)  # before the grid is allocated
-    l_agi = _grid(n_points)
+    l_agi = tuple(map(truediv, range(n_points), repeat(n_points - 1)))
     decay, rise, p_h = power_columns(tp, l_agi)
     return PowerCurve(
         l_agi, tuple(map(mul, repeat(tp.w0), decay)), tuple(map(mul, repeat(tp.w_inf), rise)),

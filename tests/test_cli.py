@@ -187,6 +187,27 @@ class TestSweep:
         assert run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", out) == 2
         assert list(out.iterdir()) == []
 
+    def test_seven_lambdas_draw_in_seven_colours(self, tmp_path):
+        lambdas = [arg for lam in range(1, 8) for arg in ("--lambda", lam)]
+        argv = ("--config", CONFIGS / "sweep_default.ini", "--out", tmp_path, "--points", 11)
+        assert run_cli("sweep", *argv, *lambdas) == 0
+        root = ET.fromstring((tmp_path / "power_curve.svg").read_text())
+        colours = [el.get("stroke") for el in root.iter(f"{SVG_NS}polyline")
+                   if el.get("class") == "curve"]
+        assert len(colours) == len(set(colours)) == 7
+
+    def test_eighth_lambda_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("no curve may be computed")
+
+        monkeypatch.setattr(cli, "power_curve", no_grid)
+        lambdas = [arg for lam in range(1, 9) for arg in ("--lambda", lam)]
+        assert run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path,
+                       *lambdas) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: --lambda: a chart draws at most 7 curves, got 8\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_points_flag(self, tmp_path):
         assert (
             run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path, "--points", 1)

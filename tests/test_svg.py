@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from agiecon import TransitionParams, power_curve
+from agiecon import DomainError, TransitionParams, power_curve
 from agiecon import svg
 from agiecon.svg import _partition as partition
 from agiecon.svg import line_chart
@@ -20,7 +20,7 @@ TOP, BOTTOM = 0.1 * 600, 0.9 * 600
 def chart_vertices(points):
     """The "x,y" vertices of the one polyline a chart of ``points`` draws."""
     xs, ys = [x for x, _ in points], [y for _, y in points]
-    svg = line_chart(curves=[("c", xs, ys)], title="t", x_label="x", y_label="y")
+    svg = line_chart(xs=xs, curves=[("c", ys)], title="t", x_label="x", y_label="y")
     (coords,) = re.findall(r'<polyline class="curve"[^>]* points="([^"]*)"', svg)
     return coords.split()
 
@@ -135,8 +135,8 @@ def test_dense_power_curve_keeps_at_most_four_vertices_per_column():
     assert len(chart_vertices(points)) <= 4 * 641
 
 
-def chart_of(curves):
-    return line_chart(curves=curves, title="t", x_label="x", y_label="y")
+def chart_of(xs, curves):
+    return line_chart(xs=xs, curves=curves, title="t", x_label="x", y_label="y")
 
 
 @pytest.mark.parametrize("n", [1, 4, 5, 50000])
@@ -156,13 +156,23 @@ def test_curves_sharing_an_x_column_draw_as_over_copies(n, order, monkeypatch):
             ys[i] = math.nan
     calls = []
     monkeypatch.setattr(svg, "_partition", lambda *args: calls.append(1) or partition(*args))
-    shared = chart_of([(f"c{i}", xs, ys) for i, ys in enumerate(ys_family)])
-    # one partition per x column and NaN mask: none, and the holes
-    assert len(calls) == 2
-    copied = chart_of([(f"c{i}", list(xs), ys) for i, ys in enumerate(ys_family)])
-    assert len(calls) == 2 + len(ys_family)
-    assert shared == copied
-    # each curve is drawn as it is alone
-    curves = re.findall(r'points="([^"]*)"', shared)
-    assert curves == [re.findall(r'points="([^"]*)"', chart_of([("c", xs, ys)]))[0]
-                      for ys in ys_family]
+    nan_x = list(xs)
+    nan_x[n // 2] = math.nan  # off the holes where n > 1; it masks every curve
+    for xs in [xs, nan_x] if n > 1 else [xs]:
+        del calls[:]
+        chart = chart_of(xs, [(f"c{i}", ys) for i, ys in enumerate(ys_family)])
+        # one partition per NaN mask: no hole and the holes, each with any NaN x
+        assert len(calls) == 2
+        # each curve is drawn as it is alone, over its own copy of xs
+        curves = re.findall(r'points="([^"]*)"', chart)
+        assert curves == [re.findall(r'points="([^"]*)"', chart_of(list(xs), [("c", ys)]))[0]
+                          for ys in ys_family]
+
+
+def test_a_chart_draws_at_most_one_curve_per_colour():
+    xs = [0.0, 1.0]
+    chart = chart_of(xs, [(f"c{i}", xs) for i in range(svg.MAX_CURVES)])
+    colours = re.findall(r'<polyline class="curve" fill="none" stroke="([^"]*)"', chart)
+    assert len(set(colours)) == len(colours) == svg.MAX_CURVES == 7
+    with pytest.raises(DomainError, match=r"^a chart draws at most 7 curves, got 8$"):
+        chart_of(xs, [(f"c{i}", xs) for i in range(svg.MAX_CURVES + 1)])

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from itertools import compress
 from operator import not_
 
@@ -206,12 +207,22 @@ class TestPowerCurve:
         with pytest.raises(DomainError):
             power_curve(TransitionParams(), 1)
 
-    def test_curves_of_one_size_share_their_grid(self):
-        # a sweep overlays one curve per lambda on the same grid
-        first = power_curve(TransitionParams(lam=1.0), 101)
-        second = power_curve(TransitionParams(lam=3.0), 101)
-        assert second.l_agi is first.l_agi
-        assert power_curve(TransitionParams(lam=1.0), 11).l_agi == tuple(i / 10 for i in range(11))
+    def test_grid_is_i_over_n_minus_one(self):
+        for n in (2, 11, 101):
+            l_agi = power_curve(TransitionParams(lam=1.0), n).l_agi
+            assert l_agi == tuple(i / (n - 1) for i in range(n))
+            assert l_agi[0] == 0.0 and l_agi[-1] == 1.0
+
+    def test_a_dropped_curve_leaves_nothing_allocated(self):
+        # no grid outlives its curve; a kept 10**5-point grid is about 3.2 MB
+        tracemalloc.start()
+        try:
+            curve = power_curve(TransitionParams(), 10**5)
+            del curve
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 100_000
 
 
 def reference_point(tp, l):
