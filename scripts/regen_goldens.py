@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 JOBS = [
+    ("eval", "eval_model3.ini", ["eval.csv"]),
     ("sweep", "sweep_default.ini", ["power_curve.csv", "power_curve.svg"]),
     ("simulate", "simulate_demo.ini", ["series.csv"]),
     ("fit", "fit_demo.ini", ["fit.csv"]),

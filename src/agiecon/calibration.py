@@ -30,6 +30,7 @@ from functools import reduce
 from itertools import combinations, repeat
 from operator import add, mul, sub
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import (
     ConfigError,
@@ -80,12 +81,17 @@ class SampleTable(Record):
     Every value must be finite and > 0, and every factor name a non-empty
     string (``FactorBundle``'s rule).  Where the column test fails, the rows
     are checked in order by ``_check_row``; the error is the first bad row's.
+    The columns are kept as tuples, the factors behind a read-only mapping,
+    so a checked table cannot change.
     """
 
-    output: list[float]
-    factors: dict[str, list[float]]
+    output: tuple[float, ...]
+    factors: MappingProxyType[str, tuple[float, ...]]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "output", tuple(self.output))
+        factors = {name: tuple(column) for name, column in self.factors.items()}
+        object.__setattr__(self, "factors", MappingProxyType(factors))
         columns = (self.output, *self.factors.values())
         if any(len(column) != len(self.output) for column in columns):
             raise ContractViolationError("sample table columns differ in length")
@@ -100,9 +106,13 @@ class SampleTable(Record):
 
 class FitResult(Record):
     tfp_estimate: float
-    elasticity_estimates: dict[str, float]
+    elasticity_estimates: MappingProxyType[str, float]
     residual_sum_squares: float
     sample_count: int
+
+    def __post_init__(self) -> None:
+        estimates = MappingProxyType(dict(self.elasticity_estimates))
+        object.__setattr__(self, "elasticity_estimates", estimates)
 
 
 def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ...]) -> FitResult:
@@ -323,9 +333,10 @@ def read_samples(path: Path, factor_names: tuple[str, ...]) -> SampleTable:
     flat = _flat_values(text, factor_names)
     header, values, problem = flat or _csv_values(path, text, factor_names)
     width = len(header)
+    # one column at a time: each slice is freed once its tuple is made
     table = SampleTable(  # raises a bad value's DomainError before a later row's error
-        output=values[0::width],
-        factors={name: values[header.index(name) :: width] for name in factor_names},
+        output=tuple(values[0::width]),
+        factors={name: tuple(values[header.index(name) :: width]) for name in factor_names},
     )
     if problem is not None:
         raise ConfigError(f"sample file {path}: {problem}")

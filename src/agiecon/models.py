@@ -39,18 +39,26 @@ from .record import Record
 
 
 class _ModelParams:
-    """Each params record states its economy once, in three class attributes
-    left unannotated so they are not record fields.  ID is the model's
-    config name (``[model].id``).  TERMS lists (factor, base fields,
-    exponent field) in multiplication order; a factor's quantity is its
-    base fields summed with ``+`` in table order.  LABOR names the factors
-    paid a competitive wage.  Validation, the technology, wages, limits and
-    config keys all derive from the three.
+    """Each params record states its economy once, in three class attributes.
+    ID is the model's config name (``[model].id``).  TERMS lists (factor,
+    base fields, exponent field) in multiplication order; a factor's
+    quantity is its base fields summed with ``+`` in table order.  LABOR
+    names the factors paid a competitive wage.  The record's fields, and so
+    its positional order and config keys, are ``A``, then every base field,
+    then every exponent field, in TERMS order; validation, the technology,
+    wages and limits derive from the three as well.
     """
 
     ID: str
     TERMS: tuple[tuple[str, tuple[str, ...], str], ...]
     LABOR: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # runs before Record.__init_subclass__, which reads these annotations
+        bases = [field for _, fields, _ in cls.TERMS for field in fields]
+        exponents = [field for _, _, field in cls.TERMS]
+        cls.__annotations__ = dict.fromkeys(["A", *bases, *exponents], float)
+        super().__init_subclass__(**kwargs)
 
     def __post_init__(self) -> None:
         name = type(self).__name__
@@ -68,43 +76,18 @@ class _ModelParams:
 
 
 class ModelIParams(_ModelParams, Record):
-    A: float
-    K: float
-    K_AGI: float
-    L: float
-    alpha: float
-    beta: float
-
     ID = "model_i"
     TERMS = (("K_total", ("K", "K_AGI"), "alpha"), ("L", ("L",), "beta"))
     LABOR = ("L",)
 
 
 class ModelIIParams(_ModelParams, Record):
-    A: float
-    K: float
-    L1: float
-    L2: float
-    alpha: float
-    beta1: float
-    beta2: float
-
     ID = "model_ii"
     TERMS = (("K", ("K",), "alpha"), ("L1", ("L1",), "beta1"), ("L2", ("L2",), "beta2"))
     LABOR = ("L1", "L2")
 
 
 class ModelIIIParams(_ModelParams, Record):
-    A: float
-    K: float
-    K_AGI: float
-    L_h: float
-    L_AGI: float
-    alpha: float
-    gamma: float
-    beta1: float
-    beta2: float
-
     ID = "model_iii"
     TERMS = (
         ("K", ("K",), "alpha"),

@@ -3,7 +3,8 @@
 A subclass lists its fields as annotations, with defaults as class
 attributes, and may define ``__post_init__`` to validate or normalize
 them (writing through ``object.__setattr__``).  Records are immutable,
-compare and hash by their fields, and share ``_fields`` and ``_replace``
+compare by their fields, hash by them where every field hashes (a record
+with a mapping field does not), and share ``_fields`` and ``_replace``
 with the package's ``NamedTuple`` rows.  The generated-code machinery of
 ``dataclasses`` costs more at import than the few Cobb-Douglas evaluations
 of a typical command, so the few behaviours needed are written out here.

@@ -28,7 +28,9 @@ each wage is e * Y / x, the identity ``production.marginal_product``
 evaluates, and p_h_transition is ``transition.power_columns`` over the
 shares, so the records are bit-identical to the generic model path.
 Steps are independent, so a failing run is narrowed by halving to its
-first failing step, which raises its own error in the step's check order.
+first failing step, which raises its own error in the step's check order;
+a step whose Y is not finite is evaluated once more by ``model_output``,
+whose error it raises, so no term of the model is restated here.
 The adoption path's step-independent terms (horizon checks, the logistic
 end points, the exp-saturating normalizer) are computed once per run.
 """
@@ -49,8 +51,7 @@ from .errors import (
     SimulationFailureError,
     UndefinedBaselineError,
 )
-from .models import ModelIIIParams
-from .production import product_of_terms
+from .models import ModelIIIParams, model_output
 from .record import Record
 from .transition import TransitionParams, _zeros, power_columns
 
@@ -142,11 +143,16 @@ def _sigmoids(z: list[float]) -> list[float]:
 def _adoption_curve(path: AdoptionPath, horizon: int):
     """Validate ``horizon`` for ``path`` and return steps -> [s(t) for t in steps].
 
+    The horizon is an integer in [1, MAX_HORIZON], its bound checked first,
+    before any float of it; every caller meets this one rule.
+
     ``steps`` is a range of integer steps.  Only the step-independent terms
     are computed up front; each share is one ``map`` pass of the path's
     formula with those terms substituted, so each s(t) is the float a
     from-scratch evaluation gives.
     """
+    if isinstance(horizon, int) and horizon > MAX_HORIZON:  # before any float of it
+        raise DomainError(f"horizon must be <= {MAX_HORIZON}, got {horizon!r}")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise DomainError(f"horizon must be an integer >= 1, got {horizon!r}")
     if path.kind is AdoptionKind.LINEAR:
@@ -187,8 +193,9 @@ def _adoption_curve(path: AdoptionPath, horizon: int):
 def adoption_share(path: AdoptionPath, t: int, horizon: int) -> float:
     """Share s(t) in [0, 1]; non-decreasing in t, 0 at t=0, 1 at t=horizon.
 
-    Raises DomainError when the path cannot rise over the horizon in
-    floating point (a rate so small that its normalizer rounds to 0).
+    Raises DomainError for a horizon outside [1, MAX_HORIZON], and when the
+    path cannot rise over the horizon in floating point (a rate so small
+    that its normalizer rounds to 0).
     """
     curve = _adoption_curve(path, horizon)
     if not isinstance(t, int) or isinstance(t, bool) or not (0 <= t <= horizon):
@@ -222,6 +229,9 @@ class ScenarioConfig(Record):
             raise DomainError("initial beta2 must be >= 0")
         if p0.K <= 0.0 or p0.K_AGI <= 0.0:
             raise DomainError("initial K and K_AGI must be > 0")
+        total = p0.beta1 + p0.beta2  # bounds every step's beta2_t = beta2 + beta1 * s
+        if not math.isfinite(total):
+            raise DomainError(f"initial beta1 + beta2 must be finite, got {total!r}")
         object.__setattr__(self, "agi_capital_growth", growth)
         object.__setattr__(self, "collapse_threshold", theta)
 
@@ -230,9 +240,7 @@ def check_run(path: AdoptionPath, horizon: int, growth: float, theta: float) -> 
     """The rules a run's horizon, adoption path, AGI capital growth and
     collapse threshold obey, for ``ScenarioConfig`` and a config's
     [scenario] section alike; returns the growth and threshold as floats."""
-    if isinstance(horizon, int) and horizon > MAX_HORIZON:  # before any float of it
-        raise DomainError(f"horizon must be <= {MAX_HORIZON}, got {horizon!r}")
-    _adoption_curve(path, horizon)  # checks the horizon is an integer >= 1 too
+    _adoption_curve(path, horizon)  # checks the horizon against the path
     growth = float(growth)
     if not math.isfinite(growth) or growth < 0.0:
         raise DomainError(f"agi_capital_growth must be finite and >= 0, got {growth!r}")
@@ -278,9 +286,9 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
     """The records of ``steps`` at shares ``s``, one ``map`` pass per field.
 
     The step checks run in this order: K_AGI finite, s in [0, 1], Y finite
-    (with ``product_of_terms``' errors), w_h and the wage bill finite, w_agi
-    not infinite.  Where a check fails, ``_first_failure`` finds the first
-    failing step, and a single step raises the check's error.
+    (with ``model_output``'s errors for the step's record), w_h and the wage
+    bill finite, w_agi not infinite.  Where a check fails, ``_first_failure``
+    finds the first failing step, and a single step raises the check's error.
     """
     p0 = cfg.initial_model3
     try:
@@ -308,12 +316,9 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
         y = [math.inf]
     if not all(map(math.isfinite, y)):
         _first_failure(cfg, steps, s)
-        terms = (
-            ("K", p0.K, p0.alpha), ("K_AGI", k_agi[0], p0.gamma), ("L_h", l_h[0], beta1[0]),
-            ("L_AGI", s[0], beta2[0]),
-        )
+        step = p0._replace(K_AGI=k_agi[0], L_h=l_h[0], L_AGI=s[0], beta1=beta1[0], beta2=beta2[0])
         try:
-            product_of_terms(p0.A, terms)  # raises for a Y this product leaves non-finite
+            model_output(step)  # raises for a Y the ordered product leaves non-finite
         except NonFiniteOutputError as exc:
             raise SimulationFailureError(f"step {steps[0]}: {exc}") from exc
     w_h = _factor_wages(y, l_h, beta1)

@@ -254,6 +254,26 @@ class TestSampleTable:
         with pytest.raises(ContractViolationError):
             SampleTable(output=[1.0, 2.0], factors={"K": [1.0]})
 
+    def test_a_checked_table_cannot_change(self):
+        # the columns used to be the caller's lists: an appended output made
+        # the fit read A = 3.07 and e_K = 0.63 off rows that say 2 and 1,
+        # and a zeroed factor escaped as "ValueError: math domain error"
+        output, factors = [2.0, 4.0, 8.0], {"K": [1.0, 2.0, 4.0]}
+        table = SampleTable(output=output, factors=factors)
+        with pytest.raises(AttributeError):
+            table.output.append(16.0)
+        with pytest.raises(TypeError):
+            table.factors["K"][0] = 0.0
+        with pytest.raises(TypeError):
+            table.factors["L"] = (1.0, 1.0, 1.0)
+        output.append(16.0)
+        factors["K"][0] = 0.0
+        result = fit_cobb_douglas(table, ["K"])
+        assert result.tfp_estimate == pytest.approx(2.0, rel=1e-12)
+        assert result.elasticity_estimates == pytest.approx({"K": 1.0}, rel=1e-12)
+        with pytest.raises(TypeError):
+            result.elasticity_estimates["K"] = 0.5
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(

@@ -60,6 +60,10 @@ class TestEval:
         assert float(values["w_L_h"]) == pytest.approx(0.5 * 30.0 / 25.0, rel=1e-9)
         assert float(values["w_L_AGI"]) == pytest.approx(0.7 * 30.0 / 1.0, rel=1e-9)
 
+    def test_golden_bytes(self, tmp_path):
+        assert run_cli("eval", "--config", CONFIGS / "eval_model3.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "eval.csv").read_bytes() == (GOLDEN / "eval.csv").read_bytes()
+
     def test_zero_labor_is_a_computation_error(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text(
@@ -890,6 +894,9 @@ class TestErrorLines:
             ("sweep", _demo_scenario(("k = 0.6", "k = 1e-300")), (), 1,
              "config error: [scenario]: logistic adoption with k=1e-300, t0=10.0 does not rise"
              " over horizon 20: s(horizon) - s(0) rounds to 0.0"),
+            ("simulate",
+             _demo_scenario(("beta1 = 0.4", "beta1 = 1e308"), ("beta2 = 0.0", "beta2 = 1e308")),
+             (), 1, "config error: [scenario]: initial beta1 + beta2 must be finite, got inf"),
         ],
         ids=[
             "unknown-adoption", "negative-growth", "threshold-above-1", "negative-steepness",
@@ -897,6 +904,7 @@ class TestErrorLines:
             "overflowing-term", "unparsable-horizon", "default-section", "negative-capital",
             "infinite-capital", "nan-steepness", "infinite-lambda", "one-point",
             "zero-capital", "negative-beta2", "negative-t0", "path-cannot-rise",
+            "elasticity-total-overflows",
         ],
     )
     def test_one_exact_line(self, tmp_path, capsys, command, config, extra, status, err):

@@ -88,7 +88,7 @@ class TestRecordContract:
         assert first == second and not first != second
         try:
             expected = hash(values(first))
-        except TypeError:  # a list or dict field, as in SampleTable and FitResult
+        except TypeError:  # a mapping field, as in SampleTable and FitResult
             with pytest.raises(TypeError):
                 hash(first)
         else:
@@ -135,8 +135,20 @@ class TestRecordContract:
 
 def test_only_the_subclass_annotations_are_fields():
     assert ModelIParams._fields == ("A", "K", "K_AGI", "L", "alpha", "beta")
+    assert ModelIIParams._fields == ("A", "K", "L1", "L2", "alpha", "beta1", "beta2")
+    assert ModelIIIParams._fields == (
+        "A", "K", "K_AGI", "L_h", "L_AGI", "alpha", "gamma", "beta1", "beta2"
+    )
     assert TransitionParams._fields == ("w0", "w_inf", "lam")
     assert AdoptionPath._fields == ("kind", "k", "t0", "r")
+
+
+@pytest.mark.parametrize("cls", [ModelIParams, ModelIIParams, ModelIIIParams])
+def test_model_fields_come_from_the_terms_table(cls):
+    bases = tuple(field for _, fields, _ in cls.TERMS for field in fields)
+    exponents = tuple(field for _, _, field in cls.TERMS)
+    assert cls._fields == ("A", *bases, *exponents)
+    assert cls._defaults == {}
 
 
 def test_defaults_are_class_attributes():

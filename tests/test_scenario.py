@@ -89,6 +89,14 @@ class TestAdoptionShare:
             shares = [adoption_share(path, t, 50) for t in range(51)]
             assert all(b >= a for a, b in zip(shares, shares[1:]))
 
+    @pytest.mark.parametrize("horizon", [10**400, MAX_HORIZON + 1], ids=["10**400", "max+1"])
+    @pytest.mark.parametrize("path", ALL_PATHS, ids=lambda path: path.kind.value)
+    def test_horizon_above_the_bound_is_a_domain_error(self, path, horizon):
+        # a run's bound, checked first: 10**400 used to escape as an
+        # OverflowError, and the linear path gave t/T above the bound
+        with pytest.raises(DomainError, match=f"^horizon must be <= {MAX_HORIZON}, got {horizon}$"):
+            adoption_share(path, 3, horizon)
+
     def test_out_of_range_step(self):
         with pytest.raises(DomainError):
             adoption_share(AdoptionPath.linear(), 11, 10)
@@ -261,6 +269,16 @@ class TestRunScenario:
         message = f"^horizon must be <= {MAX_HORIZON}, got {horizon}$"
         with pytest.raises(DomainError, match=message):
             make_config(adoption=path, horizon=horizon)
+
+    def test_conserved_elasticity_total_must_be_finite(self):
+        # with such a total beta2_t = beta2_0 + beta1_0 * s is inf at s = 1,
+        # and a step record holding it is not a valid ModelIIIParams
+        params = base_params()._replace(gamma=300.0, beta1=1e308, beta2=1e308)
+        with pytest.raises(DomainError, match=r"^initial beta1 \+ beta2 must be finite, got inf$"):
+            ScenarioConfig(4, params, AdoptionPath.linear(), agi_capital_growth=1.0)
+        params = params._replace(beta2=1e307)  # a finite total bounds every step's beta2
+        series = run_scenario(ScenarioConfig(4, params, AdoptionPath.linear(), 0.0))
+        assert series[-1].beta2 == 1e307 + 1e308
 
     @pytest.mark.parametrize(
         "params",
