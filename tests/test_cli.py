@@ -699,6 +699,15 @@ class TestWrite:
         assert capsys.readouterr() == ("", "error: cannot serialize non-finite value inf\n")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_run_that_fails_part_way_writes_nothing(self, tmp_path, capsys, out_dir):
+        # the demo's AGI capital, compounding 5% a step, overflows at step 14548
+        out, before = out_dir
+        config = tmp_path / "overflow.ini"
+        config.write_text(_demo_scenario(("horizon = 20", "horizon = 15000")))
+        assert run_cli("simulate", "--config", config, "--out", out) == 2
+        assert capsys.readouterr() == ("", "error: step 14548: AGI capital overflowed\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_write_that_fails_part_way_writes_nothing(self, tmp_path, capsys, monkeypatch, out_dir):
         out, before = out_dir
         monkeypatch.setattr(cli, "open", _full_disk_open, raising=False)
