@@ -22,7 +22,7 @@ import argparse
 import contextlib
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .calibration import fit_cobb_douglas, read_samples
 from .config import ParsedConfig, build_scenario_config, parse_config_file
 from .diagnostics import run_diagnostics
 from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError, UsageError
-from .formatting import format_number, format_rows
+from .formatting import _BLOCK_ROWS, format_number, format_rows
 from .models import model_output, model_wages
 from .scenario import detect_collapse, run_scenario
 from .svg import check_n_curves, line_chart
@@ -144,7 +144,6 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     # The CSV schema has no lambda column, so it carries the first curve;
     # the SVG overlays the whole family, each p_h over the first curve's grid.
     first = power_curve(params[0], n_points)
-    rows = list(zip(first.l_agi, first.w_h, first.w_agi, first.p_h))
     p_h = [first.p_h] + [power_columns(tp, first.l_agi)[2] for tp in params[1:]]
     chart = line_chart(
         xs=first.l_agi,
@@ -157,7 +156,8 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
         {
             out_dir / "power_curve.csv": chain(
                 ["L_AGI,w_h,w_AGI,P_h\n"],
-                format_rows(rows, nan_columns=(3,)),  # P_h is nan where the index is undefined
+                # P_h is nan where the index is undefined
+                format_rows(zip(first.l_agi, first.w_h, first.w_agi, first.p_h), nan_columns=(3,)),
             ),
             out_dir / "power_curve.svg": [chart],
         }
@@ -169,22 +169,42 @@ _SERIES_HEADER = "t,s,beta1,beta2,K,K_AGI,L_h,L_AGI,Y,w_h,w_AGI,p_h_elastic,p_h_
 
 
 def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
+    """Write series.csv one window of ``_BLOCK_ROWS`` steps at a time.
+
+    Each window's records are computed, searched for the collapse step,
+    formatted and written before the next is computed, so the command holds
+    one window of the run however long its horizon.  A window that fails
+    raises inside ``_write_all``, which leaves the out directory as it was.
+    """
     cfg = build_scenario_config(parsed)
-    series = run_scenario(cfg)
-    # each record is a row in header order; t is an integer, and w_AGI and
-    # p_h_transition may be nan
-    blocks = format_rows(series, integer_columns=(0,), nan_columns=(10, 12))
-    _write_all({out_dir / "series.csv": chain([_SERIES_HEADER + "\n"], blocks)})
-    try:
-        step = detect_collapse(series, cfg.collapse_threshold)
-    except UndefinedBaselineError as exc:
-        print(f"collapse: undefined: {exc}")
-        return 0
-    if step is not None:
-        print(
-            f"collapse: human wage fell below {cfg.collapse_threshold:g} of its"
-            f" initial value at step {step}"
-        )
+    theta = cfg.collapse_threshold
+    collapse: list[str] = []  # the collapse line, once a window has settled it
+
+    def blocks() -> Iterator[str]:
+        yield _SERIES_HEADER + "\n"
+        steps = range(cfg.horizon + 1)
+        for start in range(0, len(steps), _BLOCK_ROWS):
+            window = run_scenario(cfg, steps[start:start + _BLOCK_ROWS])
+            if start == 0:
+                baseline = window[0].w_h
+            if not collapse:
+                try:
+                    step = detect_collapse(window, theta, baseline)
+                except UndefinedBaselineError as exc:
+                    collapse.append(f"collapse: undefined: {exc}")
+                else:
+                    if step is not None:
+                        collapse.append(
+                            f"collapse: human wage fell below {theta:g} of its initial value"
+                            f" at step {step}"
+                        )
+            # each record is a row in header order; t is an integer, and
+            # w_AGI and p_h_transition may be nan
+            yield from format_rows(window, integer_columns=(0,), nan_columns=(10, 12))
+
+    _write_all({out_dir / "series.csv": blocks()})
+    for line in collapse:
+        print(line)
     return 0
 
 

@@ -17,8 +17,8 @@ which accept or reject it exactly as they would alone.
 from __future__ import annotations
 
 import math
-from collections.abc import Container, Iterator, Sequence
-from itertools import repeat
+from collections.abc import Container, Iterable, Iterator, Sequence
+from itertools import islice, repeat
 from operator import mod
 
 from .errors import SerializationError
@@ -59,13 +59,15 @@ def format_number_or_nan(x: float) -> str:
 
 
 def format_rows(
-    rows: Sequence[Sequence[float]],
+    rows: Iterable[Sequence[float]],
     integer_columns: Container[int] = (),
     nan_columns: Container[int] = (),
 ) -> Iterator[str]:
     """CSV text of ``rows`` in blocks, one ``\\n``-terminated line per row.
 
-    Every row has the length of the first.  A column listed in
+    ``rows`` is any iterable, such as a list or a lazy ``zip`` of columns;
+    it is read one block of rows at a time, so a lazy one is never held
+    whole.  Every row has the length of the first.  A column listed in
     ``integer_columns`` is written with ``%d``; every other cell is written
     as ``format_number`` would write it, or as ``format_number_or_nan``
     for a column listed in ``nan_columns``.  Raises SerializationError for
@@ -74,15 +76,17 @@ def format_rows(
 
     Each block holds ``_BLOCK_ROWS`` rows (the last may hold fewer) and
     ends at a ``\\n``.  No ``_normalize`` pattern holds one, so the blocks
-    join to the text a single pass over all rows would give.
+    join to the text a single pass over all rows would give.  No rows give
+    no block.
     """
-    if not rows:
+    rows = iter(rows)
+    block = list(islice(rows, _BLOCK_ROWS))
+    if not block:
         return
     template = ",".join(
-        "%d" if i in integer_columns else _NUMBER for i in range(len(rows[0]))
+        "%d" if i in integer_columns else _NUMBER for i in range(len(block[0]))
     ) + "\n"
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
+    while block:
         lines = list(map(mod, repeat(template), block))
         text = "".join(lines)
         # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold an "n"
@@ -92,6 +96,7 @@ def format_rows(
                     lines[i] = _checked_line(block[i], integer_columns, nan_columns)
             text = "".join(lines)
         yield _normalize(text)
+        block = list(islice(rows, _BLOCK_ROWS))
 
 
 def _checked_line(row, integer_columns, nan_columns) -> str:

@@ -27,12 +27,15 @@ ordered product and zero-quantity convention of ``production.output``,
 each wage is e * Y / x, the identity ``production.marginal_product``
 evaluates, and p_h_transition is ``transition.power_columns`` over the
 shares, so the records are bit-identical to the generic model path.
-Steps are independent, so a failing run is narrowed by halving to its
-first failing step, which raises its own error in the step's check order;
+Steps are independent, so ``run_scenario`` also computes any window of
+consecutive steps, whose records are the whole run's for those steps: a
+caller that takes a run window by window, as ``simulate`` does, holds one
+window at a time.  A failing window is narrowed by halving to its first
+failing step, which raises its own error in the step's check order;
 a step whose Y is not finite is evaluated once more by ``model_output``,
 whose error it raises, so no term of the model is restated here.
 The adoption path's step-independent terms (horizon checks, the logistic
-end points, the exp-saturating normalizer) are computed once per run.
+end points, the exp-saturating normalizer) are computed once per call.
 """
 
 from __future__ import annotations
@@ -61,9 +64,10 @@ from .production import marginal_product, output  # noqa: F401
 from .transition import human_power  # noqa: F401
 
 
-# A step peaks at about 670 bytes of heap while ``simulate`` builds and writes its
-# run (VmHWM at 2 * 10**5 steps, CPython 3.11, x86-64 Linux), so this bound keeps
-# one run near 700 MB: a larger horizon is a DomainError, not a MemoryError.
+# A step of the library's eager ``run_scenario`` peaks at about 640 bytes of heap
+# (VmHWM at 2 * 10**5 steps, CPython 3.11, x86-64 Linux), so this bound keeps one
+# eager run near 640 MB: a larger horizon is a DomainError, not a MemoryError.
+# ``simulate`` holds one window of steps, about 4 MB above its import at any horizon.
 MAX_HORIZON = 1_000_000
 
 
@@ -271,14 +275,22 @@ class TimeSeriesRecord(NamedTuple):
     wage_bill: float
 
 
-def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRecord]:
-    """Simulate steps t = 0..horizon and return records in step order.
+def run_scenario(cfg: ScenarioConfig, steps: range | None = None) -> list[TimeSeriesRecord]:
+    """Simulate steps t = 0..horizon, or the window ``steps`` of them, and
+    return their records in step order.
 
-    Deterministic: every field is a closed-form function of (t, s(t)), so
-    repeated runs serialize byte-identically.  Where a step fails one of
-    the step checks, the first failing step raises its own error.
+    ``steps`` is a range of consecutive steps within 0..horizon; the records
+    of a run's windows join to the records of the whole run.  Deterministic:
+    every field is a closed-form function of (t, s(t)), so repeated runs
+    serialize byte-identically.  Where a step fails one of the step checks,
+    the first failing step raises its own error.
     """
-    steps = range(cfg.horizon + 1)
+    run = range(cfg.horizon + 1)
+    if steps is None:
+        steps = run
+    elif not (isinstance(steps, range) and steps.step == 1 and 0 <= steps.start
+              and steps.stop <= len(run)):
+        raise ContractViolationError(f"steps must be a window of {run!r}, got {steps!r}")
     return _step_columns(cfg, steps, _adoption_curve(cfg.adoption, cfg.horizon)(steps))
 
 
@@ -375,14 +387,23 @@ def _factor_wages(y: list[float], x: list[float], elasticity: list[float]) -> li
     return wages
 
 
-def detect_collapse(series: list[TimeSeriesRecord], theta: float) -> int | None:
-    """Smallest step t with w_h(t) < theta * w_h(0), or None if never."""
+def detect_collapse(
+    series: list[TimeSeriesRecord], theta: float, baseline: float | None = None
+) -> int | None:
+    """Smallest step t in ``series`` with w_h(t) < theta * w_h(0), or None if never.
+
+    ``baseline`` is w_h(0), by default the w_h of the first record, so a run
+    computed window by window is searched one window at a time: pass the
+    first window's baseline with each later window.  Raises
+    UndefinedBaselineError where w_h(0) is 0 or NaN.
+    """
     theta = float(theta)
     if not (0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta!r}")
-    if not series:
-        raise ContractViolationError("empty series")
-    baseline = series[0].w_h
+    if baseline is None:
+        if not series:
+            raise ContractViolationError("empty series")
+        baseline = series[0].w_h
     if baseline == 0.0 or math.isnan(baseline):
         raise UndefinedBaselineError("w_h(0) = 0: collapse threshold has no baseline")
     cutoff = theta * baseline

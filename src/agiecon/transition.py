@@ -31,9 +31,10 @@ from operator import add, mul, sub, truediv
 from .errors import DomainError, UndefinedIndexError
 from .record import Record
 
-# A grid point peaks at about 290 bytes of heap while ``sweep`` builds and writes
-# its curve (VmHWM at 10**6 points, CPython 3.11, x86-64 Linux), so this bound
-# keeps one curve near 3 GB: a larger grid is a DomainError, not a MemoryError.
+# A grid point of ``power_curve`` peaks at about 250 bytes of heap (VmHWM at 10**6
+# points, CPython 3.11, x86-64 Linux), and ``sweep`` peaks no higher than its first
+# curve, so this bound keeps one curve near 2.5 GB: a larger grid is a DomainError,
+# not a MemoryError.
 MAX_N_POINTS = 10_000_000
 
 

@@ -30,6 +30,7 @@ from agiecon import (
 )
 from agiecon.cli import _write_all, main
 from agiecon.errors import ConfigError
+from agiecon.formatting import _BLOCK_ROWS as BLOCK
 from agiecon.formatting import format_rows
 from agiecon.models import PARAM_TYPES
 from agiecon.scenario import ADOPTION_PARAMS, MAX_HORIZON
@@ -699,14 +700,28 @@ class TestWrite:
         assert capsys.readouterr() == ("", "error: cannot serialize non-finite value inf\n")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
-    def test_run_that_fails_part_way_writes_nothing(self, tmp_path, capsys, out_dir):
+    def test_run_that_fails_part_way_writes_nothing(self, tmp_path, capsys, monkeypatch, out_dir):
         # the demo's AGI capital, compounding 5% a step, overflows at step 14548
         out, before = out_dir
+        lines_written = []
+
+        class Counting(io.TextIOWrapper):
+            def write(self, text):
+                lines_written.append(text.count("\n"))
+                return super().write(text)
+
+        def counting_open(path, mode, encoding, newline):
+            return Counting(io.FileIO(path, mode), encoding=encoding, newline=newline)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
         config = tmp_path / "overflow.ini"
         config.write_text(_demo_scenario(("horizon = 20", "horizon = 15000")))
         assert run_cli("simulate", "--config", config, "--out", out) == 2
         assert capsys.readouterr() == ("", "error: step 14548: AGI capital overflowed\n")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # the header and the seven whole windows before the failing step's had
+        # gone into the temp file: the run streams, and still leaves nothing
+        assert sum(lines_written) == 1 + 7 * BLOCK
 
     def test_write_that_fails_part_way_writes_nothing(self, tmp_path, capsys, monkeypatch, out_dir):
         out, before = out_dir

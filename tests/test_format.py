@@ -154,6 +154,13 @@ def format_in_blocks(rows):
 
 def test_format_rows_of_no_rows_yields_no_block():
     assert blocks_of([]) == []
+    assert blocks_of(iter([])) == []
+
+
+@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_format_rows_of_a_generator_matches_a_list(n_rows):
+    rows = block_table(n_rows, seed=n_rows, nan_rows=[0, n_rows - 1])
+    assert blocks_of(row for row in rows) == blocks_of(rows)
 
 
 @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
@@ -180,3 +187,9 @@ def test_format_rows_blocks_raise_the_first_bad_row(n_rows, first_bad):
     message = format_outcome(per_cell, rows)
     assert message == f"cannot serialize non-finite value {math.inf!r}"
     assert format_outcome(format_in_blocks, rows) == message
+    # a generator yields the same blocks before the first bad row's error
+    given = []
+    with pytest.raises(SerializationError, match="^cannot serialize non-finite value inf$"):
+        for block in format_rows((row for row in rows), INTEGER_COLUMNS, NAN_COLUMNS):
+            given.append(block)
+    assert given == blocks_of(rows[:first_bad - first_bad % BLOCK])

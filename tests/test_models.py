@@ -156,8 +156,18 @@ class TestPowerIndex:
         params = ModelIIIParams(
             A=1, K=1, K_AGI=1, L_h=2, L_AGI=9, alpha=0.2, gamma=0.2, beta1=0.0, beta2=0.0
         )
-        with pytest.raises(UndefinedIndexError):
+        # the zero-income check after this one raises the same class; the message tells them apart
+        with pytest.raises(
+            UndefinedIndexError, match="^beta1 \\+ beta2 = 0: no labor income exists$"
+        ):
             power_index_model3(params)
+
+    def test_labor_elasticities_summing_to_one_define_the_index(self):
+        params = ModelIIIParams(
+            A=1, K=1, K_AGI=1, L_h=2, L_AGI=9, alpha=0.0, gamma=0.0, beta1=0.75, beta2=0.25
+        )
+        assert params.beta1 + params.beta2 == 1.0
+        assert power_index_model3(params) == pytest.approx(0.75, abs=1e-12)
 
     def test_zero_labor_quantity_violates_contract(self):
         params = ModelIIIParams(

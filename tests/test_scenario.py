@@ -330,10 +330,27 @@ class TestDetectCollapse:
             detect_collapse(series, 1.5)
 
     def test_empty_series_breaks_the_contract(self):
-        # run_scenario never returns an empty series, so only a library
-        # caller can pass one
+        # an empty series has no w_h(0); an empty window with its baseline has no crossing
         with pytest.raises(ContractViolationError, match="^empty series$"):
             detect_collapse([], 0.5)
+        assert detect_collapse([], 0.5, 1.0) is None
+
+    def test_windows_searched_with_the_first_windows_baseline(self):
+        series = run_scenario(make_config(growth=0.0, horizon=10))
+        wages = [r.w_h for r in series]
+        theta = 0.5 * (wages[3] + wages[4]) / wages[0]
+        assert detect_collapse(series, theta) == 4
+        assert detect_collapse(series[:3], theta) is None
+        assert detect_collapse(series[3:6], theta, series[0].w_h) == 4
+        assert detect_collapse(series[5:], theta, series[0].w_h) == 5
+        # its own first w_h would be a different baseline
+        assert detect_collapse(series[3:6], theta) is None
+
+    @pytest.mark.parametrize("baseline", [0.0, math.nan])
+    def test_undefined_baseline_given_with_a_window(self, baseline):
+        series = run_scenario(make_config(horizon=5))
+        with pytest.raises(UndefinedBaselineError, match="^w_h\\(0\\) = 0: "):
+            detect_collapse(series[2:], 0.5, baseline)
 
 
 def sigmoid(z):
@@ -558,3 +575,44 @@ def test_run_scenario_equals_the_step_loop_on_extreme_params(cfg, data):
         agi_capital_growth=data.draw(st.sampled_from((0.0, 0.05, 3.0, 1e300))),
     )
     assert outcome(run_scenario, cfg) == outcome(step_loop, cfg)
+
+
+def windowed(size):
+    """run_scenario one window of ``size`` steps at a time, joined."""
+
+    def run(cfg):
+        steps = range(cfg.horizon + 1)
+        return [
+            record
+            for start in range(0, len(steps), size)
+            for record in run_scenario(cfg, steps[start:start + size])
+        ]
+
+    return run
+
+
+WINDOW_CASES = {**COLUMN_CASES, **{name: cfg for name, (cfg, _) in FAILING_CASES.items()}}
+
+
+@pytest.mark.parametrize("size", [1, 997])
+@pytest.mark.parametrize("cfg", WINDOW_CASES.values(), ids=WINDOW_CASES.keys())
+def test_windows_join_to_the_whole_run(cfg, size):
+    # a failing run raises its first failing step's error from that step's window
+    assert outcome(windowed(size), cfg) == outcome(run_scenario, cfg)
+
+
+@given(scenario_configs(), st.data())
+def test_a_window_is_the_whole_runs_records_for_its_steps(cfg, data):
+    start = data.draw(st.integers(0, cfg.horizon + 1))
+    stop = data.draw(st.integers(start, cfg.horizon + 1))
+    window = run_scenario(cfg, range(start, stop))
+    assert repr(window) == repr(run_scenario(cfg)[start:stop])
+
+
+@pytest.mark.parametrize(
+    "steps", [range(-1, 3), range(0, 12), range(0, 10, 2), [0, 1]], ids=repr
+)
+def test_a_window_outside_the_run_breaks_the_contract(steps):
+    message = f"steps must be a window of range(0, 11), got {steps!r}"
+    with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
+        run_scenario(make_config(horizon=10), steps)
