@@ -865,6 +865,14 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+# the sample files beside each config of TestErrorLines
+_SAMPLE_FILES = {
+    "samples.csv": "",
+    "header_only.csv": "Y,K,L\n",
+    "two_rows.csv": "Y,K,L\n1.0,1.0,2.0\n2.0,2.0,3.0\n",
+}
+
+
 class TestErrorLines:
     """Each error path prints its one exact line and exits with its status."""
 
@@ -921,6 +929,10 @@ class TestErrorLines:
             ("simulate",
              _demo_scenario(("beta1 = 0.4", "beta1 = 1e308"), ("beta2 = 0.0", "beta2 = 1e308")),
              (), 1, "config error: [scenario]: initial beta1 + beta2 must be finite, got inf"),
+            ("fit", "[fit]\nfactors = K, L\ninput = header_only.csv\n", (), 2,
+             "error: need at least 3 samples for 2 factors, got 0"),
+            ("fit", "[fit]\nfactors = K, L\ninput = two_rows.csv\n", (), 2,
+             "error: need at least 3 samples for 2 factors, got 2"),
         ],
         ids=[
             "unknown-adoption", "negative-growth", "threshold-above-1", "negative-steepness",
@@ -928,12 +940,13 @@ class TestErrorLines:
             "overflowing-term", "unparsable-horizon", "default-section", "negative-capital",
             "infinite-capital", "nan-steepness", "infinite-lambda", "one-point",
             "zero-capital", "negative-beta2", "negative-t0", "path-cannot-rise",
-            "elasticity-total-overflows",
+            "elasticity-total-overflows", "header-only-samples", "no-more-rows-than-factors",
         ],
     )
     def test_one_exact_line(self, tmp_path, capsys, command, config, extra, status, err):
         (tmp_path / "config.ini").write_text(config)
-        (tmp_path / "samples.csv").write_text("")
+        for name, samples in _SAMPLE_FILES.items():
+            (tmp_path / name).write_text(samples)
         argv = (command, "--config", tmp_path / "config.ini", "--out", tmp_path / "out", *extra)
         assert run_cli(*argv) == status
         samples = (tmp_path / "config.ini").resolve().parent / "samples.csv"
