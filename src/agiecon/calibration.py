@@ -13,10 +13,11 @@ identification on synthetic data, not econometric inference.
 
 The fit reads its samples by column from a ``SampleTable``: the output
 column and one column per named factor, validated once when the table is
-built.  ``read_samples`` reads a sample CSV into one, in one flat pass
-unless the file holds a ``"`` or NUL; no other module knows the file
-format.  Logs are taken a column at a time by ``map(math.log, column)``
-into lists.
+built.  ``read_samples`` reads a sample CSV into one, a chunk of lines at
+a time by a shape check and a JSON number scan unless the file holds a
+``"`` or NUL or either step refuses it; no other module knows the file
+format.  Logs are taken a column at a time by
+``starmap(math.log, zip(column))`` into lists.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import sys
 from collections import Counter
 from functools import reduce
-from itertools import combinations, repeat
+from itertools import combinations, repeat, starmap
 from operator import add, mul, sub
 from pathlib import Path
 from types import MappingProxyType
@@ -141,8 +142,9 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
         if name not in table.factors:
             raise ContractViolationError(f"sample table has no factor {name!r}")
 
-    target = list(map(math.log, table.output))
-    columns = [list(map(math.log, table.factors[name])) for name in factor_names]
+    # map would build an argument tuple per call of math.log; zip reuses its one
+    target = list(starmap(math.log, zip(table.output)))
+    columns = [list(starmap(math.log, zip(table.factors[name]))) for name in factor_names]
     coefficients = _least_squares(columns, target)
     residual = _residual(columns, target, coefficients)
     log_tfp = coefficients[0]
@@ -316,12 +318,12 @@ _CHUNK_CHARS = 1 << 16
 
 
 def read_samples(path: Path, factor_names: tuple[str, ...]) -> SampleTable:
-    """The named columns of a sample CSV, read in one flat pass if it can be.
+    """The named columns of a sample CSV, read flat if it can be.
 
-    A file without ``"`` or NUL, with a good header and only numbers in
-    well-formed rows, is read by ``_flat_values``, whatever its line ends.
-    Any other file goes through ``csv.reader`` in ``_csv_values``, so its
-    error is the one the first bad row raises.  A leading UTF-8 byte-order
+    A file without ``"`` or NUL, with a good header and only JSON numbers
+    in well-formed rows, is read by ``_flat_values``, whatever its line
+    ends.  Any other file goes through ``csv.reader`` in ``_csv_values``, so
+    its error is the one the first bad row raises.  A leading UTF-8 byte-order
     mark is dropped.  A bad file raises ``ConfigError``; a bad value,
     ``DomainError``.
     """
@@ -356,38 +358,66 @@ def _header_problem(header: list[str], factor_names: tuple[str, ...]) -> str | N
     return None
 
 
+# What a well-formed row holds besides its commas: the characters of JSON
+# numbers, spaces and tabs.  ``_shape`` deletes them.
+_NUMBER_BYTES = b"0123456789.eE+- \t"
+
+
+def _shape(chunk: str) -> bytes:
+    """The commas and line ends of ``chunk`` once the characters of
+    ``_NUMBER_BYTES`` are deleted; any non-ASCII character stays as ``?``."""
+    return chunk.encode("ascii", "replace").translate(None, _NUMBER_BYTES)
+
+
 def _flat_values(text: str, factor_names: tuple[str, ...]):
-    """The header and row-major cells of ``text`` split on commas and line
-    ends a chunk of lines at a time, as ``_csv_values`` returns them; None
-    if it holds ``"`` or NUL, or has a bad header, a line of the wrong cell
-    count or over the csv field size limit, or a cell that is not a number.
+    """The header and row-major cells of ``text`` read a chunk of lines at a
+    time, as ``_csv_values`` returns them; None if it holds ``"`` or NUL, or
+    has a bad header, a chunk longer than the csv field size limit, a line
+    of the wrong shape, or a cell that is not a JSON number.
 
     The csv module ends a line at each ``\\r\\n``, ``\\r`` and ``\\n``, so each
-    ``\\r`` becomes ``\\n``: a ``\\r\\n`` leaves a blank line, skipped as any is,
-    and no line number is reported here.  A text without ``\\r`` is not copied.
+    becomes ``\\n``, and it skips blank lines, so they are squeezed out; no
+    line number is reported here.  A text without ``\\r`` is not copied.
+    A chunk's ``_shape`` must hold, on every line, one comma fewer than the
+    header has cells.  One JSON array scan then reads the chunk without a
+    string per cell: a JSON number is a string ``float`` accepts and is read
+    to the same bits, and ``parse_int=float`` reads an integer as ``float``
+    does.  What either step refuses, such as ``nan``, ``1.``, ``+1``, an
+    empty cell or a cell of spaces, is left to the csv module.
     """
     if '"' in text or "\0" in text:
         return None
+    import json  # here, so that only fit pays for its import
+
     if "\r" in text:
-        text = text.replace("\r", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     start = text.find("\n") + 1 or len(text) + 1
     header = [cell.strip() for cell in text[: start - 1].split(",")]
     limit = csv.field_size_limit()
     if start - 1 > limit or _header_problem(header, factor_names) is not None:
         return None
+    row_shape = b"," * (len(header) - 1) + b"\n"
+    scan = json.JSONDecoder(parse_int=float).decode
     values: list[float] = []
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS)
         if end < 0:
             end = len(text)
-        lines = list(filter(None, text[start:end].split("\n")))
+        chunk = text[start:end].strip("\n")
         start = end + 1
-        if set(map(str.count, lines, repeat(","))) - {len(header) - 1}:
+        if not chunk:  # only blank lines
+            continue
+        if len(chunk) > limit:  # a cell might be too, which the csv module reports
             return None
-        if max(map(len, lines), default=0) > limit:
+        shape = _shape(chunk)
+        if b"\n\n" in shape:  # a blank line, or one of only spaces
+            while "\n\n" in chunk:
+                chunk = chunk.replace("\n\n", "\n")
+            shape = _shape(chunk)
+        if shape + b"\n" != row_shape * (shape.count(b"\n") + 1):
             return None
         try:
-            values += map(float, ",".join(lines).split(","))
+            values += scan("[" + chunk.replace("\n", ",") + "]")
         except ValueError:
             return None
     return header, values, None

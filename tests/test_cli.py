@@ -410,9 +410,14 @@ def reference_read_samples(path, factor_names):
 
 
 _GOOD_CELLS = st.floats(0.1, 10.0).map(repr)
+# Cells at the edges of JSON's number grammar, which the flat reader scans,
+# and of float()'s, which the csv module's path uses, or that only the shape
+# check refuses: each must read as the row-by-row reference reads it.
+_EDGE_CELLS = ["1.", ".5", "+1", "01", "1_0", "-0", "1E+05", "1e400", "\t2.5", "\uff11",
+               "NaN", "Infinity"]
 _BAD_CELLS = st.sampled_from(
     ["abc", "", "nan", "inf", "-inf", "1e999", "0", "-0.0", "-1.5", "5e-324", " 2.5 ",
-     '"3.5"', '"1,5"', "1.5\0", "\0"]
+     '"3.5"', '"1,5"', "1.5\0", "\0", *_EDGE_CELLS]
 )
 # Line ends of every kind, LF, CRLF and lone CR, mixed or not; without a
 # quote or NUL the file takes the flat reader whatever its line ends.
@@ -465,11 +470,25 @@ def write_fit_config(root, samples, factors="K, L"):
     return config
 
 
+def with_edge_cell_examples(test):
+    """``test`` with an example per edge cell and chunk size 1 or 16: the cell
+    starts, ends and sits inside rows that cross chunk edges."""
+    for cell in _EDGE_CELLS:
+        rows = ["Y,K,L", f"{cell},1.0,2.0", f"2.0,{cell},1.5", f"3.0,2.5,{cell}", "1.5,3.0,2.0"]
+        for chunk_chars in (1, 16):
+            test = example(("\n".join(rows) + "\n", "K, L"), chunk_chars)(test)
+    return test
+
+
 class TestSampleReader:
-    @settings(max_examples=150, deadline=None)
+    # at least 150 examples; a profile that asks for more, such as thorough, gets them
+    @settings(max_examples=max(150, settings().max_examples), deadline=None)
     @given(sample_files(), st.sampled_from([1, 16, 1 << 16]))
     # a subnormal output drives the fitted ln A past what exp can hold
     @example(("Y,K,L\n5e-324,3.0,1.0\n1.0,2.0,1.0\n", "K"), 1)
+    # a row a cell too wide beside one a cell short: the commas add up, but not per line
+    @example(("Y,K,L\n1.0,2.0,1.5,3.0\n2.0,1.0\n3.0,2.5,2.0\n1.5,3.0,2.0\n", "K, L"), 1 << 16)
+    @with_edge_cell_examples
     def test_matches_row_by_row_reference(self, drawn, chunk_chars):
         text, factors = drawn
         with tempfile.TemporaryDirectory() as tmp:
@@ -499,14 +518,29 @@ class TestSampleReader:
         assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
         assert calls == []
 
-    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
-    def test_cr_line_ends_are_read_without_the_csv_module(self, tmp_path, monkeypatch, end):
+    @pytest.mark.parametrize(
+        "end, layout",
+        [("\r\n", "plain"), ("\r", "plain")]
+        + [(end, layout) for layout in ("blank-lines", "spaces") for end in ("\n", "\r\n", "\r")],
+        ids=["CRLF", "CR"]
+        + [f"{end}-{layout}" for layout in ("blank-lines", "spaces") for end in ("LF", "CRLF", "CR")],
+    )
+    def test_cr_line_ends_are_read_without_the_csv_module(
+        self, tmp_path, monkeypatch, end, layout
+    ):
         # a file with any CR used to go through the csv module, about twice as slow
         calls = self.count_csv_readers(monkeypatch)
         lines = (CONFIGS / "fit_samples.csv").read_text().splitlines()
+        if layout == "blank-lines":  # before, between and after the rows, up to three at once
+            lines = [line for i, line in enumerate(lines) for line in [line] + [""] * (i % 4)]
+            lines.insert(1, "")
+        elif layout == "spaces":
+            lines = [line.replace(",", ", ") for line in lines]
         config = write_fit_config(tmp_path, end.join(lines) + end)
-        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 0
-        assert (tmp_path / "out" / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
+        for chunk_chars in (1, 16, calibration._CHUNK_CHARS):
+            with mock.patch.object(calibration, "_CHUNK_CHARS", chunk_chars):
+                assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 0
+            assert (tmp_path / "out" / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
         assert calls == []
 
     def test_one_quoted_cell_sends_the_file_to_the_csv_module(self, tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ def run_python(code, *args):
 IMPORT_PROBE = """
 import sys
 
-WATCHED = ("dataclasses", "inspect", "numpy")
+WATCHED = ("dataclasses", "inspect", "json", "numpy")
 
 def loaded():
     return ",".join(name for name in WATCHED if name in sys.modules) or "-"
@@ -49,7 +49,8 @@ for command, config in (("eval", "eval_model3"), ("sweep", "sweep_default"),
 def test_no_command_imports_numpy(tmp_path):
     # dataclasses (with inspect, ast, dis and tokenize under it) costs more
     # start-up than most commands spend computing, and numpy's import more
-    # than any command; fit solves its least squares without it
+    # than any command; fit solves its least squares without it.  json is
+    # fit's alone: its sample reader scans numbers with it
     configs = sorted(CONFIGS.glob("*.ini"))
     assert configs
     result = run_python(IMPORT_PROBE, tmp_path, *configs)
@@ -62,7 +63,7 @@ def test_no_command_imports_numpy(tmp_path):
         "sweep 0 -",
         "simulate 0 -",
         "check 0 -",
-        "fit 0 -",
+        "fit 0 json",
     ]
 
 
