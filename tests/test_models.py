@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from agiecon import (
     ContractViolationError,
+    LimitClassification,
     LimitDirection,
     LimitKind,
     ModelIIIParams,
     ModelIIParams,
     ModelIParams,
     NonFiniteDerivativeError,
+    NonFiniteOutputError,
     UndefinedIndexError,
     classify_limit,
     marginal_product,
@@ -367,6 +369,38 @@ class TestClassifyLimit:
         assert result.kind is kind
         if value is not None:
             assert result.value == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, target, direction, wage, kind",
+        [
+            (
+                ModelIIParams(A=1, K=1, L1=1 - 1e-12, L2=1, alpha=0.3, beta1=0.5, beta2=0.2),
+                "beta1", TO_INF, "L1", LimitKind.ZERO,
+            ),
+            (
+                ModelIParams(A=1, K=1e300, K_AGI=1, L=1e300, alpha=0.5, beta=2),
+                "K_AGI", TO_INF, None, LimitKind.DIVERGES,
+            ),
+            (
+                ModelIIParams(A=1e-200, K=1e-200, L1=1, L2=1, alpha=1, beta1=0.5, beta2=0.2),
+                "L1", TO_INF, None, LimitKind.DIVERGES,
+            ),
+        ],
+        ids=["turning-point-at-1e12", "constant-overflows", "constant-underflows"],
+    )
+    def test_verdict_does_not_depend_on_the_constant_or_a_turning_point(
+        self, params, target, direction, wage, kind
+    ):
+        # v * (1 - 1e-12)**v peaks at v = 1e12 and then falls to 0; the other two
+        # grow as a power of v, whatever their constant factor rounds to
+        assert classify_limit(params, target, direction, wage) == LimitClassification(kind)
+
+    def test_finite_limit_below_the_float_range_is_an_error(self):
+        # A * (K + K_AGI)**alpha * L**beta -> 1e-200 * 1e-200 = 1e-400 as K_AGI -> 0+
+        params = ModelIParams(A=1e-200, K=1e-200, K_AGI=1, L=1, alpha=1, beta=0.5)
+        message = r"^finite limit for target 'K_AGI' \(to_zero_plus\) lies outside the float range$"
+        with pytest.raises(NonFiniteOutputError, match=message):
+            classify_limit(params, "K_AGI", TO_ZERO)
 
     @pytest.mark.parametrize(
         "cls,values",
