@@ -7,8 +7,9 @@ Runs the tier-1 suite in this process under a ``sys.settrace`` line tracer
 that follows only frames of ``src/agiecon``, then prints every statement
 none of whose lines ran, outermost first (a function that never ran is one
 statement, not one per line).  Code run in a child process, such as
-``python -m agiecon``, is not traced.  Exits 1 when a test fails or when a
-statement outside ``ALLOWED`` never ran, else 0.
+``python -m agiecon``, is not traced.  Exits 1 when a test fails, when a
+statement outside ``ALLOWED`` never ran, or when an ``ALLOWED`` entry names
+no statement that never ran (its statement was deleted or now runs), else 0.
 
 Tracing slows the suite about threefold, so the run loads its own
 Hypothesis profile, with no deadline and no ``too_slow`` health check.
@@ -30,11 +31,6 @@ _OTHER_SUM = "_sum = sum" if sys.version_info >= (3, 12) else "def _sum(values) 
 
 # (file in src/agiecon, first line of the statement): why no test runs it
 ALLOWED = {
-    ("models.py", "raise LimitProbeError("): (
-        "no test reaches a false alarm of the numeric probe, though one is known:"
-        " ModelIIParams(L1=1-1e-12, ...) with beta1 -> inf, whose turning point lies past"
-        " the last probe; ROADMAP item 9 deletes the probe and this raise"
-    ),
     ("calibration.py", _OTHER_SUM): "only one branch of a version check runs",
     ("cli.py", "sys.exit(main())"): "the console script; tests run it in a child process",
     ("__main__.py", "from .cli import run"): "python -m agiecon; tests run it in a child process",
@@ -117,17 +113,24 @@ def main() -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     status, ran = run_traced()
     unexpected = 0
+    stale = set(ALLOWED)
     for path in sorted(PACKAGE.glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
         ran_here = {line for filename, line in ran if filename == str(path)}
         for stmt in never_run(path, ran_here):
             text = lines[stmt.lineno - 1].strip()
             reason = ALLOWED.get((path.name, text))
+            stale.discard((path.name, text))
             unexpected += reason is None
             note = f"allowed: {reason}" if reason else "NOT ALLOWED"
             print(f"{path.relative_to(ROOT)}:{stmt.lineno}: {text}  [{note}]")
-    print(f"pytest exit status {status}; {unexpected} statement(s) never run outside the allowlist")
-    return 1 if status or unexpected else 0
+    for name, text in sorted(stale):
+        print(f"{PACKAGE.relative_to(ROOT) / name}: {text}  [STALE: it ran, or it is gone]")
+    print(
+        f"pytest exit status {status}; {unexpected} statement(s) never run outside the allowlist;"
+        f" {len(stale)} stale allowlist entry(ies)"
+    )
+    return 1 if status or unexpected or stale else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from .errors import (
     ContractViolationError,
     DomainError,
     EconError,
-    LimitProbeError,
     NonFiniteDerivativeError,
     NonFiniteOutputError,
     RankDeficiencyError,
@@ -78,7 +77,6 @@ __all__ = [
     "LimitClassification",
     "LimitDirection",
     "LimitKind",
-    "LimitProbeError",
     "ModelIParams",
     "ModelIIParams",
     "ModelIIIParams",

@@ -14,7 +14,11 @@ class ContractViolationError(EconError):
 
 
 class NonFiniteOutputError(EconError):
-    """Output has no finite value (zero base with negative exponent, or overflow)."""
+    """Output has no finite value (zero base with negative exponent, or overflow).
+
+    Also raised for a finite limit that lies outside the float range, one that
+    would overflow to inf or underflow to 0.
+    """
 
 
 class NonFiniteDerivativeError(EconError):
@@ -39,10 +43,6 @@ class RankDeficiencyError(EconError):
 
 class SimulationFailureError(EconError):
     """A scenario produced a non-finite value; the message names the step."""
-
-
-class LimitProbeError(EconError):
-    """Numeric probing contradicted a symbolic limit classification."""
 
 
 class SerializationError(EconError):

@@ -6,9 +6,9 @@ Model III   Y = A K^alpha K_AGI^gamma L_h^beta1 L_AGI^beta2
 
 Wages are competitive: each labor factor is paid its marginal product.
 ``classify_limit`` settles asymptotic claims (a wage or output as one
-quantity or elasticity goes to 0+ or infinity) by symbolic sign analysis
-of the relevant exponent, then confirms the verdict numerically along a
-geometric probe sequence.  Note that the honest mathematics of the wage
+quantity or elasticity goes to 0+ or infinity) from the signs of the
+observable's exponents alone; only a finite limit is evaluated, in log
+space.  Note that the honest mathematics of the wage
 ``w = beta * A * (...) * L**(beta-1)`` DIVERGES as L -> 0+ for beta < 1;
 wages reach zero only through the elasticity channel (beta -> 0), whose
 linear prefactor annihilates the expression.
@@ -24,7 +24,7 @@ from operator import add
 from .errors import (
     ContractViolationError,
     DomainError,
-    LimitProbeError,
+    NonFiniteOutputError,
     UndefinedIndexError,
 )
 from .production import (
@@ -173,12 +173,6 @@ class LimitDirection(Enum):
     TO_INFINITY = "to_infinity"
 
 
-_PROBES = {
-    LimitDirection.TO_ZERO_PLUS: (1e-3, 1e-6, 1e-9),
-    LimitDirection.TO_INFINITY: (1e3, 1e6, 1e9),
-}
-
-
 def classify_limit(
     params: ModelParams,
     target: str,
@@ -201,12 +195,11 @@ def classify_limit(
 
     The observable is a monomial ``C * v**p * r**v`` in the target v (with
     Model I's summed capital handled as a shifted base), so the limit is
-    decided by the signs of p and log r.  The verdict is then confirmed
-    against a numeric evaluation of the literal expression at 1e-3, 1e-6,
-    1e-9 (or 1e3, 1e6, 1e9), each times the sum of the fields the target is
-    summed with where that is below 1 (above 1 toward infinity), in
-    log-magnitude space so overflow and underflow cannot corrupt the
-    comparison; disagreement raises LimitProbeError rather than a guess.
+    decided by signs alone: a zero wage prefactor that is not the target
+    makes it ZERO; toward infinity r against 1 decides, then p against 0.
+    C is evaluated only for a FINITE limit, as the exponential of a sum of
+    logs, so no partial product can overflow or underflow; a finite limit
+    that no float can hold raises NonFiniteOutputError.
     """
     _require_params(params)
     quantity_fields = tuple(field for _, bases, _ in params.TERMS for field in bases)
@@ -221,35 +214,36 @@ def classify_limit(
                 f"classify_limit needs all non-target quantities strictly positive; {field} is not"
             )
 
-    kind, value = _symbolic_limit(params, target, direction, wage)
-    _confirm_numeric(params, target, direction, wage, kind, value)
-    if kind is LimitKind.FINITE:
-        return LimitClassification(kind, value)
-    return LimitClassification(kind)
+    return _symbolic_limit(params, target, direction, wage)
 
 
 def _symbolic_limit(params, target, direction, wage_factor):
-    """Reduce the observable to C * v**p * r**v and classify its limit."""
-    const = params.A
+    """Reduce the observable to C * v**p * r**v and classify its limit by signs."""
+    sign = 1.0
+    factors = [(params.A, 1.0)]  # (base, exponent) pairs whose product is C
     poly = 0.0  # net exponent p of the target variable v
-    exp_bases: list[float] = []  # fixed bases raised to the target variable
+    excess = 0.0  # r - 1 for an exponent target; fsum signs it right where r rounds to 1
     shifted: list[tuple[float, float]] = []  # (offset, exponent) for (offset + v)**e
 
     if wage_factor is not None:
         prefactor_field = next(field for factor, _, field in params.TERMS if factor == wage_factor)
+        prefactor = getattr(params, prefactor_field)
         if target == prefactor_field:
             poly += 1.0
+        elif prefactor == 0.0:
+            return LimitClassification(LimitKind.ZERO)  # a zero elasticity annihilates the wage
         else:
-            const *= getattr(params, prefactor_field)
+            sign = math.copysign(1.0, prefactor)
+            factors.append((abs(prefactor), 1.0))
 
     for factor, bases, exponent_field in params.TERMS:
         own = factor == wage_factor
         exponent = getattr(params, exponent_field)
+        values = [getattr(params, field) for field in bases]
         if target == exponent_field:
-            base = math.fsum(getattr(params, field) for field in bases)
+            excess = math.fsum([*values, -1.0])
             if own:
-                const /= base  # x**(v-1) = x**v / x
-            exp_bases.append(base)
+                factors.append((math.fsum(values), -1.0))  # x**(v-1) = x**v / x
         elif target in bases:
             offset = math.fsum(getattr(params, field) for field in bases if field != target)
             effective = exponent - 1.0 if own else exponent
@@ -258,79 +252,31 @@ def _symbolic_limit(params, target, direction, wage_factor):
             else:
                 shifted.append((offset, effective))
         else:
-            base = math.fsum(getattr(params, field) for field in bases)
-            const *= base ** (exponent - 1.0 if own else exponent)
+            factors.append((math.fsum(values), exponent - 1.0 if own else exponent))
 
     if direction is LimitDirection.TO_INFINITY:
+        if excess > 0.0:
+            return LimitClassification(LimitKind.DIVERGES)
+        if excess < 0.0:
+            return LimitClassification(LimitKind.ZERO)
         net_poly = poly + math.fsum(exponent for _, exponent in shifted)
-        growth = math.prod(exp_bases) if exp_bases else 1.0
     else:
-        net_poly = -poly  # u = 1/v turns v**p into u**(-p)
-        growth = 1.0  # x**v -> x**0 == 1
-        for offset, exponent in shifted:
-            const *= offset**exponent  # limit value of (offset + v)**e at v -> 0+
-
-    if const == 0.0:
-        return LimitKind.ZERO, None  # a zero elasticity prefactor annihilates the wage
-    if growth > 1.0:
-        return LimitKind.DIVERGES, None
-    if growth < 1.0:
-        return LimitKind.ZERO, None
+        net_poly = -poly  # u = 1/v turns v**p into u**(-p); r**v -> r**0 == 1
+        factors += shifted  # (offset + v)**e -> offset**e at v -> 0+
     if net_poly > 0.0:
-        return LimitKind.DIVERGES, None
+        return LimitClassification(LimitKind.DIVERGES)
     if net_poly < 0.0:
-        return LimitKind.ZERO, None
-    return LimitKind.FINITE, const
+        return LimitClassification(LimitKind.ZERO)
 
-
-def _log_magnitude(params, target, wage_factor, v):
-    """Literal observable at target value v, as (sign, log |value|)."""
-    sign = 1.0
-    logmag = math.log(params.A)
-
-    def value_of(field: str) -> float:
-        return v if field == target else getattr(params, field)
-
-    if wage_factor is not None:
-        prefactor_field = next(field for factor, _, field in params.TERMS if factor == wage_factor)
-        prefactor = value_of(prefactor_field)
-        if prefactor == 0.0:
-            return 0.0, -math.inf
-        if prefactor < 0.0:
-            sign = -sign
-        logmag += math.log(abs(prefactor))
-
-    for factor, bases, exponent_field in params.TERMS:
-        own = factor == wage_factor
-        exponent = value_of(exponent_field)
-        if own:
-            exponent -= 1.0
-        if exponent:  # x**0 == 1, even where a probe overflows x to inf
-            logmag += exponent * math.log(math.fsum(value_of(field) for field in bases))
-    return sign, logmag
-
-
-def _confirm_numeric(params, target, direction, wage_factor, kind, value):
-    probes = _PROBES[direction]
-    # a target summed into a base reaches its limit only relative to the rest
-    for _, bases, _ in params.TERMS:
-        if target in bases and len(bases) > 1:
-            offset = math.fsum(getattr(params, field) for field in bases if field != target)
-            scale = (min if direction is LimitDirection.TO_ZERO_PLUS else max)(offset, 1.0)
-            probes = tuple(v * scale for v in probes)
-    evaluated = [_log_magnitude(params, target, wage_factor, v) for v in probes]
-    magnitudes = [logmag for _, logmag in evaluated]
-    m0, m1, m2 = magnitudes
-
-    if kind is LimitKind.ZERO:
-        ok = m0 >= m1 >= m2 and (m2 == -math.inf or m2 < m0)
-    elif kind is LimitKind.DIVERGES:
-        ok = m0 <= m1 <= m2 and (m2 == math.inf or m2 > m0)
-    else:
-        sign, logmag = evaluated[-1]
-        ok = logmag < 700.0 and abs(sign * math.exp(logmag) - value) <= 1e-6 * abs(value)
-    if not ok:
-        raise LimitProbeError(
-            f"numeric probe disagrees with {kind.value} for target {target!r} "
-            f"({direction.value}): log-magnitudes {magnitudes}"
+    # each log scaled by 2**-13, so that its product with any finite exponent,
+    # and the sum of a few such products, stays finite
+    scaled = math.fsum(exponent * (math.log(base) / 8192.0) for base, exponent in factors)
+    try:
+        value = sign * math.exp(8192.0 * scaled)
+    except OverflowError:
+        value = math.inf
+    if value == 0.0 or math.isinf(value):
+        raise NonFiniteOutputError(
+            f"finite limit for target {target!r} ({direction.value}) lies outside the float range"
         )
+    return LimitClassification(LimitKind.FINITE, value)

@@ -11,7 +11,8 @@ FACTOR_POOL = ("K", "K_AGI", "L_h", "L_AGI", "M")
 
 # Deeper runs of the differential properties, loaded only on request:
 # pytest --hypothesis-profile=thorough tests/test_scenario.py tests/test_transition.py \
-#     tests/test_svg.py
+#     tests/test_svg.py tests/test_cli.py::TestSampleReader \
+#     tests/test_models.py::TestClassifyLimit
 settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 

@@ -21,7 +21,7 @@ def test_all_lists_exactly_the_public_names():
     assert len(set(agiecon.__all__)) == len(agiecon.__all__)
     assert set(agiecon.__all__) == bound
     assert not {"ModelId", "Observable", "OUTPUT", "PowerCurvePoint"} & bound
-    assert "PowerCurve" in bound and len(bound) == 47
+    assert "PowerCurve" in bound and len(bound) == 46
 
 
 def test_readme_library_example_states_its_values():

@@ -1,11 +1,13 @@
+import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy as sp
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agiecon import (
@@ -280,6 +282,126 @@ def sympy_limit_kind(cls, values, target, direction, wage):
     return LimitKind.FINITE, value
 
 
+# --- the literal observable in mpmath, far past every turning point ----------
+
+_EXPONENT_FIELDS = frozenset({"alpha", "gamma", "beta", "beta1", "beta2"})
+_FLOAT_MAX = mpmath.mpf(sys.float_info.max)
+_SUBNORMAL_MIN = mpmath.mpf(2) ** -1074
+
+
+@functools.cache
+def _literal_observable(cls, wage):
+    """Output, or ``wage``'s marginal product by sympy's derivative, as an mpmath
+    function of the record's fields; and, by elasticity, the base it raises."""
+    expr_text, _ = _SYMBOLIC_OUTPUT[cls]
+    symbols = [sp.Symbol(name, positive=True) for name in cls._fields]
+    output_expr = sp.sympify(expr_text, locals={symbol.name: symbol for symbol in symbols})
+    if wage is None:
+        observable = output_expr
+    else:
+        observable = sp.diff(output_expr, sp.Symbol(wage, positive=True))
+    bases = {
+        power.exp.name: sp.lambdify(symbols, power.base, "mpmath")
+        for power in output_expr.atoms(sp.Pow)
+    }
+    return sp.lambdify(symbols, observable, "mpmath"), bases
+
+
+def mpmath_limit(params, target, direction, wage):
+    """The limit's kind, and its value if finite, read off the literal observable
+    at two values of the target, the second 1e40 times further on than the first.
+
+    Toward the limit log|f| changes by p * ln(1e40) through v**p and by
+    (v2 - v1) * ln r through r**v.  The first point lies so far out that every
+    other term, (offset + v)**e or r**v where v -> 0+, moves log|f| by a few
+    times 1e-40 * delta at most, where delta bounds a nonzero |p| from below.
+    """
+    function, bases = _literal_observable(type(params), wage)
+    with mpmath.workdps(400):
+        fields = {name: mpmath.mpf(getattr(params, name)) for name in params._fields}
+        exponents = [fields[name] for name in params._fields if name in _EXPONENT_FIELDS]
+        # v's power is 1 (a wage's prefactor), an elasticity e or the power rule's e - 1
+        delta = min([1, *(abs(p) for e in exponents for p in (e, e - 1) if p)])
+        if target in _EXPONENT_FIELDS:
+            log_r = abs(mpmath.log(bases[target](*fields.values())))
+            scale = (1 + log_r + (1 / log_r if log_r else 0)) / delta
+        else:
+            others = [
+                value
+                for name, value in fields.items()
+                if name not in _EXPONENT_FIELDS and name not in ("A", target)
+            ]
+            scale = (1 + mpmath.fsum(others) + 1 / min(others)) / delta
+        step = mpmath.mpf(10) ** (40 if direction is TO_INF else -40)
+        first = step * scale if direction is TO_INF else step / scale
+        values = [function(*dict(fields, **{target: v}).values()) for v in (first, first * step)]
+        if values == [0, 0]:
+            return LimitKind.ZERO, None
+        change = mpmath.log(abs(values[1])) - mpmath.log(abs(values[0]))
+        if change > delta:
+            return LimitKind.DIVERGES, None
+        if change < -delta:
+            return LimitKind.ZERO, None
+        return LimitKind.FINITE, values[1]
+
+
+# log-uniform over the float range's bulk, and next to 1 on both sides
+_quantities = st.one_of(
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12]),
+)
+_exponents = st.one_of(
+    st.sampled_from([0.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12]),
+    st.floats(-3.0, 3.0),
+    st.builds(
+        lambda size, sign: math.copysign(10.0**size, sign),
+        st.floats(-300.0, -6.0),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
+@st.composite
+def limit_cases(draw):
+    cls = draw(st.sampled_from(list(_SYMBOLIC_OUTPUT)))
+    fields = {
+        name: draw(_exponents if name in _EXPONENT_FIELDS else _quantities)
+        for name in cls._fields
+    }
+    target = draw(st.sampled_from([name for name in cls._fields if name != "A"]))
+    direction = draw(st.sampled_from([TO_ZERO, TO_INF]))
+    wage = draw(st.sampled_from([None, *_SYMBOLIC_OUTPUT[cls][1]]))
+    return cls(**fields), target, direction, wage
+
+
+# (params, target, direction, wage) whose verdict must not depend on where the
+# observable turns, on what its constant factor rounds to, or on a rounded sum
+PEAKS_AT_1E12 = (
+    ModelIIParams(A=1, K=1, L1=1 - 1e-12, L2=1, alpha=0.3, beta1=0.5, beta2=0.2),
+    "beta1", TO_INF, "L1",
+)
+CONSTANT_OVERFLOWS = (
+    ModelIParams(A=1, K=1e300, K_AGI=1, L=1e300, alpha=0.5, beta=2), "K_AGI", TO_INF, None
+)
+CONSTANT_UNDERFLOWS = (
+    ModelIIParams(A=1e-200, K=1e-200, L1=1, L2=1, alpha=1, beta1=0.5, beta2=0.2),
+    "L1", TO_INF, None,
+)
+BASE_ROUNDS_TO_1 = (
+    ModelIParams(A=1, K=1, K_AGI=1e-16, L=1, alpha=0, beta=0.5), "alpha", TO_INF, None
+)
+LIMIT_IS_1E_MINUS_400 = (
+    ModelIParams(A=1e-200, K=1e-200, K_AGI=1, L=1, alpha=1, beta=0.5), "K_AGI", TO_ZERO, None
+)
+FACTORS_CANCEL = (
+    ModelIIParams(A=1, K=1e300, L1=1, L2=1e300, alpha=1e307, beta1=0, beta2=-1e307),
+    "L1", TO_ZERO, None,
+)
+LIMIT_IS_1E600 = (
+    ModelIIParams(A=1e300, K=1e300, L1=1, L2=1, alpha=1, beta1=0, beta2=0.5), "L1", TO_INF, None
+)
+
+
 def _all_cases(cls, values):
     _, labor = _SYMBOLIC_OUTPUT[cls]
     for target in values:
@@ -299,7 +421,7 @@ class TestClassifyLimit:
     def test_negative_wage_prefactor_keeps_its_sign(self):
         # w_L1 = beta1 * A * K**alpha * L1**(beta1 - 1) * L2**beta2 < 0 for
         # beta1 < 0, and tends to that value without K**alpha as alpha -> 0+;
-        # the numeric probe confirms it only if it carries the negative sign
+        # the limit's constant is summed in logs, so its sign is carried apart
         params = ModelIIParams(A=2, K=3, L1=2, L2=1.5, alpha=0.3, beta1=-0.5, beta2=0.4)
         result = classify_limit(params, "alpha", TO_ZERO, "L1")
         assert result.kind is LimitKind.FINITE
@@ -361,9 +483,9 @@ class TestClassifyLimit:
     def test_summed_capital_is_probed_relative_to_the_other_field(
         self, k, alpha, direction, wage, kind, value
     ):
-        # K_AGI probed at fixed points 1e-9..1e-3 (or 1e3..1e9) was swamped by a
-        # tiny K or lost beside a huge one, and a right verdict raised
-        # LimitProbeError; scaled probes may overflow to inf, where K_total**0 is 1
+        # K_AGI summed with a tiny, subnormal or huge K: the verdict comes from the
+        # exponents alone, and a finite value takes K for K + K_AGI at K_AGI -> 0+,
+        # or is K_total**0 = 1 however large K_AGI grows
         params = ModelIParams(A=1, K=k, K_AGI=1, L=1, alpha=alpha, beta=0.5)
         result = classify_limit(params, "K_AGI", direction, wage)
         assert result.kind is kind
@@ -371,36 +493,63 @@ class TestClassifyLimit:
             assert result.value == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "params, target, direction, wage, kind",
+        "case, kind",
         [
-            (
-                ModelIIParams(A=1, K=1, L1=1 - 1e-12, L2=1, alpha=0.3, beta1=0.5, beta2=0.2),
-                "beta1", TO_INF, "L1", LimitKind.ZERO,
-            ),
-            (
-                ModelIParams(A=1, K=1e300, K_AGI=1, L=1e300, alpha=0.5, beta=2),
-                "K_AGI", TO_INF, None, LimitKind.DIVERGES,
-            ),
-            (
-                ModelIIParams(A=1e-200, K=1e-200, L1=1, L2=1, alpha=1, beta1=0.5, beta2=0.2),
-                "L1", TO_INF, None, LimitKind.DIVERGES,
-            ),
+            (PEAKS_AT_1E12, LimitKind.ZERO),
+            (CONSTANT_OVERFLOWS, LimitKind.DIVERGES),
+            (CONSTANT_UNDERFLOWS, LimitKind.DIVERGES),
+            (BASE_ROUNDS_TO_1, LimitKind.DIVERGES),
         ],
-        ids=["turning-point-at-1e12", "constant-overflows", "constant-underflows"],
+        ids=["turning-point-at-1e12", "constant-overflows", "constant-underflows", "base-1+1e-16"],
     )
-    def test_verdict_does_not_depend_on_the_constant_or_a_turning_point(
-        self, params, target, direction, wage, kind
-    ):
-        # v * (1 - 1e-12)**v peaks at v = 1e12 and then falls to 0; the other two
-        # grow as a power of v, whatever their constant factor rounds to
-        assert classify_limit(params, target, direction, wage) == LimitClassification(kind)
+    def test_verdict_does_not_depend_on_the_constant_or_a_turning_point(self, case, kind):
+        # v * (1 - 1e-12)**v peaks at v = 1e12 and then falls to 0; the next two
+        # grow as a power of v, whatever their constant factor rounds to; and
+        # (1 + 1e-16)**v grows, though 1 + 1e-16 rounds to 1.0
+        assert classify_limit(*case) == LimitClassification(kind)
 
-    def test_finite_limit_below_the_float_range_is_an_error(self):
-        # A * (K + K_AGI)**alpha * L**beta -> 1e-200 * 1e-200 = 1e-400 as K_AGI -> 0+
-        params = ModelIParams(A=1e-200, K=1e-200, K_AGI=1, L=1, alpha=1, beta=0.5)
-        message = r"^finite limit for target 'K_AGI' \(to_zero_plus\) lies outside the float range$"
-        with pytest.raises(NonFiniteOutputError, match=message):
-            classify_limit(params, "K_AGI", TO_ZERO)
+    def test_factors_past_the_float_range_can_cancel(self):
+        # K**alpha * L2**beta2 = 1e300**(1e307 - 1e307) = 1, though alpha * ln(K) overflows
+        assert classify_limit(*FACTORS_CANCEL) == LimitClassification(LimitKind.FINITE, 1.0)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (LIMIT_IS_1E_MINUS_400, "target 'K_AGI' (to_zero_plus)"),
+            (LIMIT_IS_1E600, "target 'L1' (to_infinity)"),
+        ],
+        ids=["1e-400", "1e600"],
+    )
+    def test_finite_limit_outside_the_float_range_is_an_error(self, case, message):
+        # A * (K + K_AGI)**alpha * L**beta -> 1e-200 * 1e-200 as K_AGI -> 0+, and
+        # A * K**alpha * L1**0 * L2**beta2 = 1e300 * 1e300 whatever L1 is
+        with pytest.raises(NonFiniteOutputError) as raised:
+            classify_limit(*case)
+        assert str(raised.value) == f"finite limit for {message} lies outside the float range"
+
+    @given(limit_cases())
+    @example(PEAKS_AT_1E12)
+    @example(CONSTANT_OVERFLOWS)
+    @example(CONSTANT_UNDERFLOWS)
+    @example(BASE_ROUNDS_TO_1)
+    @example(LIMIT_IS_1E_MINUS_400)
+    @example(LIMIT_IS_1E600)
+    @example(FACTORS_CANCEL)
+    @settings(deadline=None)
+    def test_agrees_with_the_literal_observable_in_mpmath(self, case):
+        params, target, direction, wage = case
+        kind, limit = mpmath_limit(params, target, direction, wage)
+        try:
+            result = classify_limit(params, target, direction, wage)
+        except NonFiniteOutputError:
+            # only for a finite limit that no float holds, give or take the rounding
+            # of the library's log-space constant at either end of the range
+            assert kind is LimitKind.FINITE
+            assert abs(limit) < _SUBNORMAL_MIN or abs(limit) > _FLOAT_MAX * (1 - 1e-9), limit
+            return
+        assert result.kind is kind
+        if kind is LimitKind.FINITE:
+            assert abs(result.value - limit) <= 1e-9 * abs(limit) + _SUBNORMAL_MIN, limit
 
     @pytest.mark.parametrize(
         "cls,values",
