@@ -6,10 +6,10 @@
 Runs the tier-1 suite in this process under a ``sys.settrace`` line tracer
 that follows only frames of ``src/agiecon``, then prints every statement
 none of whose lines ran, outermost first (a function that never ran is one
-statement, not one per line).  Code run in a child process, such as
-``python -m agiecon``, is not traced.  Exits 1 when a test fails, when a
-statement outside ``ALLOWED`` never ran, or when an ``ALLOWED`` entry names
-no statement that never ran (its statement was deleted or now runs), else 0.
+statement, not one per line).  Code run in a child process is not traced.
+Exits 1 when a test fails, when a statement outside ``ALLOWED`` never ran,
+or when an ``ALLOWED`` entry names no statement that never ran (its
+statement was deleted or now runs), else 0.
 
 Tracing slows the suite about threefold, so the run loads its own
 Hypothesis profile, with no deadline and no ``too_slow`` health check.
@@ -32,9 +32,6 @@ _OTHER_SUM = "_sum = sum" if sys.version_info >= (3, 12) else "def _sum(values) 
 # (file in src/agiecon, first line of the statement): why no test runs it
 ALLOWED = {
     ("calibration.py", _OTHER_SUM): "only one branch of a version check runs",
-    ("cli.py", "sys.exit(main())"): "the console script; tests run it in a child process",
-    ("__main__.py", "from .cli import run"): "python -m agiecon; tests run it in a child process",
-    ("__main__.py", 'if __name__ == "__main__":'): "python -m agiecon, as above",
 }
 
 

@@ -125,8 +125,8 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
     factors): a singular value at or below 1e-10 times the largest, the
     rule of ``numpy.linalg.lstsq(rcond=1e-10)``.  Raises
     NonFiniteOutputError when the fitted ln A is too large for A to be a
-    finite float.  The residual sum of squares is that of the returned
-    coefficients, in log space.
+    finite float, or so negative that A rounds to 0.  The residual sum of
+    squares is that of the returned coefficients, in log space.
     """
     if not isinstance(table, SampleTable):
         raise ContractViolationError(f"expected a SampleTable, got {type(table).__name__}")
@@ -154,6 +154,10 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
         raise NonFiniteOutputError(
             f"fitted ln A = {log_tfp!r} overflows a float: A has no finite value"
         ) from None
+    if tfp == 0.0:
+        raise NonFiniteOutputError(
+            f"fitted ln A = {log_tfp!r} underflows a float: A has no positive value"
+        )
     return FitResult(
         tfp_estimate=tfp,
         elasticity_estimates={

@@ -12,8 +12,10 @@ fit       recover Cobb-Douglas parameters from a sample CSV: writes fit.csv
 check     run the diagnostic suite: writes check.txt, exits 2 on any FAIL
 
 Exit status: 0 success, 1 usage or config error, 2 domain or computation
-error.  No environment variables are consulted; all state flows through
-flags and the config file.  Repeated runs emit byte-identical artifacts.
+error.  A command that fails leaves --out as it was, removing any directory
+it made for it.  No environment variables are consulted; all state flows
+through flags and the config file.  Repeated runs emit byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import contextlib
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 
 from .calibration import fit_cobb_douglas, read_samples
@@ -248,10 +250,18 @@ def main(argv: list[str] | None = None) -> int:
         parsed = parse_config_file(args.config)
         out_dir = Path(args.out)
         try:
+            # the directories this makes, deepest first; a failing command removes them
+            made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _cannot_write(out_dir, exc) from exc
-        return _DISPATCH[args.command](parsed, out_dir, args)
+        try:
+            return _DISPATCH[args.command](parsed, out_dir, args)
+        except BaseException:
+            for path in made:
+                with contextlib.suppress(OSError):
+                    path.rmdir()
+            raise
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -262,6 +272,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-def run() -> None:
-    sys.exit(main())

@@ -46,30 +46,20 @@ class _SectionReader:
     def _where(self, key: str) -> str:
         return f"[{self.name}].{key}"
 
-    def take(self, key: str, default: str | None = None) -> str:
-        if key in self.pending:
-            return self.pending.pop(key)
-        if default is None:
-            raise ConfigError(f"{self._where(key)}: missing required key")
-        return default
-
-    def take_float(self, key: str, default: float | None = None) -> float:
-        if default is not None and key not in self.pending:
+    def take(self, key: str, default=None, parse=None):
+        """``key``'s value, through ``parse`` (float or int) if given; ``default`` if absent."""
+        if key not in self.pending:
+            if default is None:
+                raise ConfigError(f"{self._where(key)}: missing required key")
             return default
-        raw = self.take(key)
+        raw = self.pending.pop(key)
+        if parse is None:
+            return raw
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            raise ConfigError(f"{self._where(key)}: cannot parse {raw!r} as a number") from None
-
-    def take_int(self, key: str, default: int | None = None) -> int:
-        if default is not None and key not in self.pending:
-            return default
-        raw = self.take(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{self._where(key)}: cannot parse {raw!r} as an integer") from None
+            kind = "an integer" if parse is int else "a number"
+            raise ConfigError(f"{self._where(key)}: cannot parse {raw!r} as {kind}") from None
 
     def finish(self) -> None:
         if self.pending:
@@ -103,7 +93,7 @@ def _parse_model(reader: _SectionReader) -> ModelParams:
     if param_type is None:
         choices = ", ".join(PARAM_TYPES)
         raise ConfigError(f"[model].id: expected one of {choices}, got {raw_id!r}")
-    values = {field: reader.take_float(field) for field in param_type._fields}
+    values = {field: reader.take(field, parse=float) for field in param_type._fields}
     reader.finish()
     try:
         return param_type(**values)
@@ -111,31 +101,36 @@ def _parse_model(reader: _SectionReader) -> ModelParams:
         raise ConfigError(f"[model]: {exc}") from exc
 
 
+# each [transition] key and the TransitionParams field it sets
+_TRANSITION_KEYS = (("w0", "w0"), ("w_inf", "w_inf"), ("lambda", "lam"))
+
+
 def _parse_transition(reader: _SectionReader) -> tuple[TransitionParams, int]:
     # a record field's default is its class attribute
-    w0 = reader.take_float("w0", TransitionParams.w0)
-    w_inf = reader.take_float("w_inf", TransitionParams.w_inf)
-    lam = reader.take_float("lambda", TransitionParams.lam)
-    n_points = reader.take_int("n_points", DEFAULT_N_POINTS)
+    values = {
+        field: reader.take(key, getattr(TransitionParams, field), float)
+        for key, field in _TRANSITION_KEYS
+    }
+    n_points = reader.take("n_points", DEFAULT_N_POINTS, int)
     reader.finish()
     try:
         check_n_points(n_points)
-        return TransitionParams(w0=w0, w_inf=w_inf, lam=lam), n_points
+        return TransitionParams(**values), n_points
     except DomainError as exc:
         raise ConfigError(f"[transition]: {exc}") from exc
 
 
 def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
-    horizon = reader.take_int("horizon")
+    horizon = reader.take("horizon", parse=int)
     kind_raw = reader.take("adoption", "linear").strip()
     try:
         kind = AdoptionKind(kind_raw)
     except ValueError:
         choices = ", ".join(k.value for k in AdoptionKind)
         raise ConfigError(f"[scenario].adoption: expected one of {choices}, got {kind_raw!r}") from None
-    values = {key: reader.take_float(key) for key in ADOPTION_PARAMS[kind]}
-    growth = reader.take_float("growth", ScenarioConfig.agi_capital_growth)
-    threshold = reader.take_float("collapse_threshold", ScenarioConfig.collapse_threshold)
+    values = {key: reader.take(key, parse=float) for key in ADOPTION_PARAMS[kind]}
+    growth = reader.take("growth", ScenarioConfig.agi_capital_growth, float)
+    threshold = reader.take("collapse_threshold", ScenarioConfig.collapse_threshold, float)
     reader.finish()
     try:
         adoption = AdoptionPath(kind, **values)
@@ -246,9 +241,8 @@ def render_config(parsed: ParsedConfig) -> str:
             lines.append(f"{field} = {getattr(parsed.model_params, field)!r}")
         lines.append("")
     lines.append("[transition]")
-    lines.append(f"w0 = {parsed.transition.w0!r}")
-    lines.append(f"w_inf = {parsed.transition.w_inf!r}")
-    lines.append(f"lambda = {parsed.transition.lam!r}")
+    for key, field in _TRANSITION_KEYS:
+        lines.append(f"{key} = {getattr(parsed.transition, field)!r}")
     lines.append(f"n_points = {parsed.n_points}")
     lines.append("")
     if parsed.scenario is not None:

@@ -30,10 +30,11 @@ shares, so the records are bit-identical to the generic model path.
 Steps are independent, so ``run_scenario`` also computes any window of
 consecutive steps, whose records are the whole run's for those steps: a
 caller that takes a run window by window, as ``simulate`` does, holds one
-window at a time.  A failing window is narrowed by halving to its first
-failing step, which raises its own error in the step's check order;
-a step whose Y is not finite is evaluated once more by ``model_output``,
-whose error it raises, so no term of the model is restated here.
+window at a time.  The kernel only computes and checks; ``run_scenario``
+alone narrows a failing window, by halves, to its first failing step, which
+raises its own error in the step's check order.  A step whose Y is not
+finite is evaluated once more by ``model_output``, whose error it raises,
+so no term of the model is restated here.
 The adoption path's step-independent terms (horizon checks, the logistic
 end points, the exp-saturating normalizer) are computed once per call.
 """
@@ -50,6 +51,7 @@ from typing import NamedTuple
 from .errors import (
     ContractViolationError,
     DomainError,
+    EconError,
     NonFiniteOutputError,
     SimulationFailureError,
     UndefinedBaselineError,
@@ -291,7 +293,19 @@ def run_scenario(cfg: ScenarioConfig, steps: range | None = None) -> list[TimeSe
     elif not (isinstance(steps, range) and steps.step == 1 and 0 <= steps.start
               and steps.stop <= len(run)):
         raise ContractViolationError(f"steps must be a window of {run!r}, got {steps!r}")
-    return _step_columns(cfg, steps, _adoption_curve(cfg.adoption, cfg.horizon)(steps))
+    return _narrowed(cfg, steps, _adoption_curve(cfg.adoption, cfg.horizon)(steps))
+
+
+def _narrowed(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[TimeSeriesRecord]:
+    """``_step_columns`` of ``steps``; a failing window of several steps is
+    split in halves, left first, so its first failing step raises its own error."""
+    try:
+        return _step_columns(cfg, steps, s)
+    except EconError:
+        if len(steps) == 1:
+            raise
+    half = len(steps) // 2
+    return _narrowed(cfg, steps[:half], s[:half]) + _narrowed(cfg, steps[half:], s[half:])
 
 
 def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[TimeSeriesRecord]:
@@ -299,8 +313,10 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
 
     The step checks run in this order: K_AGI finite, s in [0, 1], Y finite
     (with ``model_output``'s errors for the step's record), w_h and the wage
-    bill finite, w_agi not infinite.  Where a check fails, ``_first_failure``
-    finds the first failing step, and a single step raises the check's error.
+    bill finite, w_agi not infinite.  A failing check raises its error as
+    step ``steps[0]``'s, which is right for a window of one step.  Every
+    column keeps the window's length, so a later step that fails any check
+    fails the window.
     """
     p0 = cfg.initial_model3
     try:
@@ -309,10 +325,8 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
     except OverflowError:
         k_agi = [math.inf]
     if not all(map(math.isfinite, k_agi)):
-        _first_failure(cfg, steps, s)
         raise SimulationFailureError(f"step {steps[0]}: AGI capital overflowed")
     if not (all(map(le, repeat(0.0), s)) and all(map(le, s, repeat(1.0)))):
-        _first_failure(cfg, steps, s)
         raise DomainError(f"step {steps[0]}: adoption share must lie in [0, 1], got {s[0]!r}")
     l_h = list(map(sub, repeat(1.0), s))
     beta1 = list(map(mul, repeat(p0.beta1), l_h))
@@ -325,9 +339,8 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
         y = map(mul, y, map(pow, l_h, beta1))
         y = list(map(mul, y, map(pow, s, beta2)))
     except OverflowError:
-        y = [math.inf]
+        y = [math.inf] * len(steps)
     if not all(map(math.isfinite, y)):
-        _first_failure(cfg, steps, s)
         step = p0._replace(K_AGI=k_agi[0], L_h=l_h[0], L_AGI=s[0], beta1=beta1[0], beta2=beta2[0])
         try:
             model_output(step)  # raises for a Y the ordered product leaves non-finite
@@ -342,7 +355,6 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
         ("w_agi", w_agi, not any(map(math.isinf, w_agi))),  # NaN flags a vanished factor
     ):
         if not defined:
-            _first_failure(cfg, steps, s)
             raise SimulationFailureError(f"step {steps[0]}: {label} is not finite ({column[0]!r})")
     p_h_elastic = map(truediv, beta1, map(add, beta1, beta2))
     p_h_transition = power_columns(cfg.transition, s)[2]
@@ -351,23 +363,6 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
         p_h_transition, wage_bill,
     )
     return list(map(tuple.__new__, repeat(TimeSeriesRecord), zip(*fields)))
-
-
-def _first_failure(cfg: ScenarioConfig, steps: range, s: list[float]) -> None:
-    """Raise the first failing step's error from a window of several steps
-    where a check failed; return for a single step, whose error is the caller's.
-
-    Steps are independent, so a window fails exactly when it holds a failing
-    step.  A left half that fails raises its first failing step's error; one
-    that passes moves the search to the right half.  About two passes.
-    """
-    if len(steps) == 1:
-        return
-    while len(steps) > 1:
-        half = len(steps) // 2
-        _step_columns(cfg, steps[:half], s[:half])  # raises if the first failing step is here
-        steps, s = steps[half:], s[half:]
-    _step_columns(cfg, steps, s)  # the first failing step raises its own error
 
 
 def _factor_wages(y: list[float], x: list[float], elasticity: list[float]) -> list[float]:

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -8,6 +12,7 @@ from agiecon import CobbDouglasTechnology, FactorBundle, SampleTable
 from agiecon.diagnostics import _random_instance
 
 FACTOR_POOL = ("K", "K_AGI", "L_h", "L_AGI", "M")
+ROOT = Path(__file__).resolve().parent.parent
 
 # Deeper runs of the differential properties, loaded only on request:
 # pytest --hypothesis-profile=thorough tests/test_scenario.py tests/test_transition.py \
@@ -57,3 +62,14 @@ def synthetic_table(rng, n, tfp, elasticities, quantity_range=(0.5, 5.0), noise_
             y *= math.exp(rng.gauss(0.0, noise_sigma))
         rows.append((y, *quantities))
     return sample_table(tuple(elasticities), rows)
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter from the repository root, with
+    ``src`` on its path; return the completed process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=120, check=False,
+    )

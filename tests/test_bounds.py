@@ -11,14 +11,11 @@ child in a MemoryError instead of exhausting the machine.  Nothing near a
 bound is built in this process.
 """
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import run_python
 
 CAP = """
 import resource
@@ -69,15 +66,6 @@ for name, case in cases.items():
 """
 
 
-def run_capped(code, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        capture_output=True, text=True, cwd=ROOT, env=env, timeout=120, check=False,
-    )
-
-
 linux_only = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="reads /proc/self/status"
 )
@@ -85,7 +73,7 @@ linux_only = pytest.mark.skipif(
 
 @linux_only
 def test_bounds_raise_before_allocating():
-    child = run_capped(CHILD)
+    child = run_python(CHILD)
     assert child.returncode == 0, child.stderr
     points = "DomainError n_points must be an integer in [2, 10000000], got"
     horizon = "DomainError horizon must be <= 1000000, got 1000001"
@@ -126,7 +114,7 @@ def test_simulate_streams_a_long_run_under_the_cap(tmp_path):
     # the whole run's records and columns need about 125 MB above the import
     config = tmp_path / "long.ini"
     config.write_text(LONG_RUN)
-    child = run_capped(
+    child = run_python(
         CAP + "print('exit', cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))",
         config, tmp_path,
     )

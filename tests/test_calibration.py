@@ -101,6 +101,12 @@ class TestFit:
         with pytest.raises(NonFiniteOutputError, match="overflows a float"):
             fit_cobb_douglas(samples, ["K"])
 
+    def test_tfp_below_the_float_range_is_an_error(self):
+        # Y = 1e-610 * K: ln A = -1404.6, and exp of it rounds to 0
+        samples = sample_table(("K",), [(10.0**-t, 10.0**(610 - t)) for t in range(310, 314)])
+        with pytest.raises(NonFiniteOutputError, match="underflows a float"):
+            fit_cobb_douglas(samples, ["K"])
+
     def test_residual_optimality(self):
         truth = {"K": 0.5, "L": 0.3}
         samples = generate_samples(300, seed=21, tfp=2.0, elasticities=truth, noise_sigma=0.05)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import random
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -190,7 +191,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "line_chart", failing_chart)
         out = tmp_path / "out"
         assert run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", out) == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # nor the out directory the run made for it
 
     def test_seven_lambdas_draw_in_seven_colours(self, tmp_path):
         lambdas = [arg for lam in range(1, 8) for arg in ("--lambda", lam)]
@@ -757,6 +758,43 @@ class TestWrite:
         # gone into the temp file: the run streams, and still leaves nothing
         assert sum(lines_written) == 1 + 7 * BLOCK
 
+    def simulate_failing(self, tmp_path, out, *replacements):
+        config = tmp_path / "failing.ini"
+        config.write_text(
+            _demo_scenario(("horizon = 20", "horizon = 4200"), ("growth = 0.05", "growth = 0.01"),
+                           *replacements)
+        )
+        return run_cli("simulate", "--config", config, "--out", out)
+
+    @pytest.mark.parametrize("offset", [0, 1, BLOCK // 2 - 1, BLOCK // 2, BLOCK - 1])
+    def test_first_failing_step_at_a_window_edge(self, tmp_path, capsys, out_dir, offset):
+        # K_AGI * 1.01**t first passes the largest float at this step of the second window
+        out, before = out_dir
+        step = BLOCK + offset
+        k_agi = sys.float_info.max / 1.01 ** (step - 0.5)
+        assert self.simulate_failing(tmp_path, out, ("K_AGI = 1.0", f"K_AGI = {k_agi!r}")) == 2
+        assert capsys.readouterr() == ("", f"error: step {step}: AGI capital overflowed\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_output_failing_inside_a_window(self, tmp_path, capsys, out_dir):
+        # K_AGI**3 first overflows at step 3000; the first step of its window is fine
+        out, before = out_dir
+        k_agi = sys.float_info.max ** (1 / 3) / 1.01 ** (3000 - 0.5)
+        replacements = (("K_AGI = 1.0", f"K_AGI = {k_agi!r}"), ("gamma = 0.2", "gamma = 3"))
+        assert self.simulate_failing(tmp_path, out, *replacements) == 2
+        assert capsys.readouterr() == ("", "error: step 3000: term 'K_AGI'**3.0 overflows\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh-nested", "existing"])
+    def test_failing_command_leaves_out_as_it_was(self, tmp_path, capsys, existing):
+        out = tmp_path / "o" / "a" / "b"
+        if existing:
+            out.mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("simulate", "--config", CONFIGS / "sweep_default.ini", "--out", out) == 1
+        assert capsys.readouterr().err == "config error: simulate needs a [scenario] section\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_write_that_fails_part_way_writes_nothing(self, tmp_path, capsys, monkeypatch, out_dir):
         out, before = out_dir
         monkeypatch.setattr(cli, "open", _full_disk_open, raising=False)
@@ -827,8 +865,9 @@ class TestCheck:
         # max() keeps a NaN operand or drops it depending on position, so a
         # NaN measurement used to print as a passing 0.000000000e0
         monkeypatch.setattr("agiecon.diagnostics.marginal_product", lambda *args: math.nan)
-        assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 2
-        lines = (tmp_path / "check.txt").read_text().splitlines()
+        out = tmp_path / "new" / "out"  # a check that exits 2 keeps the report it wrote
+        assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", out) == 2
+        lines = (out / "check.txt").read_text().splitlines()
         assert [line for line in lines if not line.startswith("PASS")] == [
             "FAIL marginal_product_vs_central_difference_max_rel_error nan"
         ]
@@ -904,6 +943,7 @@ _SAMPLE_FILES = {
     "samples.csv": "",
     "header_only.csv": "Y,K,L\n",
     "two_rows.csv": "Y,K,L\n1.0,1.0,2.0\n2.0,2.0,3.0\n",
+    "tiny_tfp.csv": "Y,K\n1e-310,1e300\n1e-311,1e299\n1e-312,1e298\n1e-313,1e297\n",
 }
 
 
@@ -967,6 +1007,8 @@ class TestErrorLines:
              "error: need at least 3 samples for 2 factors, got 0"),
             ("fit", "[fit]\nfactors = K, L\ninput = two_rows.csv\n", (), 2,
              "error: need at least 3 samples for 2 factors, got 2"),
+            ("fit", "[fit]\nfactors = K\ninput = tiny_tfp.csv\n", (), 2,
+             "error: fitted ln A = -1404.576906725218 underflows a float: A has no positive value"),
         ],
         ids=[
             "unknown-adoption", "negative-growth", "threshold-above-1", "negative-steepness",
@@ -975,6 +1017,7 @@ class TestErrorLines:
             "infinite-capital", "nan-steepness", "infinite-lambda", "one-point",
             "zero-capital", "negative-beta2", "negative-t0", "path-cannot-rise",
             "elasticity-total-overflows", "header-only-samples", "no-more-rows-than-factors",
+            "tfp-underflows",
         ],
     )
     def test_one_exact_line(self, tmp_path, capsys, command, config, extra, status, err):
@@ -1061,6 +1104,16 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read sample file ") and err.count("\n") == 1
         assert f"in position {len(samples) - 2}: " in err
+
+
+def test_module_runs_in_process(tmp_path, monkeypatch):
+    # python -m agiecon, with its __main__ module traced like the rest of the package
+    argv = ["agiecon", "eval", "--config", str(CONFIGS / "eval_model3.ini"), "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("agiecon", run_name="__main__")
+    assert exited.value.code == 0
+    assert (tmp_path / "eval.csv").read_bytes() == (GOLDEN / "eval.csv").read_bytes()
 
 
 def test_module_entry_point(tmp_path):

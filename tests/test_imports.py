@@ -4,23 +4,9 @@ Each test runs in a subprocess: one needs a clean ``sys.modules``, the
 other patches module attributes.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+from conftest import ROOT, run_python
 
-ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
-
-
-def run_python(code, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        capture_output=True, text=True, cwd=ROOT, env=env, timeout=120, check=False,
-    )
-
 
 IMPORT_PROBE = """
 import sys

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from pathlib import Path
 
 import mpmath
@@ -511,6 +512,13 @@ COLUMN_CASES.update(
 )
 FAILING_CASES = {
     "agi-capital-overflow": (demo_config(horizon=15000), "step 14548: AGI capital overflowed"),
+    # K_AGI * 1.01**t first passes the largest float at the run's last step
+    "agi-capital-overflow-at-the-last-step": (
+        with_params(
+            make_config(horizon=5000, growth=0.01), K_AGI=sys.float_info.max / 1.01**4999.5
+        ),
+        "step 5000: AGI capital overflowed",
+    ),
     "K-term-overflow": (
         with_params(make_config(horizon=50), K=1e300, alpha=2.0),
         "step 0: term 'K'**2.0 overflows",
