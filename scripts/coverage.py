@@ -7,14 +7,10 @@ Runs the tier-1 suite in this process under a ``sys.settrace`` line tracer
 that follows only frames of ``src/agiecon``, then prints every statement
 none of whose lines ran, outermost first (a function that never ran is one
 statement, not one per line).  Code run in a child process is not traced.
-Exits 1 when a test fails, when a statement outside ``ALLOWED`` never ran,
-or when an ``ALLOWED`` entry names no statement that never ran (its
-statement was deleted or now runs), else 0.
+Exits 1 when a test fails or a statement never ran, else 0.
 
-Tracing slows the suite about threefold, so the run loads its own
-Hypothesis profile, with no deadline and no ``too_slow`` health check.
-The profile also derandomizes the draws, so the statements that run are
-the same on every run; every other setting is tier-1's.
+Tracing slows the suite about threefold, so the run loads the tests'
+``coverage`` Hypothesis profile (``tests/conftest.py``).
 """
 
 import ast
@@ -26,24 +22,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "agiecon"
 
-# the branch of calibration's left-to-right sum for the other Python versions
-_OTHER_SUM = "_sum = sum" if sys.version_info >= (3, 12) else "def _sum(values) -> float:"
-
-# (file in src/agiecon, first line of the statement): why no test runs it
-ALLOWED = {
-    ("calibration.py", _OTHER_SUM): "only one branch of a version check runs",
-}
-
 
 def run_traced() -> tuple[int, set[tuple[str, int]]]:
     """Run the tier-1 suite with the tracer on; return its exit status and the
     (file, line) pairs of src/agiecon that ran."""
     import pytest
-    from hypothesis import HealthCheck, settings
 
-    settings.register_profile(
-        "coverage", deadline=None, suppress_health_check=[HealthCheck.too_slow], derandomize=True
-    )
     prefix = str(PACKAGE) + os.sep
     ran: set[tuple[str, int]] = set()
     followed: dict[str, bool] = {}
@@ -90,7 +74,10 @@ def never_run(path: Path, ran: set[int]) -> list[ast.stmt]:
 
     def visit(body: list[ast.stmt]) -> None:
         for stmt in body:
-            lines = has_code.intersection(range(stmt.lineno, stmt.end_lineno + 1))
+            # a def line runs at import, so a function ran only if its body did
+            is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            first = stmt.body[0] if is_def else stmt
+            lines = has_code.intersection(range(first.lineno, stmt.end_lineno + 1))
             if lines and not lines & ran:
                 found.append(stmt)
                 continue
@@ -109,25 +96,15 @@ def main() -> int:
     sys.path.insert(0, src)  # and for the tests' child processes:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     status, ran = run_traced()
-    unexpected = 0
-    stale = set(ALLOWED)
+    unrun = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
         ran_here = {line for filename, line in ran if filename == str(path)}
         for stmt in never_run(path, ran_here):
-            text = lines[stmt.lineno - 1].strip()
-            reason = ALLOWED.get((path.name, text))
-            stale.discard((path.name, text))
-            unexpected += reason is None
-            note = f"allowed: {reason}" if reason else "NOT ALLOWED"
-            print(f"{path.relative_to(ROOT)}:{stmt.lineno}: {text}  [{note}]")
-    for name, text in sorted(stale):
-        print(f"{PACKAGE.relative_to(ROOT) / name}: {text}  [STALE: it ran, or it is gone]")
-    print(
-        f"pytest exit status {status}; {unexpected} statement(s) never run outside the allowlist;"
-        f" {len(stale)} stale allowlist entry(ies)"
-    )
-    return 1 if status or unexpected or stale else 0
+            unrun += 1
+            print(f"{path.relative_to(ROOT)}:{stmt.lineno}: {lines[stmt.lineno - 1].strip()}")
+    print(f"pytest exit status {status}; {unrun} statement(s) never run")
+    return 1 if status or unrun else 0
 
 
 if __name__ == "__main__":

@@ -168,19 +168,18 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
     )
 
 
-# Every long sum adds left to right.  From Python 3.12 on, ``sum``
-# compensates float rounding, so a fit would differ in its last bits
-# between versions, and the fit golden with it; there ``reduce`` adds as
-# ``sum`` did before.  Before 3.12 both give the same bits, and ``sum`` is
-# kept for speed: ``reduce`` on every version cost fit_large 13 % of its
-# items_per_s on Python 3.11 (245.6k -> 212.6k, 6 rounds, BENCH_14.json).
-if sys.version_info >= (3, 12):
+def _left_sum(values) -> float:
+    return reduce(add, values, 0.0)
 
-    def _sum(values) -> float:
-        return reduce(add, values, 0.0)
 
-else:
-    _sum = sum
+# Every long sum adds left to right, so a fit has the same bits, and the fit
+# golden the same bytes, on every Python.  ``_left_sum`` adds so on every
+# version.  Before 3.12 the builtin ``sum`` adds the same way, faster
+# (``_left_sum`` cost fit_large 13 % of its items_per_s on 3.11, 245.6k ->
+# 212.6k over 6 rounds, BENCH_14.json); from 3.12 on ``sum`` compensates
+# float rounding.  Both stay defined on every version, so the tests, and the
+# coverage gate with them, run each on any interpreter.
+_sum = _left_sum if sys.version_info >= (3, 12) else sum
 
 
 def _dot(a, b) -> float:

@@ -13,9 +13,11 @@ check     run the diagnostic suite: writes check.txt, exits 2 on any FAIL
 
 Exit status: 0 success, 1 usage or config error, 2 domain or computation
 error.  A command that fails leaves --out as it was, removing any directory
-it made for it.  No environment variables are consulted; all state flows
-through flags and the config file.  Repeated runs emit byte-identical
-artifacts.
+it made for it.  A stdout that cannot be written is a usage error and
+fails the command in the same way: simulate prints and flushes its
+collapse line before it renames series.csv into place.  No environment
+variables are consulted; all state flows through flags and the config
+file.  Repeated runs emit byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -117,6 +119,24 @@ def _cannot_write(path: Path, exc: OSError) -> UsageError:
     return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _print_all(lines: list[str]) -> None:
+    """Print ``lines`` to stdout and flush them.
+
+    A stdout that cannot be written (a full disk, a closed pipe) is a
+    ``UsageError``; its file descriptor, fd 1 for the command, then points
+    at ``os.devnull``, so the interpreter's flush of the unwritten lines at
+    exit fails no second time.
+    """
+    try:
+        for line in lines:
+            print(line, flush=True)  # a no-op where fd 1 was closed at start
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
     if parsed.model_params is None:
         raise ConfigError("eval needs a [model] section")
@@ -175,8 +195,9 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
     Each window's records are computed, searched for the collapse step,
     formatted and written before the next is computed, so the command holds
-    one window of the run however long its horizon.  A window that fails
-    raises inside ``_write_all``, which leaves the out directory as it was.
+    one window of the run however long its horizon.  A window that fails,
+    or a collapse line that cannot be printed after the last window, raises
+    inside ``_write_all``, which leaves the out directory as it was.
     """
     cfg = build_scenario_config(parsed)
     theta = cfg.collapse_threshold
@@ -203,10 +224,9 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
             # each record is a row in header order; t is an integer, and
             # w_AGI and p_h_transition may be nan
             yield from format_rows(window, integer_columns=(0,), nan_columns=(10, 12))
+        _print_all(collapse)  # before _write_all renames anything into place
 
     _write_all({out_dir / "series.csv": blocks()})
-    for line in collapse:
-        print(line)
     return 0
 
 

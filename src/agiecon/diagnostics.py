@@ -57,27 +57,27 @@ class Diagnostic(Record):
         return f"{'PASS' if self.ok else 'FAIL'} {self.name} {self.value}"
 
 
+# the ranges of every random technology and bundle: TFP, factor quantity
+# and elasticity
+_TFP, _QUANTITY, _ELASTICITY = (0.5, 3.0), (0.1, 10.0), (0.05, 1.0)
+
+
 def _random_instance(rng: random.Random) -> tuple[CobbDouglasTechnology, FactorBundle]:
     count = rng.randint(2, 5)
     names = [f"x{i}" for i in range(count)]
     tech = CobbDouglasTechnology(
-        rng.uniform(0.5, 3.0), tuple((n, rng.uniform(0.05, 1.0)) for n in names)
+        rng.uniform(*_TFP), tuple((n, rng.uniform(*_ELASTICITY)) for n in names)
     )
-    bundle = FactorBundle(tuple((n, rng.uniform(0.1, 10.0)) for n in names))
+    bundle = FactorBundle(tuple((n, rng.uniform(*_QUANTITY)) for n in names))
     return tech, bundle
 
 
 def _random_model3(rng: random.Random) -> ModelIIIParams:
+    """Model III drawn in field order: A a TFP, each base a quantity, each
+    exponent an elasticity."""
+    ranges = {"A": _TFP, **{exponent: _ELASTICITY for _, _, exponent in ModelIIIParams.TERMS}}
     return ModelIIIParams(
-        A=rng.uniform(0.5, 3.0),
-        K=rng.uniform(0.1, 10.0),
-        K_AGI=rng.uniform(0.1, 10.0),
-        L_h=rng.uniform(0.1, 10.0),
-        L_AGI=rng.uniform(0.1, 10.0),
-        alpha=rng.uniform(0.05, 1.0),
-        gamma=rng.uniform(0.05, 1.0),
-        beta1=rng.uniform(0.05, 1.0),
-        beta2=rng.uniform(0.05, 1.0),
+        *(rng.uniform(*ranges.get(field, _QUANTITY)) for field in ModelIIIParams._fields)
     )
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import settings
+from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from agiecon import CobbDouglasTechnology, FactorBundle, SampleTable
@@ -19,6 +19,12 @@ ROOT = Path(__file__).resolve().parent.parent
 #     tests/test_svg.py tests/test_cli.py::TestSampleReader \
 #     tests/test_models.py::TestClassifyLimit
 settings.register_profile("thorough", max_examples=1000, deadline=None)
+# scripts/coverage.py's traced run, about three times slower than tier-1:
+# no deadline and no too_slow check, and derandomized draws, so the same
+# statements run every time; every other setting is tier-1's
+settings.register_profile(
+    "coverage", deadline=None, suppress_health_check=[HealthCheck.too_slow], derandomize=True
+)
 
 
 @st.composite

@@ -1,9 +1,8 @@
 import math
 import random
 import re
+import sys
 import tempfile
-from functools import reduce
-from operator import add
 from pathlib import Path
 
 import pytest
@@ -138,13 +137,29 @@ class TestFit:
         assert calibration._dot([3.0, 1.0, 1.0], [1.0 / 3.0, 1e-16, 1e-16]) == 1.0
 
     def test_reduce_sum_fits_the_same_bits(self, monkeypatch):
-        # the fit's sum is builtin sum before Python 3.12 and reduce after;
+        # the fit's sum is builtin sum before Python 3.12 and _left_sum after;
         # both must add the same way
         truth = {"K": 0.4, "L": 0.3}
         samples = generate_samples(300, seed=3, tfp=1.5, elasticities=truth, noise_sigma=0.05)
         first = fit_cobb_douglas(samples, ["K", "L"])
-        monkeypatch.setattr(calibration, "_sum", lambda values: reduce(add, values, 0.0))
+        monkeypatch.setattr(calibration, "_sum", calibration._left_sum)
         assert fit_cobb_douglas(samples, ["K", "L"]) == first
+
+    def test_each_python_sums_left_to_right(self):
+        # the premise of _sum's version fork, checked on the running interpreter
+        rng = random.Random(11)
+        values = [1e16, 1.0, -1e16]
+        values += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(200)]
+        total = 0.0
+        for value in values:
+            total += value
+        assert calibration._left_sum(values).hex() == total.hex()
+        if sys.version_info >= (3, 12):
+            assert calibration._sum is calibration._left_sum
+            assert sum([1e16, 1.0, -1e16]) == 1.0  # compensated: left to right gives 0.0
+        else:
+            assert calibration._sum is sum
+            assert sum(values).hex() == total.hex()
 
     def test_deterministic_for_fixed_order(self):
         truth = {"K": 0.5, "L": 0.3}

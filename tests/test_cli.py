@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import math
+import os
 import random
 import runpy
 import subprocess
@@ -1067,6 +1068,51 @@ class TestUnwritableOutput:
         else:
             assert sorted(tmp_path.iterdir()) == [csv_path, svg_path]
             assert csv_path.read_text() == old_csv
+
+    @pytest.mark.parametrize("device", ["closed pipe", "/dev/full"])
+    def test_stdout_that_cannot_be_written(self, tmp_path, device):
+        # the collapse line was printed after series.csv was renamed into
+        # place, and the OSError escaped as a traceback; the interpreter's
+        # own flush at exit must fail no second time
+        if device == "/dev/full":
+            if not os.path.exists(device):
+                pytest.skip("no /dev/full")
+            stdout, reason = os.open(device, os.O_WRONLY), errno.ENOSPC
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            reason = errno.EPIPE
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", CONFIGS / "simulate_demo.ini", "--out", out]
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "agiecon", *map(str, argv)],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=ROOT, timeout=120,
+            )
+        finally:
+            os.close(stdout)
+        assert result.returncode == 1
+        assert result.stderr == f"usage error: cannot write stdout: {os.strerror(reason)}\n"
+        assert not out.exists()
+
+    def test_closed_stdout_pipe_in_process(self, tmp_path, capsys, monkeypatch):
+        # the closed pipe above, in this process, where the coverage gate's
+        # tracer sees the handler run
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            out = tmp_path / "out"
+            assert run_cli("simulate", "--config", CONFIGS / "simulate_demo.ini", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+        assert not out.exists()
+
+    def test_no_stdout_at_all(self, tmp_path, monkeypatch):
+        # where fd 1 was closed at start, sys.stdout is None and print does nothing
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run_cli("simulate", "--config", CONFIGS / "simulate_demo.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "series.csv").read_bytes() == (GOLDEN / "series.csv").read_bytes()
 
 
 class TestUnreadableInput:
