@@ -30,20 +30,20 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, takewhile
 from pathlib import Path
 
-from .calibration import fit_cobb_douglas, read_samples
 from .config import ParsedConfig, build_scenario_config, parse_config_file
-from .diagnostics import run_diagnostics
 from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError, UsageError
 from .formatting import _BLOCK_ROWS, format_number, format_rows
 from .models import model_output, model_wages
 from .scenario import detect_collapse, run_scenario
-from .svg import check_n_curves, line_chart
 from .transition import check_n_points, power_columns, power_curve
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
+
+    def print_help(self):  # argparse would drop a failed write silently
+        _print_all([self.format_help().rstrip("\n")])
 
 
 def _build_parser() -> _Parser:
@@ -137,6 +137,27 @@ def _print_all(lines: list[str]) -> None:
         raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
+# Only sweep, fit and check use svg, calibration (with csv) and diagnostics,
+# so these three import their module on first call.  The commands call them
+# through these module-level names, which perfbench/tracer.py wraps.
+def fit_cobb_douglas(table, factor_names):
+    from .calibration import fit_cobb_douglas
+
+    return fit_cobb_douglas(table, factor_names)
+
+
+def run_diagnostics():
+    from .diagnostics import run_diagnostics
+
+    return run_diagnostics()
+
+
+def line_chart(**kwargs):
+    from .svg import line_chart
+
+    return line_chart(**kwargs)
+
+
 def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
     if parsed.model_params is None:
         raise ConfigError("eval needs a [model] section")
@@ -149,6 +170,8 @@ def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
 
 def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
+    from .svg import check_n_curves
+
     n_points = parsed.n_points
     if args.points is not None:
         try:
@@ -231,6 +254,8 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
 
 def _cmd_fit(parsed: ParsedConfig, out_dir: Path, args) -> int:
+    from .calibration import read_samples
+
     if parsed.fit is None:
         raise ConfigError("fit needs a [fit] section")
     input_path = Path(parsed.fit.input_path)

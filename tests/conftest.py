@@ -70,12 +70,13 @@ def synthetic_table(rng, n, tfp, elasticities, quantity_range=(0.5, 5.0), noise_
     return sample_table(tuple(elasticities), rows)
 
 
-def run_python(code, *args):
+def run_python(code, *args, flags=()):
     """Run ``code`` in a fresh interpreter from the repository root, with
-    ``src`` on its path; return the completed process."""
+    ``src`` on its path and the interpreter options ``flags``; return the
+    completed process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
+        [sys.executable, *flags, "-c", code, *map(str, args)],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=120, check=False,
     )

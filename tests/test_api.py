@@ -24,6 +24,12 @@ def test_all_lists_exactly_the_public_names():
     assert "PowerCurve" in bound and len(bound) == 46
 
 
+def test_dir_lists_every_public_name():
+    # each public name resolves on first access, so __dir__ adds those not
+    # yet in the package namespace
+    assert set(agiecon.__all__) <= set(dir(agiecon))
+
+
 def test_readme_library_example_states_its_values():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.S | re.M).group(1)

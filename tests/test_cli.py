@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import gc
 import hashlib
 import io
 import math
@@ -498,7 +499,7 @@ class TestSampleReader:
             config = write_fit_config(root, text, factors)
             with mock.patch.object(calibration, "_CHUNK_CHARS", chunk_chars):
                 got = run_fit_capturing(config, root / "columns")
-            with mock.patch.object(cli, "read_samples", reference_read_samples):
+            with mock.patch.object(calibration, "read_samples", reference_read_samples):
                 want = run_fit_capturing(config, root / "rows")
         assert got == want
         assert got[1].count("\n") == (0 if got[0] == 0 else 1)
@@ -1108,6 +1109,34 @@ class TestUnwritableOutput:
         assert err == f"usage error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]], ids=["help", "eval-help"])
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_help_that_cannot_be_written(self, argv, flags):
+        # argparse dropped the failed write: unbuffered the command exited 0
+        # with nothing on stderr, buffered the interpreter's flush at exit
+        # failed with status 120 and a two-line report
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, *flags, "-m", "agiecon", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, cwd=ROOT, env=env, timeout=120,
+            )
+        assert result.returncode == 1
+        assert result.stderr == f"usage error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_help_to_a_closed_pipe_in_process(self, capsys, monkeypatch):
+        # the same failure in this process, where the coverage gate's tracer
+        # sees print_help run
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert run_cli("eval", "--help") == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
     def test_no_stdout_at_all(self, tmp_path, monkeypatch):
         # where fd 1 was closed at start, sys.stdout is None and print does nothing
         monkeypatch.setattr(sys, "stdout", None)
@@ -1153,13 +1182,30 @@ class TestUnreadableInput:
 
 
 def test_module_runs_in_process(tmp_path, monkeypatch):
-    # python -m agiecon, with its __main__ module traced like the rest of the package
+    # python -m agiecon, with its __main__ module traced like the rest of the
+    # package; the fake freeze keeps this test process's collector unfrozen
     argv = ["agiecon", "eval", "--config", str(CONFIGS / "eval_model3.ini"), "--out", str(tmp_path)]
     monkeypatch.setattr(sys, "argv", argv)
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append((tmp_path / "eval.csv").exists()))
     with pytest.raises(SystemExit) as exited:
         runpy.run_module("agiecon", run_name="__main__")
     assert exited.value.code == 0
+    assert freezes == [True]  # once, after the command wrote its artifact
     assert (tmp_path / "eval.csv").read_bytes() == (GOLDEN / "eval.csv").read_bytes()
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    # only the process entry freezes; library code and tests call main in process
+    frozen = gc.get_freeze_count()
+    assert run_cli("eval", "--config", CONFIGS / "eval_model3.ini", "--out", tmp_path) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_module_entry():
+    # the installed agiecon script freezes before exit as python -m agiecon does
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert 'agiecon = "agiecon.__main__:run"' in lines
 
 
 def test_module_entry_point(tmp_path):

@@ -1,56 +1,68 @@
 """What other code relies on at import time, checked in fresh interpreters.
 
-Each test runs in a subprocess: one needs a clean ``sys.modules``, the
-other patches module attributes.
+Each test runs in a subprocess: most need a clean ``sys.modules``, and the
+tracer test patches module attributes.
 """
 
 from conftest import ROOT, run_python
 
 CONFIGS = ROOT / "configs"
 
-IMPORT_PROBE = """
+# Under -S no site hook (a .pth file, say) has loaded modules before agiecon does.
+CLEAN = ("-S",)
+
+PACKAGE_PROBE = """
 import sys
+import agiecon
 
-WATCHED = ("dataclasses", "inspect", "json", "numpy")
-
-def loaded():
-    return ",".join(name for name in WATCHED if name in sys.modules) or "-"
-
-import agiecon.cli
-from agiecon.config import parse_config_file
-
-print("import", loaded())
-out = sys.argv[1]
-for path in sys.argv[2:]:
-    parse_config_file(path)
-print("parse", loaded())
-for command, config in (("eval", "eval_model3"), ("sweep", "sweep_default"),
-                        ("simulate", "simulate_demo"), ("check", "sweep_default"),
-                        ("fit", "fit_demo")):
-    code = agiecon.cli.main([command, "--config", f"configs/{config}.ini", "--out", out])
-    print(command, code, loaded())
+listed = set(agiecon.__all__) <= set(dir(agiecon))
+print(listed, sorted(name for name in sys.modules if name.startswith("agiecon.")))
 """
 
 
-def test_no_command_imports_numpy(tmp_path):
-    # dataclasses (with inspect, ast, dis and tokenize under it) costs more
-    # start-up than most commands spend computing, and numpy's import more
-    # than any command; fit solves its least squares without it.  json is
-    # fit's alone: its sample reader scans numbers with it
-    configs = sorted(CONFIGS.glob("*.ini"))
-    assert configs
-    result = run_python(IMPORT_PROBE, tmp_path, *configs)
+def test_importing_the_package_loads_no_submodule():
+    # python -m agiecon imports the package before the CLI; each public
+    # name imports its module on first access, and dir() lists it before
+    result = run_python(PACKAGE_PROBE, flags=CLEAN)
     assert result.returncode == 0, result.stderr
-    lines = [line for line in result.stdout.splitlines() if not line.startswith("collapse")]
-    assert lines == [
-        "import -",
-        "parse -",
-        "eval 0 -",
-        "sweep 0 -",
-        "simulate 0 -",
-        "check 0 -",
-        "fit 0 json",
-    ]
+    assert result.stdout == "True []\n"
+
+
+COMMAND_PROBE = """
+import sys
+
+WATCHED = ("agiecon.calibration", "agiecon.diagnostics", "agiecon.svg",
+           "csv", "dataclasses", "inspect", "json", "numpy")
+
+import agiecon.cli
+
+code = agiecon.cli.main(sys.argv[1:])
+print(code, ",".join(name for name in WATCHED if name in sys.modules) or "-")
+"""
+
+
+def test_each_command_loads_only_what_it_uses(tmp_path):
+    # One fresh interpreter per command, so each line names what that
+    # command loaded.  dataclasses (with inspect, ast, dis and tokenize under
+    # it) costs more start-up than most commands spend computing, and numpy's
+    # import more than any command; fit solves its least squares without it.
+    # calibration (with csv, and json for its sample reader), diagnostics and
+    # svg are each one command's alone.
+    loaded = {}
+    for command, config in (("eval", "eval_model3"), ("sweep", "sweep_default"),
+                            ("simulate", "simulate_demo"), ("fit", "fit_demo"),
+                            ("check", "sweep_default")):
+        argv = [command, "--config", CONFIGS / f"{config}.ini", "--out", tmp_path / command]
+        result = run_python(COMMAND_PROBE, *argv, flags=CLEAN)
+        assert result.returncode == 0, result.stderr
+        loaded[command] = result.stdout.splitlines()[-1]
+    assert loaded == {
+        "eval": "0 -",
+        "sweep": "0 agiecon.svg",
+        "simulate": "0 -",
+        "fit": "0 agiecon.calibration,csv,json",
+        "check": "0 agiecon.diagnostics",
+    }
 
 
 TRACER_PROBE = """
