@@ -81,54 +81,7 @@ _MODULE_OF = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdoptionKind",
-    "AdoptionPath",
-    "CobbDouglasTechnology",
-    "ConfigError",
-    "ContractViolationError",
-    "DomainError",
-    "EconError",
-    "FactorBundle",
-    "FitResult",
-    "LimitClassification",
-    "LimitDirection",
-    "LimitKind",
-    "ModelIParams",
-    "ModelIIParams",
-    "ModelIIIParams",
-    "NonFiniteDerivativeError",
-    "NonFiniteOutputError",
-    "PowerCurve",
-    "RankDeficiencyError",
-    "SampleTable",
-    "ScenarioConfig",
-    "SerializationError",
-    "SimulationFailureError",
-    "TimeSeriesRecord",
-    "TransitionParams",
-    "UndefinedBaselineError",
-    "UndefinedIndexError",
-    "UsageError",
-    "adoption_share",
-    "agi_wage",
-    "classify_limit",
-    "detect_collapse",
-    "euler_residual",
-    "fit_cobb_douglas",
-    "format_number",
-    "homogeneity_degree",
-    "human_power",
-    "human_wage",
-    "marginal_product",
-    "model_output",
-    "model_technology",
-    "model_wages",
-    "output",
-    "power_curve",
-    "power_index_model3",
-    "run_scenario",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -34,8 +34,12 @@ from .config import ParsedConfig, build_scenario_config, parse_config_file
 from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError, UsageError
 from .formatting import _BLOCK_ROWS, format_number, format_rows
 from .models import model_output, model_wages
-from .scenario import detect_collapse, run_scenario
+from .scenario import TimeSeriesRecord, detect_collapse, run_scenario
 from .transition import check_n_points, power_columns, power_curve
+
+
+class _HelpShown(Exception):
+    """The help text was printed; ``main`` returns 0."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,6 +48,9 @@ class _Parser(argparse.ArgumentParser):
 
     def print_help(self):  # argparse would drop a failed write silently
         _print_all([self.format_help().rstrip("\n")])
+
+    def exit(self, status=0, message=None):  # only the help action gets here
+        raise _HelpShown
 
 
 def _build_parser() -> _Parser:
@@ -210,7 +217,11 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
     return 0
 
 
-_SERIES_HEADER = "t,s,beta1,beta2,K,K_AGI,L_h,L_AGI,Y,w_h,w_AGI,p_h_elastic,p_h_transition,wage_bill"
+# series.csv's rows are TimeSeriesRecords, and its header their field names with
+# w_agi spelled w_AGI; t is an integer, and w_agi and p_h_transition may be nan
+_SERIES_HEADER = ",".join({"w_agi": "w_AGI"}.get(name, name) for name in TimeSeriesRecord._fields)
+_SERIES_INTEGER = (TimeSeriesRecord._fields.index("t"),)
+_SERIES_NAN = tuple(map(TimeSeriesRecord._fields.index, ("w_agi", "p_h_transition")))
 
 
 def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
@@ -244,9 +255,7 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
                             f"collapse: human wage fell below {theta:g} of its initial value"
                             f" at step {step}"
                         )
-            # each record is a row in header order; t is an integer, and
-            # w_AGI and p_h_transition may be nan
-            yield from format_rows(window, integer_columns=(0,), nan_columns=(10, 12))
+            yield from format_rows(window, _SERIES_INTEGER, _SERIES_NAN)
         _print_all(collapse)  # before _write_all renames anything into place
 
     _write_all({out_dir / "series.csv": blocks()})
@@ -307,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
                 with contextlib.suppress(OSError):
                     path.rmdir()
             raise
+    except _HelpShown:
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -22,11 +22,14 @@ always a real number and ends at exactly 0.
 ``run_scenario`` computes the run by column, without building a parameter
 record, technology or bundle: each record field is one ``map`` pass over
 the steps, and this kernel is the only statement of the step's formulas
-and checks.  Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t L_AGI^beta2_t is the
-ordered product and zero-quantity convention of ``production.output``,
-each wage is e * Y / x, the identity ``production.marginal_product``
-evaluates, and p_h_transition is ``transition.power_columns`` over the
-shares, so the records are bit-identical to the generic model path.
+and checks.  The step takes Model III's structure from ``ModelIIIParams``:
+Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t L_AGI^beta2_t is the ordered
+product over its ``TERMS``, with the zero-quantity convention of
+``production.output``, and each factor in its ``LABOR`` earns the wage
+e * Y / x, the identity ``production.marginal_product`` evaluates.
+p_h_transition is ``transition.power_columns`` over the shares, so the
+records are bit-identical to the generic model path.  The record's column
+order is ``TimeSeriesRecord``'s field order.
 Steps are independent, so ``run_scenario`` also computes any window of
 consecutive steps, whose records are the whole run's for those steps: a
 caller that takes a run window by window, as ``simulate`` does, holds one
@@ -331,23 +334,30 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
     l_h = list(map(sub, repeat(1.0), s))
     beta1 = list(map(mul, repeat(p0.beta1), l_h))
     beta2 = list(map(add, repeat(p0.beta2), map(mul, repeat(p0.beta1), s)))
-    # product_of_terms' ordered product.  The labor quantities lie in [0, 1]
-    # with exponents >= 0, and at a zero quantity x ** e is its convention:
-    # 0 ** e = 0 for e > 0, and 0 ** 0 = 1 leaves y as it is.
+    # the step's parameter record by column: the fields that move with the
+    # step, and p0's value in every other
+    moving = {"K_AGI": k_agi, "L_h": l_h, "L_AGI": s, "beta1": beta1, "beta2": beta2}
+    model = {field: moving.get(field, [getattr(p0, field)] * len(steps)) for field in p0._fields}
+    # product_of_terms' ordered product over ModelIIIParams.TERMS.  The labor
+    # quantities lie in [0, 1] with exponents >= 0, and at a zero quantity
+    # x ** e is its convention: 0 ** e = 0 for e > 0, and 0 ** 0 = 1 leaves y.
     try:
-        y = map(mul, repeat(p0.A * p0.K**p0.alpha), map(pow, k_agi, repeat(p0.gamma)))
-        y = map(mul, y, map(pow, l_h, beta1))
-        y = list(map(mul, y, map(pow, s, beta2)))
+        y = model["A"]
+        for _, (base,), exponent in ModelIIIParams.TERMS:
+            y = map(mul, y, map(pow, model[base], model[exponent]))
+        y = list(y)
     except OverflowError:
         y = [math.inf] * len(steps)
     if not all(map(math.isfinite, y)):
-        step = p0._replace(K_AGI=k_agi[0], L_h=l_h[0], L_AGI=s[0], beta1=beta1[0], beta2=beta2[0])
+        step = p0._replace(**{field: values[0] for field, values in moving.items()})
         try:
             model_output(step)  # raises for a Y the ordered product leaves non-finite
         except NonFiniteOutputError as exc:
             raise SimulationFailureError(f"step {steps[0]}: {exc}") from exc
-    w_h = _factor_wages(y, l_h, beta1)
-    w_agi = _factor_wages(y, s, beta2)
+    w_h, w_agi = (
+        _factor_wages(y, model[base], model[exponent])
+        for factor, (base,), exponent in ModelIIIParams.TERMS if factor in ModelIIIParams.LABOR
+    )
     wage_bill = list(map(mul, w_h, l_h))
     for label, column, defined in (
         ("w_h", w_h, all(map(math.isfinite, w_h))),
@@ -356,12 +366,12 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
     ):
         if not defined:
             raise SimulationFailureError(f"step {steps[0]}: {label} is not finite ({column[0]!r})")
-    p_h_elastic = map(truediv, beta1, map(add, beta1, beta2))
-    p_h_transition = power_columns(cfg.transition, s)[2]
-    fields = (
-        steps, s, beta1, beta2, repeat(p0.K), k_agi, l_h, s, y, w_h, w_agi, p_h_elastic,
-        p_h_transition, wage_bill,
-    )
+    columns = {
+        **model, "t": steps, "s": s, "Y": y, "w_h": w_h, "w_agi": w_agi,
+        "p_h_elastic": map(truediv, beta1, map(add, beta1, beta2)),
+        "p_h_transition": power_columns(cfg.transition, s)[2], "wage_bill": wage_bill,
+    }
+    fields = map(columns.__getitem__, TimeSeriesRecord._fields)
     return list(map(tuple.__new__, repeat(TimeSeriesRecord), zip(*fields)))
 
 

@@ -1195,6 +1195,31 @@ def test_module_runs_in_process(tmp_path, monkeypatch):
     assert (tmp_path / "eval.csv").read_bytes() == (GOLDEN / "eval.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [(["--help"], "usage: agiecon [-h]"), (["eval", "--help"], "usage: agiecon eval [-h]")],
+    ids=["help", "eval-help"],
+)
+def test_help_returns_0_in_process(argv, usage, capsys):
+    # argparse's help action used to raise SystemExit(0) out of main
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage)
+    assert "show this help message and exit" in captured.out and captured.err == ""
+
+
+def test_module_help_freezes_before_exit(monkeypatch, capsys):
+    # python -m agiecon --help: the process entry reaches gc.freeze() as any command does
+    monkeypatch.setattr(sys, "argv", ["agiecon", "--help"])
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("agiecon", run_name="__main__")
+    assert exited.value.code == 0
+    assert freezes == [True]
+    assert capsys.readouterr().out.startswith("usage: agiecon [-h]")
+
+
 def test_main_leaves_the_collector_unfrozen(tmp_path):
     # only the process entry freezes; library code and tests call main in process
     frozen = gc.get_freeze_count()
