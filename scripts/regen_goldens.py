@@ -14,28 +14,34 @@ from agiecon.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
+# (command, config, extra arguments, {artifact: golden file name})
 JOBS = [
-    ("eval", "eval_model3.ini", ["eval.csv"]),
-    ("sweep", "sweep_default.ini", ["power_curve.csv", "power_curve.svg"]),
-    ("simulate", "simulate_demo.ini", ["series.csv"]),
-    ("fit", "fit_demo.ini", ["fit.csv"]),
-    ("check", "sweep_default.ini", ["check.txt"]),
+    ("eval", "eval_model3.ini", [], {"eval.csv": "eval.csv"}),
+    ("sweep", "sweep_default.ini", [],
+     {"power_curve.csv": "power_curve.csv", "power_curve.svg": "power_curve.svg"}),
+    # 5000 grid points cross three of sweep's 2048-point windows
+    ("sweep", "sweep_default.ini",
+     ["--points", "5000", "--lambda", "2", "--lambda", "0.5", "--lambda", "9"],
+     {"power_curve.svg": "power_curve_family.svg"}),
+    ("simulate", "simulate_demo.ini", [], {"series.csv": "series.csv"}),
+    ("fit", "fit_demo.ini", [], {"fit.csv": "fit.csv"}),
+    ("check", "sweep_default.ini", [], {"check.txt": "check.txt"}),
 ]
 
 
 def run() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for command, config, artifacts in JOBS:
-            out_dir = Path(tmp) / command
+        for index, (command, config, extra, artifacts) in enumerate(JOBS):
+            out_dir = Path(tmp) / str(index)
             status = main(
-                [command, "--config", str(ROOT / "configs" / config), "--out", str(out_dir)]
+                [command, "--config", str(ROOT / "configs" / config), "--out", str(out_dir), *extra]
             )
             if status != 0:
                 raise SystemExit(f"{command} exited with {status}")
-            for name in artifacts:
-                shutil.copy(out_dir / name, GOLDEN / name)
-                print(f"updated {GOLDEN / name}")
+            for name, golden in artifacts.items():
+                shutil.copy(out_dir / name, GOLDEN / golden)
+                print(f"updated {GOLDEN / golden}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError,
 from .formatting import _BLOCK_ROWS, format_number, format_rows
 from .models import model_output, model_wages
 from .scenario import TimeSeriesRecord, detect_collapse, run_scenario
-from .transition import check_n_points, power_columns, power_curve
+from .transition import PowerCurve, check_n_points, power_columns, power_curve
 
 
 class _HelpShown(Exception):
@@ -159,10 +159,27 @@ def run_diagnostics():
     return run_diagnostics()
 
 
-def line_chart(**kwargs):
-    from .svg import line_chart
+def line_chart(chart, title, x_label, y_label):
+    from .svg import draw
 
-    return line_chart(**kwargs)
+    return draw(chart, title, x_label, y_label)
+
+
+# A CSV's header is its record's field names, with these spelled as the
+# artifacts have them.
+_CSV_NAMES = {"l_agi": "L_AGI", "w_agi": "w_AGI", "p_h": "P_h"}
+
+
+def _csv_header(fields: tuple[str, ...]) -> str:
+    return ",".join(_CSV_NAMES.get(name, name) for name in fields) + "\n"
+
+
+# power_curve.csv's rows are PowerCurve points, and p_h may be nan
+_CURVE_NAN = (PowerCurve._fields.index("p_h"),)
+# series.csv's rows are TimeSeriesRecords; t is an integer, and w_agi and
+# p_h_transition may be nan
+_SERIES_INTEGER = (TimeSeriesRecord._fields.index("t"),)
+_SERIES_NAN = tuple(map(TimeSeriesRecord._fields.index, ("w_agi", "p_h_transition")))
 
 
 def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
@@ -177,7 +194,16 @@ def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
 
 def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
-    from .svg import check_n_curves
+    """Write power_curve.csv one window of ``_BLOCK_ROWS`` grid points at a
+    time, and then power_curve.svg.
+
+    Each window's curves are computed and fed to the chart, and the first
+    curve's rows formatted and written, before the next window is computed,
+    so the command holds one window of every curve however large its grid.
+    The chart is drawn once the CSV's last window is written, inside the
+    same ``_write_all``, so a chart that fails leaves no CSV either.
+    """
+    from .svg import Chart
 
     n_points = parsed.n_points
     if args.points is not None:
@@ -188,40 +214,40 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
         n_points = args.points
     lambdas = args.lambdas if args.lambdas else [parsed.transition.lam]
     try:
-        check_n_curves(len(lambdas))
+        chart = Chart([f"lambda={lam:g}" for lam in lambdas])
         params = [parsed.transition._replace(lam=lam) for lam in lambdas]
     except DomainError as exc:
         raise UsageError(f"--lambda: {exc}") from exc
 
     # The CSV schema has no lambda column, so it carries the first curve;
     # the SVG overlays the whole family, each p_h over the first curve's grid.
-    first = power_curve(params[0], n_points)
-    p_h = [first.p_h] + [power_columns(tp, first.l_agi)[2] for tp in params[1:]]
-    chart = line_chart(
-        xs=first.l_agi,
-        curves=[(f"lambda={tp.lam:g}", ys) for tp, ys in zip(params, p_h)],
-        title="Human economic power vs AGI labor share",
-        x_label="AGI labor share",
-        y_label="human share of labor income",
-    )
+    def windows() -> Iterator[Iterator[tuple]]:
+        grid = range(n_points)
+        for start in range(0, n_points, _BLOCK_ROWS):
+            curve = power_curve(params[0], n_points, grid[start:start + _BLOCK_ROWS])
+            chart.add(
+                curve.l_agi, [curve.p_h] + [power_columns(tp, curve.l_agi)[2] for tp in params[1:]]
+            )
+            yield zip(*curve._values())
+
+    def drawn() -> Iterator[str]:
+        yield line_chart(
+            chart=chart,
+            title="Human economic power vs AGI labor share",
+            x_label="AGI labor share",
+            y_label="human share of labor income",
+        )
+
     _write_all(
         {
             out_dir / "power_curve.csv": chain(
-                ["L_AGI,w_h,w_AGI,P_h\n"],
-                # P_h is nan where the index is undefined
-                format_rows(zip(first.l_agi, first.w_h, first.w_agi, first.p_h), nan_columns=(3,)),
+                [_csv_header(PowerCurve._fields)],
+                format_rows(chain.from_iterable(windows()), nan_columns=_CURVE_NAN),
             ),
-            out_dir / "power_curve.svg": [chart],
+            out_dir / "power_curve.svg": drawn(),
         }
     )
     return 0
-
-
-# series.csv's rows are TimeSeriesRecords, and its header their field names with
-# w_agi spelled w_AGI; t is an integer, and w_agi and p_h_transition may be nan
-_SERIES_HEADER = ",".join({"w_agi": "w_AGI"}.get(name, name) for name in TimeSeriesRecord._fields)
-_SERIES_INTEGER = (TimeSeriesRecord._fields.index("t"),)
-_SERIES_NAN = tuple(map(TimeSeriesRecord._fields.index, ("w_agi", "p_h_transition")))
 
 
 def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
@@ -238,7 +264,7 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
     collapse: list[str] = []  # the collapse line, once a window has settled it
 
     def blocks() -> Iterator[str]:
-        yield _SERIES_HEADER + "\n"
+        yield _csv_header(TimeSeriesRecord._fields)
         steps = range(cfg.horizon + 1)
         for start in range(0, len(steps), _BLOCK_ROWS):
             window = run_scenario(cfg, steps[start:start + _BLOCK_ROWS])

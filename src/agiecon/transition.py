@@ -16,10 +16,11 @@ returned by ``human_power``.
 ``power_columns`` is the only statement of these formulas: it evaluates
 them over a whole column of shares.  ``human_wage``, ``agi_wage`` and
 ``human_power`` are its columns at one checked share, ``power_curve`` runs
-it over a uniform grid and returns the curve by column, as a
-``PowerCurve`` of tuples, and ``run_scenario`` runs it over a scenario's
-adoption shares.  ``sweep`` runs it over its first curve's grid for each
-further decay constant, so a sweep shares one grid without a cache.
+it over a uniform grid, or a window of one, and returns the curve by
+column, as a ``PowerCurve`` of tuples, and ``run_scenario`` runs it over a
+scenario's adoption shares.  ``sweep`` takes its grid one window at a
+time, and runs it over its first curve's window for each further decay
+constant, so it holds one window of every curve at any grid size.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ import math
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
-from .errors import DomainError, UndefinedIndexError
+from .errors import ContractViolationError, DomainError, UndefinedIndexError
 from .record import Record
 
-# A grid point of ``power_curve`` peaks at about 250 bytes of heap (VmHWM at 10**6
-# points, CPython 3.11, x86-64 Linux), and ``sweep`` peaks no higher than its first
-# curve, so this bound keeps one curve near 2.5 GB: a larger grid is a DomainError,
-# not a MemoryError.
+# A grid point of a whole ``power_curve`` peaks at about 250 bytes of heap (VmHWM at
+# 10**6 points, CPython 3.11, x86-64 Linux), so this bound keeps one curve near
+# 2.5 GB: a larger grid is a DomainError, not a MemoryError.  ``sweep`` takes the
+# grid one window at a time and stays near 17 MB VmHWM at any grid size.
 MAX_N_POINTS = 10_000_000
 
 
@@ -161,8 +162,9 @@ def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
     return decay, rise, p_h
 
 
-def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
-    """Uniform grid of n_points over l_agi in [0, 1].
+def power_curve(tp: TransitionParams, n_points: int, points: range | None = None) -> PowerCurve:
+    """Uniform grid of n_points over l_agi in [0, 1], or the window ``points``
+    of it.
 
     Points where the index is undefined carry p_h = NaN instead of
     poisoning the whole curve.  The grid is uniform on purpose: output is
@@ -173,9 +175,19 @@ def power_curve(tp: TransitionParams, n_points: int) -> PowerCurve:
     grid needs no share check, since i / (n - 1) lies in [0, 1].  Each call
     builds its own grid, which lives as long as the curve; another decay
     constant over the same grid is ``power_columns(tp, curve.l_agi)``.
+
+    ``points`` is a range of consecutive grid indices within
+    ``range(n_points)``; the curve of a window is those points of the
+    whole curve, so the curves of consecutive windows join to it.
     """
     check_n_points(n_points)  # before the grid is allocated
-    l_agi = tuple(map(truediv, range(n_points), repeat(n_points - 1)))
+    grid = range(n_points)
+    if points is None:
+        points = grid
+    elif not (isinstance(points, range) and points.step == 1 and 0 <= points.start
+              and points.stop <= n_points):
+        raise ContractViolationError(f"points must be a window of {grid!r}, got {points!r}")
+    l_agi = tuple(map(truediv, points, repeat(n_points - 1)))
     decay, rise, p_h = power_columns(tp, l_agi)
     return PowerCurve(
         l_agi, tuple(map(mul, repeat(tp.w0), decay)), tuple(map(mul, repeat(tp.w_inf), rise)),

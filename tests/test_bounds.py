@@ -1,21 +1,22 @@
-"""The library's size bounds, and simulate's memory, checked in a child process
-under a memory cap.
+"""The library's size bounds, and the memory of simulate and sweep, checked in
+a child process under a memory cap.
 
 A power curve above ``MAX_N_POINTS`` grid points and a run above
 ``MAX_HORIZON`` steps are DomainErrors raised before anything is allocated.
-``simulate`` holds one window of its run at a time, so a long run fits under
-the same cap.  The child caps its own address space (``RLIMIT_AS``) a
-little above what it holds once imported, so a check that ever moved after
-the allocation, or a command that ever held its whole run, would end the
-child in a MemoryError instead of exhausting the machine.  Nothing near a
-bound is built in this process.
+``simulate`` holds one window of its run at a time, and ``sweep`` one window
+of its grid, so a long run and a dense grid fit under the same cap.  The
+child caps its own address space (``RLIMIT_AS``) a little above what it
+holds once imported, so a check that ever moved after the allocation, or a
+command that ever held its whole run or grid, would end the child in a
+MemoryError instead of exhausting the machine.  Nothing near a bound is
+built in this process.
 """
 
 import sys
 
 import pytest
 
-from conftest import run_python
+from conftest import ROOT, run_python
 
 CAP = """
 import resource
@@ -123,3 +124,16 @@ def test_simulate_streams_a_long_run_under_the_cap(tmp_path):
     with open(tmp_path / "series.csv", "rb") as series:
         lines = sum(chunk.count(b"\n") for chunk in iter(lambda: series.read(1 << 20), b""))
     assert lines == 200_002  # the header and steps 0..200000
+
+
+@linux_only
+def test_sweep_streams_a_dense_grid_under_the_cap(tmp_path):
+    # the whole grid's three curves, chart and rows need about 115 MB above the import
+    argv = ["sweep", "--config", ROOT / "configs" / "sweep_default.ini", "--out", tmp_path,
+            "--points", 300_000, "--lambda", 2, "--lambda", 3, "--lambda", 5]
+    child = run_python(CAP + "print('exit', cli.main(sys.argv[1:]))", *argv)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "exit 0"
+    with open(tmp_path / "power_curve.csv", "rb") as curve:
+        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: curve.read(1 << 20), b""))
+    assert lines == 300_001  # the header and grid points 0..299999

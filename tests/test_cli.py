@@ -99,6 +99,13 @@ class TestSweep:
         for name in ("power_curve.csv", "power_curve.svg"):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
+    def test_family_golden_bytes(self, tmp_path):
+        # 5000 grid points cross three of the command's windows: 2048 + 2048 + 904
+        argv = ("--config", CONFIGS / "sweep_default.ini", "--out", tmp_path, "--points", 5000)
+        assert run_cli("sweep", *argv, "--lambda", 2, "--lambda", 0.5, "--lambda", 9) == 0
+        produced = (tmp_path / "power_curve.svg").read_bytes()
+        assert produced == (GOLDEN / "power_curve_family.svg").read_bytes()
+
     @pytest.mark.parametrize(
         ("w_inf", "digests"),
         [

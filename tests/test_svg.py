@@ -139,6 +139,46 @@ def chart_of(xs, curves):
     return line_chart(xs=xs, curves=curves, title="t", x_label="x", y_label="y")
 
 
+@st.composite
+def windowed_curves(draw):
+    """``dense_curves()``' points, a second y column (the first's reversed,
+    so its NaN y fall at mirrored points), and the (start, end) windows a
+    chart is fed them in: a stretch of up to 200 points one by one, cuts on
+    each side of each NaN point (so a window of NaN points only, and cuts
+    next to one), or drawn cuts, which with 100 grid x per pixel column
+    mostly fall inside a column's run."""
+    points = draw(dense_curves())
+    n = len(points)
+    second = [y for _, y in reversed(points)]
+    kind = draw(st.sampled_from(["single", "around-nan", "drawn"]))
+    if kind == "single":
+        first = draw(st.integers(0, n))
+        cuts = range(first, min(first + 200, n))
+    elif kind == "around-nan":
+        cuts = {cut for i, point in enumerate(points) if math.isnan(sum(point))
+                for cut in (i, i + 1)}
+    else:
+        cuts = draw(st.sets(st.integers(0, n)))
+    bounds = sorted({0, n, *cuts})
+    return points, second, list(zip(bounds, bounds[1:]))
+
+
+# a run of six points in pixel column 80 (x < 1/640), lowest in the first
+# window and highest in the second; the second curve's lowest is a 0.0 in
+# the first window tied with a -0.0 in the second, where the earlier is kept
+@example(([(0.0001, 0.5), (0.0002, 0.1), (0.0003, 0.4), (0.0004, 0.45), (0.0005, 0.9),
+           (0.0006, 0.6), (0.002, 0.3)],
+          [0.5, 0.0, 0.7, -0.0, 0.2, 0.9, 0.3], [(0, 3), (3, 7)]))
+@given(windowed_curves())
+def test_windows_never_change_the_chart(case):
+    points, second, windows = case
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    chart = svg.Chart(["c", "d"])
+    for start, end in windows:  # tuples, as a power curve's columns are
+        chart.add(tuple(xs[start:end]), [tuple(ys[start:end]), second[start:end]])
+    assert svg.draw(chart, "t", "x", "y") == chart_of(xs, [("c", ys), ("d", second)])
+
+
 @pytest.mark.parametrize("n", [1, 4, 5, 50000])
 @pytest.mark.parametrize("order", ["ascending", "unsorted"])
 def test_curves_sharing_an_x_column_draw_as_over_copies(n, order, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from agiecon import (
+    ContractViolationError,
     DomainError,
     PowerCurve,
     TransitionParams,
@@ -213,6 +214,36 @@ class TestPowerCurve:
             assert l_agi == tuple(i / (n - 1) for i in range(n))
             assert l_agi[0] == 0.0 and l_agi[-1] == 1.0
 
+    @pytest.mark.parametrize("n", [2, 2048, 2049, 5000])
+    @pytest.mark.parametrize("w_inf", [0.0, 1.5])
+    def test_windows_join_to_the_whole_curve(self, n, w_inf):
+        # sweep's windows of 2048 points, and uneven ones; w_inf = 0 ends in a nan
+        tp = TransitionParams(w0=0.7, w_inf=w_inf, lam=3.0)
+        whole = power_curve(tp, n)
+        grid = range(n)
+        blocks = range(0, n, 2048)
+        cuts = sorted({0, 1, n // 3, n - 1, n})
+        for bounds in [list(zip(blocks, [*blocks[1:], n])), list(zip(cuts, cuts[1:]))]:
+            windows = [power_curve(tp, n, grid[start:end]) for start, end in bounds]
+            for name in PowerCurve._fields:
+                joined = [x for window in windows for x in getattr(window, name)]
+                assert bits(joined) == bits(getattr(whole, name)), name
+
+    @pytest.mark.parametrize(
+        "points",
+        [[0, 1], range(0, 4, 2), range(4, 0, -1), range(-1, 2), range(3, 6), range(5, 7)],
+        ids=["list", "step-2", "step-minus-1", "before", "past-the-end", "after"],
+    )
+    def test_a_window_is_a_range_of_the_grid(self, points):
+        with pytest.raises(
+            ContractViolationError, match=r"^points must be a window of range\(0, 5\), got "
+        ):
+            power_curve(TransitionParams(), 5, points)
+
+    def test_the_grid_size_is_checked_before_the_window(self):
+        with pytest.raises(DomainError):
+            power_curve(TransitionParams(), 1, [0])
+
     def test_a_dropped_curve_leaves_nothing_allocated(self):
         # no grid outlives its curve; a kept 10**5-point grid is about 3.2 MB
         tracemalloc.start()
@@ -223,6 +254,11 @@ class TestPowerCurve:
         finally:
             tracemalloc.stop()
         assert left < 100_000
+
+
+def bits(column):
+    """The IEEE-754 bytes of a float column: equal for equal floats, NaN and signed zero included."""
+    return struct.pack(f"{len(column)}d", *column)
 
 
 def reference_point(tp, l):
