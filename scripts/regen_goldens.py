@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate the golden CLI artifacts in tests/golden/ from configs/.
 
-Only run this after verifying spot values by hand or via the oracle tests:
-goldens exist to freeze known-good bytes, not to chase the implementation.
+    PYTHONPATH=src python scripts/regen_goldens.py
+
+``JOBS`` is the one table of golden runs.  A tier-1 test in
+tests/test_cli.py runs this script into a temporary directory and checks
+that it writes every file of tests/golden/ byte for byte, and no other;
+that test compares bytes only.  Only run this after verifying spot values
+by hand: eval.csv and fit.csv have a few spot-value tests, series.csv and
+power_curve.csv none, and ROADMAP item 15 adds an oracle for every cell.
+Goldens exist to freeze known-good bytes, not to chase the implementation.
 """
 
 import shutil

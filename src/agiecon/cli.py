@@ -27,12 +27,12 @@ import contextlib
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, takewhile
+from itertools import takewhile
 from pathlib import Path
 
 from .config import ParsedConfig, build_scenario_config, parse_config_file
 from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError, UsageError
-from .formatting import _BLOCK_ROWS, format_number, format_rows
+from .formatting import format_number, format_rows
 from .models import model_output, model_wages
 from .scenario import TimeSeriesRecord, detect_collapse, run_scenario
 from .transition import PowerCurve, check_n_points, power_columns, power_curve
@@ -77,15 +77,16 @@ def _build_parser() -> _Parser:
 def _write_all(artifacts: dict[Path, Iterable[str]]) -> None:
     """Write every artifact or, on failure, leave each path as it was.
 
-    Each artifact is an iterable of text chunks, such as ``format_rows``'
-    blocks, and its chunks go one by one into a temp file beside its path,
-    so a large CSV is never held as one string.  Only once all are written
-    are they renamed into place, in order.  If a rename fails, those already
-    done are undone: a file that was there before is restored from a hard
-    link taken just before its rename, and a new one is removed (as is one
-    whose old file could not be linked).  Any error, including one raised
-    by a chunk iterator part way through, removes every temp file.  An
-    ``OSError`` becomes a ``UsageError`` naming the path it struck.
+    Each artifact is an iterable of text chunks, such as the formatted
+    windows of ``sweep`` and ``simulate``, and its chunks go one by one into
+    a temp file beside its path, so a large CSV is never held as one string.
+    Only once all are written are they renamed into place, in order.  If a
+    rename fails, those already done are undone: a file that was there
+    before is restored from a hard link taken just before its rename, and a
+    new one is removed (as is one whose old file could not be linked).  Any
+    error, including one raised by a chunk iterator part way through,
+    removes every temp file.  An ``OSError`` becomes a ``UsageError`` naming
+    the path it struck.
     """
     pid = os.getpid()
     staged = [(path, path.with_name(f".{path.name}.{pid}.tmp")) for path in artifacts]
@@ -174,11 +175,12 @@ def _csv_header(fields: tuple[str, ...]) -> str:
     return ",".join(_CSV_NAMES.get(name, name) for name in fields) + "\n"
 
 
+# sweep and simulate compute, format and write this many grid points or
+# steps at a time: a few hundred kB of text
+_WINDOW = 2048
 # power_curve.csv's rows are PowerCurve points, and p_h may be nan
 _CURVE_NAN = (PowerCurve._fields.index("p_h"),)
-# series.csv's rows are TimeSeriesRecords; t is an integer, and w_agi and
-# p_h_transition may be nan
-_SERIES_INTEGER = (TimeSeriesRecord._fields.index("t"),)
+# series.csv's rows are TimeSeriesRecords, and w_agi and p_h_transition may be nan
 _SERIES_NAN = tuple(map(TimeSeriesRecord._fields.index, ("w_agi", "p_h_transition")))
 
 
@@ -194,8 +196,8 @@ def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
 
 def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
-    """Write power_curve.csv one window of ``_BLOCK_ROWS`` grid points at a
-    time, and then power_curve.svg.
+    """Write power_curve.csv one window of ``_WINDOW`` grid points at a time,
+    and then power_curve.svg.
 
     Each window's curves are computed and fed to the chart, and the first
     curve's rows formatted and written, before the next window is computed,
@@ -221,14 +223,15 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
     # The CSV schema has no lambda column, so it carries the first curve;
     # the SVG overlays the whole family, each p_h over the first curve's grid.
-    def windows() -> Iterator[Iterator[tuple]]:
+    def rows() -> Iterator[str]:
+        yield _csv_header(PowerCurve._fields)
         grid = range(n_points)
-        for start in range(0, n_points, _BLOCK_ROWS):
-            curve = power_curve(params[0], n_points, grid[start:start + _BLOCK_ROWS])
+        for start in range(0, n_points, _WINDOW):
+            curve = power_curve(params[0], n_points, grid[start:start + _WINDOW])
             chart.add(
                 curve.l_agi, [curve.p_h] + [power_columns(tp, curve.l_agi)[2] for tp in params[1:]]
             )
-            yield zip(*curve._values())
+            yield format_rows(list(zip(*curve._values())), _CURVE_NAN)
 
     def drawn() -> Iterator[str]:
         yield line_chart(
@@ -238,20 +241,12 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
             y_label="human share of labor income",
         )
 
-    _write_all(
-        {
-            out_dir / "power_curve.csv": chain(
-                [_csv_header(PowerCurve._fields)],
-                format_rows(chain.from_iterable(windows()), nan_columns=_CURVE_NAN),
-            ),
-            out_dir / "power_curve.svg": drawn(),
-        }
-    )
+    _write_all({out_dir / "power_curve.csv": rows(), out_dir / "power_curve.svg": drawn()})
     return 0
 
 
 def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
-    """Write series.csv one window of ``_BLOCK_ROWS`` steps at a time.
+    """Write series.csv one window of ``_WINDOW`` steps at a time.
 
     Each window's records are computed, searched for the collapse step,
     formatted and written before the next is computed, so the command holds
@@ -263,11 +258,11 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
     theta = cfg.collapse_threshold
     collapse: list[str] = []  # the collapse line, once a window has settled it
 
-    def blocks() -> Iterator[str]:
+    def rows() -> Iterator[str]:
         yield _csv_header(TimeSeriesRecord._fields)
         steps = range(cfg.horizon + 1)
-        for start in range(0, len(steps), _BLOCK_ROWS):
-            window = run_scenario(cfg, steps[start:start + _BLOCK_ROWS])
+        for start in range(0, len(steps), _WINDOW):
+            window = run_scenario(cfg, steps[start:start + _WINDOW])
             if start == 0:
                 baseline = window[0].w_h
             if not collapse:
@@ -281,10 +276,10 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
                             f"collapse: human wage fell below {theta:g} of its initial value"
                             f" at step {step}"
                         )
-            yield from format_rows(window, _SERIES_INTEGER, _SERIES_NAN)
+            yield format_rows(window, _SERIES_NAN)
         _print_all(collapse)  # before _write_all renames anything into place
 
-    _write_all({out_dir / "series.csv": blocks()})
+    _write_all({out_dir / "series.csv": rows()})
     return 0
 
 

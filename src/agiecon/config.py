@@ -28,8 +28,6 @@ from .record import Record
 from .scenario import ADOPTION_PARAMS, AdoptionKind, AdoptionPath, ScenarioConfig, check_run
 from .transition import TransitionParams, check_n_points
 
-_SECTIONS = ("model", "transition", "scenario", "fit")
-
 DEFAULT_N_POINTS = 101
 
 
@@ -156,6 +154,16 @@ def _parse_fit(reader: _SectionReader) -> FitSpec:
     return FitSpec(factor_names=names, input_path=input_path)
 
 
+# each section's reader, in the order the sections are read: the first
+# error in this order is the one reported, whatever the document's order
+_SECTIONS = {
+    "model": _parse_model,
+    "transition": _parse_transition,
+    "scenario": _parse_scenario,
+    "fit": _parse_fit,
+}
+
+
 def parse_config_text(text: str) -> ParsedConfig:
     """Parse and validate a config document; defaults are applied here."""
     parser = configparser.ConfigParser(
@@ -173,29 +181,17 @@ def parse_config_text(text: str) -> ParsedConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"[{section}]: unknown section")
 
-    model_params = None
-    if parser.has_section("model"):
-        model_params = _parse_model(_SectionReader("model", parser["model"]))
-
-    if parser.has_section("transition"):
-        transition, n_points = _parse_transition(_SectionReader("transition", parser["transition"]))
-    else:
-        transition, n_points = TransitionParams(), DEFAULT_N_POINTS
-
-    scenario = None
-    if parser.has_section("scenario"):
-        scenario = _parse_scenario(_SectionReader("scenario", parser["scenario"]))
-
-    fit = None
-    if parser.has_section("fit"):
-        fit = _parse_fit(_SectionReader("fit", parser["fit"]))
-
+    read = {
+        name: parse(_SectionReader(name, parser[name]))
+        for name, parse in _SECTIONS.items() if parser.has_section(name)
+    }
+    transition, n_points = read.get("transition", (TransitionParams(), DEFAULT_N_POINTS))
     return ParsedConfig(
-        model_params=model_params,
+        model_params=read.get("model"),
         transition=transition,
         n_points=n_points,
-        scenario=scenario,
-        fit=fit,
+        scenario=read.get("scenario"),
+        fit=read.get("fit"),
     )
 
 

@@ -61,7 +61,7 @@ from .errors import (
 )
 from .models import ModelIIIParams, model_output
 from .record import Record
-from .transition import TransitionParams, _zeros, power_columns
+from .transition import TransitionParams, _window, _zeros, power_columns
 
 # unused by the step, kept importable: perfbench/tracer.py wraps these names here
 from .models import model_technology  # noqa: F401
@@ -290,12 +290,7 @@ def run_scenario(cfg: ScenarioConfig, steps: range | None = None) -> list[TimeSe
     serialize byte-identically.  Where a step fails one of the step checks,
     the first failing step raises its own error.
     """
-    run = range(cfg.horizon + 1)
-    if steps is None:
-        steps = run
-    elif not (isinstance(steps, range) and steps.step == 1 and 0 <= steps.start
-              and steps.stop <= len(run)):
-        raise ContractViolationError(f"steps must be a window of {run!r}, got {steps!r}")
+    steps = _window("steps", steps, range(cfg.horizon + 1))
     return _narrowed(cfg, steps, _adoption_curve(cfg.adoption, cfg.horizon)(steps))
 
 

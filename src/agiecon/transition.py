@@ -124,6 +124,18 @@ def check_n_points(n_points: int) -> None:
         raise DomainError(f"n_points must be an integer in [2, {MAX_N_POINTS}], got {n_points!r}")
 
 
+def _window(name: str, window: range | None, whole: range) -> range:
+    """``window``, or ``whole`` where it is None.  A window is a range of
+    consecutive indices within ``whole``; anything else is a
+    ContractViolationError that names the argument ``name``."""
+    if window is None:
+        return whole
+    if not (isinstance(window, range) and window.step == 1 and whole.start <= window.start
+            and window.stop <= whole.stop):
+        raise ContractViolationError(f"{name} must be a window of {whole!r}, got {window!r}")
+    return window
+
+
 def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
     """(decay, rise, p_h) over a column of shares in [0, 1], unchecked.
 
@@ -181,12 +193,7 @@ def power_curve(tp: TransitionParams, n_points: int, points: range | None = None
     whole curve, so the curves of consecutive windows join to it.
     """
     check_n_points(n_points)  # before the grid is allocated
-    grid = range(n_points)
-    if points is None:
-        points = grid
-    elif not (isinstance(points, range) and points.step == 1 and 0 <= points.start
-              and points.stop <= n_points):
-        raise ContractViolationError(f"points must be a window of {grid!r}, got {points!r}")
+    points = _window("points", points, range(n_points))
     l_agi = tuple(map(truediv, points, repeat(n_points - 1)))
     decay, rise, p_h = power_columns(tp, l_agi)
     return PowerCurve(

@@ -14,10 +14,8 @@ from agiecon.diagnostics import _random_instance
 FACTOR_POOL = ("K", "K_AGI", "L_h", "L_AGI", "M")
 ROOT = Path(__file__).resolve().parent.parent
 
-# Deeper runs of the differential properties, loaded only on request:
-# pytest --hypothesis-profile=thorough tests/test_scenario.py tests/test_transition.py \
-#     tests/test_svg.py tests/test_cli.py::TestSampleReader \
-#     tests/test_models.py::TestClassifyLimit
+# Deeper runs of the differential properties, loaded only on request with
+# --hypothesis-profile=thorough; CI's "Differential properties" step lists the tests
 settings.register_profile("thorough", max_examples=1000, deadline=None)
 # scripts/coverage.py's traced run, about three times slower than tier-1:
 # no deadline and no too_slow check, and derandomized draws, so the same

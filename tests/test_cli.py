@@ -3,6 +3,7 @@ import csv
 import errno
 import gc
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -31,9 +32,9 @@ from agiecon import (
     diagnostics,
     marginal_product,
 )
+from agiecon.cli import _WINDOW as BLOCK
 from agiecon.cli import _write_all, main
 from agiecon.errors import ConfigError
-from agiecon.formatting import _BLOCK_ROWS as BLOCK
 from agiecon.formatting import format_rows
 from agiecon.models import PARAM_TYPES
 from agiecon.scenario import ADOPTION_PARAMS, MAX_HORIZON
@@ -54,6 +55,21 @@ def texts_by_class(root, cls):
     return [el for el in root.iter(f"{SVG_NS}text") if el.get("class") == cls]
 
 
+def test_regen_goldens_reproduces_every_golden(tmp_path, monkeypatch):
+    # the script's JOBS is the one table of golden runs: it must write every
+    # file of tests/golden, byte for byte, and no other
+    script = ROOT / "scripts" / "regen_goldens.py"
+    spec = importlib.util.spec_from_file_location("regen_goldens", script)
+    regen_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen_goldens)
+    monkeypatch.setattr(regen_goldens, "GOLDEN", tmp_path)
+    regen_goldens.run()
+    golden = {path.name: path.read_bytes() for path in GOLDEN.iterdir()}
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(golden)
+    for name, expected in golden.items():
+        assert (tmp_path / name).read_bytes() == expected, name
+
+
 class TestEval:
     def test_model3_eval(self, tmp_path):
         assert run_cli("eval", "--config", CONFIGS / "eval_model3.ini", "--out", tmp_path) == 0
@@ -63,10 +79,6 @@ class TestEval:
         assert float(values["Y"]) == pytest.approx(30.0, rel=1e-9)
         assert float(values["w_L_h"]) == pytest.approx(0.5 * 30.0 / 25.0, rel=1e-9)
         assert float(values["w_L_AGI"]) == pytest.approx(0.7 * 30.0 / 1.0, rel=1e-9)
-
-    def test_golden_bytes(self, tmp_path):
-        assert run_cli("eval", "--config", CONFIGS / "eval_model3.ini", "--out", tmp_path) == 0
-        assert (tmp_path / "eval.csv").read_bytes() == (GOLDEN / "eval.csv").read_bytes()
 
     def test_zero_labor_is_a_computation_error(self, tmp_path):
         config = tmp_path / "bad.ini"
@@ -94,18 +106,6 @@ class TestEval:
 
 
 class TestSweep:
-    def test_golden_bytes(self, tmp_path):
-        assert run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
-        for name in ("power_curve.csv", "power_curve.svg"):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
-
-    def test_family_golden_bytes(self, tmp_path):
-        # 5000 grid points cross three of the command's windows: 2048 + 2048 + 904
-        argv = ("--config", CONFIGS / "sweep_default.ini", "--out", tmp_path, "--points", 5000)
-        assert run_cli("sweep", *argv, "--lambda", 2, "--lambda", 0.5, "--lambda", 9) == 0
-        produced = (tmp_path / "power_curve.svg").read_bytes()
-        assert produced == (GOLDEN / "power_curve_family.svg").read_bytes()
-
     @pytest.mark.parametrize(
         ("w_inf", "digests"),
         [
@@ -253,11 +253,11 @@ def _demo_scenario(*replacements):
 
 
 class TestSimulate:
-    def test_golden_bytes(self, tmp_path, capsys):
+    def test_demo_prints_its_collapse_line(self, tmp_path, capsys):
         assert run_cli("simulate", "--config", CONFIGS / "simulate_demo.ini", "--out", tmp_path) == 0
-        produced = (tmp_path / "series.csv").read_bytes()
-        assert produced == (GOLDEN / "series.csv").read_bytes()
-        assert "collapse" in capsys.readouterr().out
+        assert capsys.readouterr() == (
+            "collapse: human wage fell below 0.5 of its initial value at step 20\n", ""
+        )
 
     def test_schema(self, tmp_path):
         assert run_cli("simulate", "--config", CONFIGS / "simulate_demo.ini", "--out", tmp_path) == 0
@@ -299,10 +299,6 @@ class TestSimulate:
 
 
 class TestFit:
-    def test_golden_bytes(self, tmp_path):
-        assert run_cli("fit", "--config", CONFIGS / "fit_demo.ini", "--out", tmp_path) == 0
-        assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
-
     def test_recovers_generating_parameters(self, tmp_path):
         assert run_cli("fit", "--config", CONFIGS / "fit_demo.ini", "--out", tmp_path) == 0
         lines = (tmp_path / "fit.csv").read_text().splitlines()
@@ -713,8 +709,8 @@ class TestWrite:
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
-    # series.csv is written block by block; a failure part way through the
-    # blocks must leave the out directory as it was, with no temp file
+    # series.csv is written window by window; a failure part way through the
+    # windows must leave the out directory as it was, with no temp file
     @pytest.fixture(params=[None, b"old\r\nbytes\n"], ids=["fresh", "existing"])
     def out_dir(self, request, tmp_path):
         out = tmp_path / "out"
@@ -733,10 +729,10 @@ class TestWrite:
         blocks_given = []
 
         def failing_rows(*args, **kwargs):
-            blocks = format_rows(*args, **kwargs)
-            yield next(blocks)
+            if blocks_given:
+                raise SerializationError("cannot serialize non-finite value inf")
             blocks_given.append(1)
-            raise SerializationError("cannot serialize non-finite value inf")
+            return format_rows(*args, **kwargs)
 
         monkeypatch.setattr(cli, "format_rows", failing_rows)
         assert self.simulate_long(tmp_path, out) == 2
@@ -836,10 +832,6 @@ CHECK_NAMES = [
 
 
 class TestCheck:
-    def test_golden_bytes(self, tmp_path):
-        assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
-        assert (tmp_path / "check.txt").read_bytes() == (GOLDEN / "check.txt").read_bytes()
-
     def test_report_format_and_content(self, tmp_path):
         assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
         lines = (tmp_path / "check.txt").read_text().splitlines()

@@ -202,6 +202,12 @@ class TestScenarioSection:
         with pytest.raises(ConfigError, match=r"\[scenarios\]"):
             parse_config_text("[scenarios]\nhorizon = 10\n")
 
+    def test_sections_are_read_in_a_fixed_order(self):
+        # [model] is read before [scenario], wherever the document puts them
+        text = "[scenario]\nhorizon = 0\n\n[model]\nid = model_x\n"
+        with pytest.raises(ConfigError, match=r"^\[model\]\.id: expected one of "):
+            parse_config_text(text)
+
     def test_comments_and_spacing_tolerated(self):
         text = "# top note\n[scenario]\nhorizon = 10  # steps\nadoption = exp_saturating\nr = 0.5\n"
         parsed = parse_config_text(text)

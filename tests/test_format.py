@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agiecon import SerializationError, format_number
-from agiecon.formatting import _BLOCK_ROWS as BLOCK
+from agiecon.cli import _WINDOW as BLOCK
 from agiecon.formatting import format_number_or_nan, format_rows
 
 PATTERN = re.compile(r"^-?\d\.\d{9}e-?(0|[1-9]\d*)$")
@@ -78,7 +78,6 @@ def test_format_number_matches_split_exponent_oracle(x):
 
 
 # rows laid out like series.csv: an integer step, numbers, and nan-able columns
-INTEGER_COLUMNS = (0,)
 NAN_COLUMNS = (2, 4)
 rows_strategy = st.lists(
     st.tuples(
@@ -88,6 +87,7 @@ rows_strategy = st.lists(
         finite,
         st.one_of(finite, st.just(math.nan)),
     ),
+    min_size=1,
     max_size=20,
 )
 
@@ -104,10 +104,10 @@ def per_cell(rows):
 
 @given(rows_strategy)
 def test_format_rows_matches_per_cell_formatting(rows):
-    assert format_in_blocks(rows) == per_cell(rows)
+    assert format_rows(rows, NAN_COLUMNS) == per_cell(rows)
 
 
-@given(rows_strategy.filter(bool), st.data())
+@given(rows_strategy, st.data())
 def test_format_rows_rejects_non_finite_cells(rows, data):
     index = data.draw(st.integers(0, len(rows) - 1))
     column = data.draw(st.sampled_from((1, 2, 3, 4)))
@@ -118,7 +118,7 @@ def test_format_rows_rejects_non_finite_cells(rows, data):
     row[column] = bad
     rows[index] = tuple(row)
     with pytest.raises(SerializationError):
-        format_in_blocks(rows)
+        format_rows(rows, NAN_COLUMNS)
 
 
 def block_table(n_rows, seed, nan_rows=()):
@@ -144,52 +144,37 @@ def format_outcome(render, rows):
         return str(exc)
 
 
-def blocks_of(rows):
-    return list(format_rows(rows, integer_columns=INTEGER_COLUMNS, nan_columns=NAN_COLUMNS))
-
-
-def format_in_blocks(rows):
-    return "".join(blocks_of(rows))
-
-
-def test_format_rows_of_no_rows_yields_no_block():
-    assert blocks_of([]) == []
-    assert blocks_of(iter([])) == []
-
-
-@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-def test_format_rows_of_a_generator_matches_a_list(n_rows):
-    rows = block_table(n_rows, seed=n_rows, nan_rows=[0, n_rows - 1])
-    assert blocks_of(row for row in rows) == blocks_of(rows)
+def in_windows(rows):
+    """``format_rows`` of each window of ``BLOCK`` rows, joined, as a command writes them."""
+    return "".join(format_rows(rows[start:start + BLOCK], NAN_COLUMNS)
+                   for start in range(0, len(rows), BLOCK))
 
 
 @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_format_rows_blocks_match_per_cell_formatting(n_rows):
     nan_rows = sorted({0, n_rows // 2, n_rows - 1, min(BLOCK, n_rows - 1)})
     rows = block_table(n_rows, seed=n_rows, nan_rows=nan_rows)
-    blocks = blocks_of(rows)
-    # whole blocks of BLOCK rows, each ending at a line end, then the rest
-    assert [block.count("\n") for block in blocks] == [
-        min(BLOCK, n_rows - start) for start in range(0, n_rows, BLOCK)
-    ]
-    assert all(block.endswith("\n") for block in blocks)
-    assert "".join(blocks) == per_cell(rows)
+    assert format_rows(rows, NAN_COLUMNS) == per_cell(rows)
+    assert in_windows(rows) == per_cell(rows)
 
 
 @pytest.mark.parametrize("n_rows", [2 * BLOCK + 2, 3 * BLOCK + 7])
 @pytest.mark.parametrize("first_bad", [0, BLOCK - 1, BLOCK])
 def test_format_rows_blocks_raise_the_first_bad_row(n_rows, first_bad):
     # NaN in the NaN columns everywhere is accepted; the first row with a
-    # non-finite cell elsewhere is the one reported, whichever block holds it
+    # non-finite cell elsewhere is the one reported, whichever window holds it
     rows = block_table(n_rows, seed=first_bad, nan_rows=range(0, n_rows, 97))
     for i, bad in ((first_bad, math.inf), (first_bad + BLOCK, math.nan), (n_rows - 1, -math.inf)):
         rows[i] = rows[i][:3] + (bad,) + rows[i][4:]
     message = format_outcome(per_cell, rows)
     assert message == f"cannot serialize non-finite value {math.inf!r}"
-    assert format_outcome(format_in_blocks, rows) == message
-    # a generator yields the same blocks before the first bad row's error
-    given = []
-    with pytest.raises(SerializationError, match="^cannot serialize non-finite value inf$"):
-        for block in format_rows((row for row in rows), INTEGER_COLUMNS, NAN_COLUMNS):
-            given.append(block)
-    assert given == blocks_of(rows[:first_bad - first_bad % BLOCK])
+    assert format_outcome(lambda rows: format_rows(rows, NAN_COLUMNS), rows) == message
+    assert format_outcome(in_windows, rows) == message
+
+
+def test_an_int_cell_is_written_with_d_in_any_column():
+    # t last, and a NaN in a NaN column sends the second row cell by cell
+    rows = [(0.5, -0.0, 7), (1e-5, math.nan, 12), (2.0, 3.0, 4096)]
+    assert format_rows(rows, nan_columns=(1,)) == (
+        "5.000000000e-1,0.000000000e0,7\n1.000000000e-5,nan,12\n2.000000000e0,3.000000000e0,4096\n"
+    )
