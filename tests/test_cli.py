@@ -80,6 +80,10 @@ class TestEval:
         assert float(values["w_L_h"]) == pytest.approx(0.5 * 30.0 / 25.0, rel=1e-9)
         assert float(values["w_L_AGI"]) == pytest.approx(0.7 * 30.0 / 1.0, rel=1e-9)
 
+    def test_golden_bytes(self, tmp_path):
+        assert run_cli("eval", "--config", CONFIGS / "eval_model3.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "eval.csv").read_bytes() == (GOLDEN / "eval.csv").read_bytes()
+
     def test_zero_labor_is_a_computation_error(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text(
@@ -106,6 +110,18 @@ class TestEval:
 
 
 class TestSweep:
+    def test_golden_bytes(self, tmp_path):
+        assert run_cli("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
+        for name in ("power_curve.csv", "power_curve.svg"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_family_golden_bytes(self, tmp_path):
+        # 5000 grid points cross three of the command's windows: 2048 + 2048 + 904
+        argv = ("--config", CONFIGS / "sweep_default.ini", "--out", tmp_path, "--points", 5000)
+        assert run_cli("sweep", *argv, "--lambda", 2, "--lambda", 0.5, "--lambda", 9) == 0
+        produced = (tmp_path / "power_curve.svg").read_bytes()
+        assert produced == (GOLDEN / "power_curve_family.svg").read_bytes()
+
     @pytest.mark.parametrize(
         ("w_inf", "digests"),
         [
@@ -253,6 +269,12 @@ def _demo_scenario(*replacements):
 
 
 class TestSimulate:
+    def test_golden_bytes(self, tmp_path, capsys):
+        assert run_cli("simulate", "--config", CONFIGS / "simulate_demo.ini", "--out", tmp_path) == 0
+        produced = (tmp_path / "series.csv").read_bytes()
+        assert produced == (GOLDEN / "series.csv").read_bytes()
+        assert "collapse" in capsys.readouterr().out
+
     def test_demo_prints_its_collapse_line(self, tmp_path, capsys):
         assert run_cli("simulate", "--config", CONFIGS / "simulate_demo.ini", "--out", tmp_path) == 0
         assert capsys.readouterr() == (
@@ -299,6 +321,10 @@ class TestSimulate:
 
 
 class TestFit:
+    def test_golden_bytes(self, tmp_path):
+        assert run_cli("fit", "--config", CONFIGS / "fit_demo.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "fit.csv").read_bytes() == (GOLDEN / "fit.csv").read_bytes()
+
     def test_recovers_generating_parameters(self, tmp_path):
         assert run_cli("fit", "--config", CONFIGS / "fit_demo.ini", "--out", tmp_path) == 0
         lines = (tmp_path / "fit.csv").read_text().splitlines()
@@ -832,6 +858,10 @@ CHECK_NAMES = [
 
 
 class TestCheck:
+    def test_golden_bytes(self, tmp_path):
+        assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
+        assert (tmp_path / "check.txt").read_bytes() == (GOLDEN / "check.txt").read_bytes()
+
     def test_report_format_and_content(self, tmp_path):
         assert run_cli("check", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path) == 0
         lines = (tmp_path / "check.txt").read_text().splitlines()
