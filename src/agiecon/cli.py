@@ -74,12 +74,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_all(artifacts: dict[Path, Iterable[str]]) -> None:
+def _write_all(artifacts: dict[Path, Iterable[bytes]]) -> None:
     """Write every artifact or, on failure, leave each path as it was.
 
-    Each artifact is an iterable of text chunks, such as the formatted
+    Each artifact is an iterable of byte chunks, such as the formatted
     windows of ``sweep`` and ``simulate``, and its chunks go one by one into
-    a temp file beside its path, so a large CSV is never held as one string.
+    a temp file opened in binary mode beside its path, so a large CSV is
+    never held as one object and its bytes are not encoded a second time.
     Only once all are written are they renamed into place, in order.  If a
     rename fails, those already done are undone: a file that was there
     before is restored from a hard link taken just before its rename, and a
@@ -95,7 +96,7 @@ def _write_all(artifacts: dict[Path, Iterable[str]]) -> None:
     try:
         for path, temp in staged:
             failing = path
-            with open(temp, "w", encoding="utf-8", newline="") as handle:
+            with open(temp, "wb") as handle:
                 handle.writelines(artifacts[path])
         for path, temp in staged:
             failing = path
@@ -166,13 +167,18 @@ def line_chart(chart, title, x_label, y_label):
     return draw(chart, title, x_label, y_label)
 
 
+def _text(lines: Iterable[str]) -> bytes:
+    """``lines``, each ended by a newline, as one UTF-8 chunk."""
+    return ("\n".join(lines) + "\n").encode()
+
+
 # A CSV's header is its record's field names, with these spelled as the
 # artifacts have them.
 _CSV_NAMES = {"l_agi": "L_AGI", "w_agi": "w_AGI", "p_h": "P_h"}
 
 
-def _csv_header(fields: tuple[str, ...]) -> str:
-    return ",".join(_CSV_NAMES.get(name, name) for name in fields) + "\n"
+def _csv_header(fields: tuple[str, ...]) -> bytes:
+    return _text([",".join(_CSV_NAMES.get(name, name) for name in fields)])
 
 
 # sweep and simulate compute, format and write this many grid points or
@@ -191,7 +197,7 @@ def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
     wages = model_wages(parsed.model_params)
     lines = ["quantity,value", f"Y,{format_number(y)}"]
     lines += [f"w_{factor},{format_number(wage)}" for factor, wage in wages.items()]
-    _write_all({out_dir / "eval.csv": ["\n".join(lines) + "\n"]})
+    _write_all({out_dir / "eval.csv": [_text(lines)]})
     return 0
 
 
@@ -223,7 +229,7 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
 
     # The CSV schema has no lambda column, so it carries the first curve;
     # the SVG overlays the whole family, each p_h over the first curve's grid.
-    def rows() -> Iterator[str]:
+    def rows() -> Iterator[bytes]:
         yield _csv_header(PowerCurve._fields)
         grid = range(n_points)
         for start in range(0, n_points, _WINDOW):
@@ -233,13 +239,13 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
             )
             yield format_rows(list(zip(*curve._values())), _CURVE_NAN)
 
-    def drawn() -> Iterator[str]:
+    def drawn() -> Iterator[bytes]:
         yield line_chart(
             chart=chart,
             title="Human economic power vs AGI labor share",
             x_label="AGI labor share",
             y_label="human share of labor income",
-        )
+        ).encode()
 
     _write_all({out_dir / "power_curve.csv": rows(), out_dir / "power_curve.svg": drawn()})
     return 0
@@ -258,7 +264,7 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
     theta = cfg.collapse_threshold
     collapse: list[str] = []  # the collapse line, once a window has settled it
 
-    def rows() -> Iterator[str]:
+    def rows() -> Iterator[bytes]:
         yield _csv_header(TimeSeriesRecord._fields)
         steps = range(cfg.horizon + 1)
         for start in range(0, len(steps), _WINDOW):
@@ -299,13 +305,13 @@ def _cmd_fit(parsed: ParsedConfig, out_dir: Path, args) -> int:
     ]
     lines.append(f"rss,{format_number(result.residual_sum_squares)}")
     lines.append(f"n_samples,{result.sample_count}")
-    _write_all({out_dir / "fit.csv": ["\n".join(lines) + "\n"]})
+    _write_all({out_dir / "fit.csv": [_text(lines)]})
     return 0
 
 
 def _cmd_check(parsed: ParsedConfig, out_dir: Path, args) -> int:
     diagnostics = run_diagnostics()
-    _write_all({out_dir / "check.txt": ["\n".join(d.line() for d in diagnostics) + "\n"]})
+    _write_all({out_dir / "check.txt": [_text(d.line() for d in diagnostics)]})
     return 0 if all(d.ok for d in diagnostics) else 2
 
 

@@ -5,10 +5,13 @@ golden files: shortest-round-trip output differs across language runtimes,
 fixed-digit output does not.
 
 ``format_number`` writes one value.  ``format_rows`` writes one window of
-CSV rows with the same definition, as one text: each row goes through a
-single ``%``-format (``%d`` per ``int`` cell, ``%.9e`` per number cell),
-and the exponents are then normalized by a few ``str.replace`` passes over
-the window's text, in place of one Python-level call per cell.  A row that
+CSV rows with the same definition, as ``bytes`` ready for a file opened in
+binary mode: each row goes through a single bytes ``%``-format (``%d`` per
+``int`` cell, ``%.9e`` per number cell), in place of one Python-level call
+per cell.  One normalizer, ``_normalize``, then rewrites the exponents of a
+single cell or of a whole window with a few ``bytes.replace`` passes.  Its
+``e+`` pass runs only when a ``+`` is left after the ``e+0`` pass, which is
+only for an exponent of 10 or more; most windows have none.  A row that
 formats to ``nan`` or ``inf`` is rewritten cell by cell with
 ``format_number`` and ``format_number_or_nan``, which accept or reject it
 exactly as they would alone.
@@ -23,19 +26,18 @@ from operator import mod
 
 from .errors import SerializationError
 
-_NUMBER = "%.9e"
+_NUMBER = b"%.9e"
 
 
-def _normalize(text: str) -> str:
+def _normalize(text: bytes) -> bytes:
     """Rewrite ``%.9e`` output into the artifact form: no signed zero, no
     ``+`` and no zero padding in exponents (``e+05`` -> ``e5``, ``e-05`` ->
-    ``e-5``, ``e+00`` -> ``e0``)."""
-    return (
-        text.replace("-0.000000000e+00", "0.000000000e+00")
-        .replace("e+0", "e")
-        .replace("e+", "e")
-        .replace("e-0", "e-")
-    )
+    ``e-5``, ``e+00`` -> ``e0``, ``e+100`` -> ``e100``)."""
+    text = text.replace(b"-0.000000000e+00", b"0.000000000e+00").replace(b"e+0", b"e")
+    # "+" occurs only in exponents, and "e+0" took those below 10
+    if b"+" in text:
+        text = text.replace(b"e+", b"e")
+    return text.replace(b"e-0", b"e-")
 
 
 def format_number(x: float) -> str:
@@ -48,7 +50,7 @@ def format_number(x: float) -> str:
     value = float(x)
     if not math.isfinite(value):
         raise SerializationError(f"cannot serialize non-finite value {x!r}")
-    return _normalize(_NUMBER % value)
+    return _normalize(_NUMBER % value).decode()
 
 
 def format_number_or_nan(x: float) -> str:
@@ -57,35 +59,35 @@ def format_number_or_nan(x: float) -> str:
     return "nan" if math.isnan(x) else format_number(x)
 
 
-def format_rows(rows: Sequence[Sequence[float]], nan_columns: Container[int] = ()) -> str:
-    """CSV text of ``rows``, one ``\\n``-terminated line per row.
+def format_rows(rows: Sequence[Sequence[float]], nan_columns: Container[int] = ()) -> bytes:
+    """CSV bytes of ``rows``, one ``\\n``-terminated line per row.
 
     ``rows`` is a non-empty sequence, such as one window of a command's
     records, and every row has the types of the first.  An ``int`` cell is
     written with ``%d``; every other cell is written as ``format_number``
     would write it, or as ``format_number_or_nan`` for a column listed in
     ``nan_columns``.  Raises SerializationError for an infinite cell, or a
-    NaN cell outside ``nan_columns``: the first such row's.  The text ends
-    at a ``\\n``, which no ``_normalize`` pattern holds, so the texts of
-    consecutive windows join to the text of all their rows.
+    NaN cell outside ``nan_columns``: the first such row's.  The bytes end
+    at a ``\\n``, which no ``_normalize`` pattern holds, so the bytes of
+    consecutive windows join to the bytes of all their rows.
     """
-    template = ",".join("%d" if isinstance(cell, int) else _NUMBER for cell in rows[0]) + "\n"
+    template = b",".join(b"%d" if isinstance(cell, int) else _NUMBER for cell in rows[0]) + b"\n"
     lines = list(map(mod, repeat(template), rows))
-    text = "".join(lines)
+    text = b"".join(lines)
     # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold an "n"
-    if "n" in text:
+    if b"n" in text:
         for i, line in enumerate(lines):
-            if "n" in line:
+            if b"n" in line:
                 lines[i] = _checked_line(rows[i], nan_columns)
-        text = "".join(lines)
+        text = b"".join(lines)
     return _normalize(text)
 
 
-def _checked_line(row, nan_columns) -> str:
+def _checked_line(row, nan_columns) -> bytes:
     cells = [
         "%d" % value if isinstance(value, int)
         else format_number_or_nan(value) if i in nan_columns
         else format_number(value)
         for i, value in enumerate(row)
     ]
-    return ",".join(cells) + "\n"
+    return (",".join(cells) + "\n").encode()

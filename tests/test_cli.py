@@ -708,21 +708,21 @@ class TestConfigDocuments:
         assert stderr.getvalue().count("\n") == (0 if code == 0 else 1)
 
 
-class _FullDisk(io.TextIOWrapper):
-    """A text file whose second ``write`` fails as a full disk would."""
+class _FullDisk(io.BufferedWriter):
+    """A binary file whose second ``write`` fails as a full disk would."""
 
     writes = 0
 
-    def write(self, text):
+    def write(self, data):
         self.writes += 1
         if self.writes == 2:
             raise OSError(errno.ENOSPC, "No space left on device")
-        return super().write(text)
+        return super().write(data)
 
 
-def _full_disk_open(path, mode, encoding, newline):
-    assert mode == "w"
-    return _FullDisk(io.FileIO(path, mode), encoding=encoding, newline=newline)
+def _full_disk_open(path, mode):
+    assert mode == "wb"
+    return _FullDisk(io.FileIO(path, mode))
 
 
 class TestWrite:
@@ -730,8 +730,22 @@ class TestWrite:
         # the file used to be truncated before the failing write
         target = tmp_path / "fit.csv"
         target.write_text("old\n")
-        with pytest.raises(UnicodeEncodeError):
-            _write_all({target: ["new\ud800\n"]})
+
+        def chunks():
+            yield b"new\n"
+            raise SerializationError("cannot serialize non-finite value inf")
+
+        with pytest.raises(SerializationError):
+            _write_all({target: chunks()})
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_text_chunk_is_refused(self, tmp_path):
+        # artifacts are written in binary mode: text is never encoded on the way
+        target = tmp_path / "fit.csv"
+        target.write_text("old\n")
+        with pytest.raises(TypeError):
+            _write_all({target: ["new\n"]})
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -771,13 +785,14 @@ class TestWrite:
         out, before = out_dir
         lines_written = []
 
-        class Counting(io.TextIOWrapper):
-            def write(self, text):
-                lines_written.append(text.count("\n"))
-                return super().write(text)
+        class Counting(io.BufferedWriter):
+            def write(self, data):
+                lines_written.append(data.count(b"\n"))
+                return super().write(data)
 
-        def counting_open(path, mode, encoding, newline):
-            return Counting(io.FileIO(path, mode), encoding=encoding, newline=newline)
+        def counting_open(path, mode):
+            assert mode == "wb"
+            return Counting(io.FileIO(path, mode))
 
         monkeypatch.setattr(cli, "open", counting_open, raising=False)
         config = tmp_path / "overflow.ini"

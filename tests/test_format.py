@@ -23,7 +23,9 @@ PATTERN = re.compile(r"^-?\d\.\d{9}e-?(0|[1-9]\d*)$")
         (math.exp(-1.0), "3.678794412e-1"),
         (-math.exp(-1.0), "-3.678794412e-1"),
         (12.0, "1.200000000e1"),
+        (1e10, "1.000000000e10"),  # the smallest exponent that keeps its "+" past "e+0"
         (1.23e17, "1.230000000e17"),
+        (5e-324, "4.940656458e-324"),
         (5.0e-9, "5.000000000e-9"),
         (9.9999999995e-1, "9.999999999e-1"),  # stored just below the midpoint
         (0.999999999951, "1.000000000e0"),  # carries into the exponent
@@ -104,7 +106,7 @@ def per_cell(rows):
 
 @given(rows_strategy)
 def test_format_rows_matches_per_cell_formatting(rows):
-    assert format_rows(rows, NAN_COLUMNS) == per_cell(rows)
+    assert format_rows(rows, NAN_COLUMNS) == per_cell(rows).encode("ascii")
 
 
 @given(rows_strategy, st.data())
@@ -146,7 +148,7 @@ def format_outcome(render, rows):
 
 def in_windows(rows):
     """``format_rows`` of each window of ``BLOCK`` rows, joined, as a command writes them."""
-    return "".join(format_rows(rows[start:start + BLOCK], NAN_COLUMNS)
+    return b"".join(format_rows(rows[start:start + BLOCK], NAN_COLUMNS)
                    for start in range(0, len(rows), BLOCK))
 
 
@@ -154,8 +156,8 @@ def in_windows(rows):
 def test_format_rows_blocks_match_per_cell_formatting(n_rows):
     nan_rows = sorted({0, n_rows // 2, n_rows - 1, min(BLOCK, n_rows - 1)})
     rows = block_table(n_rows, seed=n_rows, nan_rows=nan_rows)
-    assert format_rows(rows, NAN_COLUMNS) == per_cell(rows)
-    assert in_windows(rows) == per_cell(rows)
+    assert format_rows(rows, NAN_COLUMNS) == per_cell(rows).encode("ascii")
+    assert in_windows(rows) == per_cell(rows).encode("ascii")
 
 
 @pytest.mark.parametrize("n_rows", [2 * BLOCK + 2, 3 * BLOCK + 7])
@@ -176,5 +178,27 @@ def test_an_int_cell_is_written_with_d_in_any_column():
     # t last, and a NaN in a NaN column sends the second row cell by cell
     rows = [(0.5, -0.0, 7), (1e-5, math.nan, 12), (2.0, 3.0, 4096)]
     assert format_rows(rows, nan_columns=(1,)) == (
-        "5.000000000e-1,0.000000000e0,7\n1.000000000e-5,nan,12\n2.000000000e0,3.000000000e0,4096\n"
+        b"5.000000000e-1,0.000000000e0,7\n1.000000000e-5,nan,12\n2.000000000e0,3.000000000e0,4096\n"
     )
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # no exponent of 10 or more is left after the "e+0" pass, so the
+        # "e+" pass is skipped
+        (0.5, -0.0, 3.0e5, -2.5e-5, 9.9e9, 1e-10),
+        # exponents of 10 and more, both signs, and the smallest subnormal
+        (1e10, -1e-10, 1.5e100, 5e-324, -0.0, 12.0),
+    ],
+    ids=["small-exponents", "large-exponents"],
+)
+def test_format_rows_normalizes_either_branch_as_format_number(cells):
+    rows = [(t, *cells[t:], *cells[:t]) for t in range(len(cells))]
+    # the "e+" pass runs only where "%.9e" wrote an exponent of 10 or more
+    raw = b",".join(b"%.9e" % cell for cell in cells)
+    assert (b"+" in raw.replace(b"e+0", b"e")) == (1e10 in cells)
+    text = format_rows(rows)
+    want = "".join(",".join([str(row[0]), *map(format_number, row[1:])]) + "\n" for row in rows)
+    assert text == want.encode("ascii")
+    assert b"+" not in text
