@@ -6,7 +6,11 @@ ln Y = ln A + sum_i e_i ln x_i, solved by least squares in pure Python.
 the solution once from the true residual; a design too ill-conditioned for
 that goes to Householder QR.  Rank deficiency is detected as
 ``numpy.linalg.lstsq`` detects it, at a relative singular-value cutoff of
-1e-10.  Every long sum is left-to-right float addition, so the fit is
+1e-10.  A residual pass maps one lambda, compiled for the coefficients,
+over the rows: ``t - b0 - b1 * x0 - ...``, the operations of y - X b in
+their order.  The refinement keeps its residual as a list; the residual sum
+of squares squares each row's residual in the same lambda and sums it at
+once.  Every long sum is left-to-right float addition, so the fit is
 deterministic for a fixed sample order and the same bits on every
 supported Python version.  No regularization: the target is exact
 identification on synthetic data, not econometric inference.
@@ -29,7 +33,7 @@ import sys
 from collections import Counter
 from functools import reduce
 from itertools import combinations, repeat, starmap
-from operator import add, mul, sub
+from operator import add, mul
 from pathlib import Path
 from types import MappingProxyType
 
@@ -53,6 +57,12 @@ _RANK_RCOND = 1e-10
 _CHOLESKY_RCOND = 1e-5
 _JACOBI_SWEEPS = 30
 _EPSILON = sys.float_info.epsilon
+
+# Each residual pass compiles one lambda with a subtraction per factor, and
+# CPython's compiler recurses once per subtraction: on 3.11 a 2,000-term
+# lambda compiled and a 5,000-term one raised RecursionError.  This bound
+# keeps a fit far below that: more factors are a DomainError, not a traceback.
+MAX_FACTORS = 256
 
 
 def _check_row(output: float, names, quantities) -> None:
@@ -120,10 +130,11 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
     """Least-squares fit of (A, elasticities) over the named factors.
 
     Needs a ``SampleTable`` with a column for every named factor and at
-    least len(factor_names) + 1 rows.  Raises RankDeficiencyError when the
-    log design matrix is numerically singular (collinear or constant
-    factors): a singular value at or below 1e-10 times the largest, the
-    rule of ``numpy.linalg.lstsq(rcond=1e-10)``.  Raises
+    least len(factor_names) + 1 rows; more than ``MAX_FACTORS`` names are a
+    DomainError.  Raises RankDeficiencyError when the log design matrix is
+    numerically singular (collinear or constant factors): a singular value
+    at or below 1e-10 times the largest, the rule of
+    ``numpy.linalg.lstsq(rcond=1e-10)``.  Raises
     NonFiniteOutputError when the fitted ln A is too large for A to be a
     finite float, or so negative that A rounds to 0.  The residual sum of
     squares is that of the returned coefficients, in log space.
@@ -133,6 +144,8 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
     factor_names = tuple(factor_names)
     if not factor_names:
         raise ContractViolationError("factor_names must not be empty")
+    if len(factor_names) > MAX_FACTORS:
+        raise DomainError(f"a fit takes at most {MAX_FACTORS} factors, got {len(factor_names)}")
     n_params = len(factor_names) + 1
     if len(table) < n_params:
         raise ContractViolationError(
@@ -146,7 +159,6 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
     target = list(starmap(math.log, zip(table.output)))
     columns = [list(starmap(math.log, zip(table.factors[name]))) for name in factor_names]
     coefficients = _least_squares(columns, target)
-    residual = _residual(columns, target, coefficients)
     log_tfp = coefficients[0]
     try:
         tfp = math.exp(log_tfp)
@@ -163,7 +175,7 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
         elasticity_estimates={
             name: coefficients[i] for i, name in enumerate(factor_names, start=1)
         },
-        residual_sum_squares=_dot(residual, residual),
+        residual_sum_squares=_rss(columns, target, coefficients),
         sample_count=len(table),
     )
 
@@ -191,13 +203,33 @@ def _transposed_product(columns, v) -> list[float]:
     return [_sum(v), *(_dot(x, v) for x in columns)]
 
 
+def _row_kernel(coefficients, squared: bool):
+    """A row's residual t - b0 - b1 * x0 - ... as one compiled lambda of the
+    target t and the log factors x0, x1, ...; when ``squared``, its square
+    ``(r := t - ...) * r``.
+
+    The terms are subtracted left to right, one product each, so a row has
+    the bits of ``target - X b`` taken one ``sub`` and one ``mul`` per term.
+    The source holds only names made from the column count; the
+    coefficients are the lambda's globals, so no factor name or number is
+    ever compiled.
+    """
+    names = [f"x{i}" for i in range(len(coefficients) - 1)]
+    row = "t - b0" + "".join(f" - b{i} * {x}" for i, x in enumerate(names, start=1))
+    body = f"(r := {row}) * r" if squared else row
+    values = {f"b{i}": b for i, b in enumerate(coefficients)}
+    return eval(f"lambda t, {', '.join(names)}: {body}", values)
+
+
 def _residual(columns, target, coefficients) -> list[float]:
     """target - X b for the design X = [1, columns], built as one list."""
-    intercept, *slopes = coefficients
-    residual = map(sub, target, repeat(intercept))
-    for slope, x in zip(slopes, columns):
-        residual = map(sub, residual, map(mul, repeat(slope), x))
-    return list(residual)
+    return list(map(_row_kernel(coefficients, False), target, *columns))
+
+
+def _rss(columns, target, coefficients) -> float:
+    """|target - X b|^2, each row's residual squared as it is made: the same
+    bits as ``_dot`` of the residual with itself, without its list."""
+    return _sum(map(_row_kernel(coefficients, True), target, *columns))
 
 
 def _cholesky(gram):

@@ -11,8 +11,9 @@ number obeys the rule of the library record or check that it ends in):
               linear|logistic|exp_saturating (default linear), the keys
               scenario.ADOPTION_PARAMS gives that path (all required), growth
               and collapse_threshold (defaults: the ScenarioConfig fields)
-[fit]         factors = comma-separated factor names, input = sample CSV
-              path (resolved relative to the config file)
+[fit]         factors = comma-separated factor names (at most
+              calibration.MAX_FACTORS), input = sample CSV path (resolved
+              relative to the config file)
 
 The flat key-value format is deliberate: it parses without dependencies in
 any language and the schema has no nesting to express.
@@ -147,6 +148,10 @@ def _parse_fit(reader: _SectionReader) -> FitSpec:
         raise ConfigError("[fit].factors: expected a comma-separated list of factor names")
     if len(set(names)) != len(names):
         raise ConfigError("[fit].factors: factor names must be unique")
+    from .calibration import MAX_FACTORS  # here, so that only a [fit] section loads csv
+
+    if len(names) > MAX_FACTORS:
+        raise ConfigError(f"[fit].factors: at most {MAX_FACTORS} factor names, got {len(names)}")
     input_path = reader.take("input").strip()
     if not input_path:
         raise ConfigError("[fit].input: path must not be empty")

@@ -3,7 +3,10 @@ import random
 import re
 import sys
 import tempfile
+from itertools import repeat
+from operator import mul, sub
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from agiecon import (
     calibration,
     fit_cobb_douglas,
 )
-from agiecon.calibration import read_samples
+from agiecon.calibration import MAX_FACTORS, read_samples
 from conftest import sample_table, synthetic_table
 
 
@@ -120,6 +123,14 @@ class TestFit:
                 bumped[name] += delta
                 assert log_space_rss(samples, ["K", "L"], result.tfp_estimate, bumped) >= base
 
+    def test_more_factors_than_the_bound_are_a_domain_error(self):
+        # checked before the table, so no column need exist for them
+        samples = sample_table(("x",), [(2.0, 1.0), (3.0, 2.0)])
+        names = [f"x{i}" for i in range(MAX_FACTORS + 1)]
+        message = f"^a fit takes at most {MAX_FACTORS} factors, got {MAX_FACTORS + 1}$"
+        with pytest.raises(DomainError, match=message):
+            fit_cobb_douglas(samples, names)
+
     def test_needs_factors_plus_one_samples(self):
         samples = generate_samples(2, seed=5, tfp=1.0, elasticities={"K": 0.5, "L": 0.3})
         with pytest.raises(ContractViolationError):
@@ -167,6 +178,55 @@ class TestFit:
         first = fit_cobb_douglas(samples, ["K", "L"])
         second = fit_cobb_douglas(samples, ["K", "L"])
         assert first == second
+
+
+def nested_map_residual(columns, target, coefficients):
+    """target - X b by one map of sub and one of mul per term: the reference
+    the fit's compiled row kernel must match bit for bit."""
+    intercept, *slopes = coefficients
+    residual = map(sub, target, repeat(intercept))
+    for slope, x in zip(slopes, columns):
+        residual = map(sub, residual, map(mul, repeat(slope), x))
+    return list(residual)
+
+
+# signed zeros, the smallest and largest subnormals, and values whose
+# products overflow to inf and whose differences of infs are nan
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300)
+
+
+@st.composite
+def design_cases(draw):
+    """(columns, target, coefficients) for 1, 2, 5 or MAX_FACTORS factors and
+    1 to 4 rows.  Every value comes from a small drawn pool, placed by a
+    drawn seed, so that MAX_FACTORS columns fit in one example."""
+    n_factors = draw(st.sampled_from([1, 2, 5, MAX_FACTORS]))
+    n_rows = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = st.one_of(st.sampled_from(EDGE_VALUES), finite)
+    pool = draw(st.lists(values, min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def column(length):
+        return [rng.choice(pool) for _ in range(length)]
+
+    return [column(n_rows) for _ in range(n_factors)], column(n_rows), column(n_factors + 1)
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("left_sum", [False, True], ids=["version_sum", "left_sum"])
+    @settings(deadline=None)
+    @given(design_cases())
+    def test_compiled_rows_match_the_nested_maps(self, left_sum, case):
+        # left_sum runs the sum that Python 3.12 and later use on any version
+        columns, target, coefficients = case
+        reference = nested_map_residual(columns, target, coefficients)
+        summed = calibration._left_sum if left_sum else calibration._sum
+        with mock.patch.object(calibration, "_sum", summed):
+            residual = calibration._residual(columns, target, coefficients)
+            assert [r.hex() for r in residual] == [r.hex() for r in reference]
+            rss = calibration._rss(columns, target, coefficients)
+            assert rss.hex() == calibration._dot(reference, reference).hex()
 
 
 class TestSampleValidation:

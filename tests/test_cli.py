@@ -32,6 +32,7 @@ from agiecon import (
     diagnostics,
     marginal_product,
 )
+from agiecon.calibration import MAX_FACTORS
 from agiecon.cli import _WINDOW as BLOCK
 from agiecon.cli import _write_all, main
 from agiecon.errors import ConfigError
@@ -350,6 +351,18 @@ class TestFit:
         config = tmp_path / "fit.ini"
         config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
         assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 1
+
+    def test_too_many_factors_is_a_config_error_before_the_file_is_read(self, tmp_path, capsys):
+        # no sample file exists: reading one would be a different config error
+        config = tmp_path / "fit.ini"
+        names = ", ".join(f"x{i}" for i in range(MAX_FACTORS + 1))
+        config.write_text(f"[fit]\nfactors = {names}\ninput = missing.csv\n")
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"config error: [fit].factors: at most {MAX_FACTORS} factor names,"
+            f" got {MAX_FACTORS + 1}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_column_is_a_config_error(self, tmp_path, capsys):
         # the later K used to shadow the earlier one, which surfaced as a

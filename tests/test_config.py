@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agiecon import AdoptionKind, AdoptionPath, ConfigError, ModelIIIParams
+from agiecon.calibration import MAX_FACTORS
 from agiecon.config import (
     FitSpec,
     ParsedConfig,
@@ -289,6 +290,14 @@ class TestFitSection:
     def test_duplicate_factors_rejected(self):
         with pytest.raises(ConfigError, match=r"\[fit\]\.factors"):
             parse_config_text("[fit]\nfactors = K, K\ninput = samples.csv\n")
+
+    def test_factor_count_maximum(self):
+        names = [f"x{i}" for i in range(MAX_FACTORS + 1)]
+        parsed = parse_config_text(f"[fit]\nfactors = {', '.join(names[:-1])}\ninput = s.csv\n")
+        assert parsed.fit.factor_names == tuple(names[:-1])
+        message = rf"^\[fit\]\.factors: at most {MAX_FACTORS} factor names, got {MAX_FACTORS + 1}$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"[fit]\nfactors = {', '.join(names)}\ninput = s.csv\n")
 
 
 # --- round trip -------------------------------------------------------------
