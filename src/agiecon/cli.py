@@ -35,7 +35,7 @@ from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError,
 from .formatting import format_number, format_rows
 from .models import model_output, model_wages
 from .scenario import TimeSeriesRecord, detect_collapse, run_scenario
-from .transition import PowerCurve, check_n_points, power_columns, power_curve
+from .transition import PowerCurve, check_n_points, power_curve, power_index
 
 
 class _HelpShown(Exception):
@@ -234,9 +234,7 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
         grid = range(n_points)
         for start in range(0, n_points, _WINDOW):
             curve = power_curve(params[0], n_points, grid[start:start + _WINDOW])
-            chart.add(
-                curve.l_agi, [curve.p_h] + [power_columns(tp, curve.l_agi)[2] for tp in params[1:]]
-            )
+            chart.add(curve.l_agi, [curve.p_h] + [power_index(tp, curve.l_agi) for tp in params[1:]])
             yield format_rows(list(zip(*curve._values())), _CURVE_NAN)
 
     def drawn() -> Iterator[bytes]:

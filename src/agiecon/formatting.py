@@ -9,10 +9,11 @@ CSV rows with the same definition, as ``bytes`` ready for a file opened in
 binary mode: each row goes through a single bytes ``%``-format (``%d`` per
 ``int`` cell, ``%.9e`` per number cell), in place of one Python-level call
 per cell.  One normalizer, ``_normalize``, then rewrites the exponents of a
-single cell or of a whole window with a few ``bytes.replace`` passes.  Its
-``e+`` pass runs only when a ``+`` is left after the ``e+0`` pass, which is
-only for an exponent of 10 or more; most windows have none.  A row that
-formats to ``nan`` or ``inf`` is rewritten cell by cell with
+single cell or of a whole window: one pass drops the sign of a negative
+zero, two ``bytes.replace`` passes that keep the text's length mark each
+exponent's padding zero with ``#``, and one ``bytes.translate`` deletes
+every ``+`` and ``#``.  No pass is skipped or added for large exponents.
+A row that formats to ``nan`` or ``inf`` is rewritten cell by cell with
 ``format_number`` and ``format_number_or_nan``, which accept or reject it
 exactly as they would alone.
 """
@@ -33,11 +34,11 @@ def _normalize(text: bytes) -> bytes:
     """Rewrite ``%.9e`` output into the artifact form: no signed zero, no
     ``+`` and no zero padding in exponents (``e+05`` -> ``e5``, ``e-05`` ->
     ``e-5``, ``e+00`` -> ``e0``, ``e+100`` -> ``e100``)."""
-    text = text.replace(b"-0.000000000e+00", b"0.000000000e+00").replace(b"e+0", b"e")
-    # "+" occurs only in exponents, and "e+0" took those below 10
-    if b"+" in text:
-        text = text.replace(b"e+", b"e")
-    return text.replace(b"e-0", b"e-")
+    text = text.replace(b"-0.000000000e+00", b"0.000000000e+00")
+    # same-length passes mark each padding zero with "#", which formatted text
+    # never holds; "+" occurs only in exponents, so one pass deletes both
+    text = text.replace(b"e+0", b"e+#").replace(b"e-0", b"e-#")
+    return text.translate(None, b"+#")
 
 
 def format_number(x: float) -> str:

@@ -27,9 +27,10 @@ Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t L_AGI^beta2_t is the ordered
 product over its ``TERMS``, with the zero-quantity convention of
 ``production.output``, and each factor in its ``LABOR`` earns the wage
 e * Y / x, the identity ``production.marginal_product`` evaluates.
-p_h_transition is ``transition.power_columns`` over the shares, so the
-records are bit-identical to the generic model path.  The record's column
-order is ``TimeSeriesRecord``'s field order.
+p_h_transition is ``transition.power_index`` over the shares, the point
+kernel of ``human_power``, so the records are bit-identical to the generic
+model path.  The record's column order is ``TimeSeriesRecord``'s field
+order.
 Steps are independent, so ``run_scenario`` also computes any window of
 consecutive steps, whose records are the whole run's for those steps: a
 caller that takes a run window by window, as ``simulate`` does, holds one
@@ -61,7 +62,7 @@ from .errors import (
 )
 from .models import ModelIIIParams, model_output
 from .record import Record
-from .transition import TransitionParams, _window, _zeros, power_columns
+from .transition import TransitionParams, _window, _zeros, power_index
 
 # unused by the step, kept importable: perfbench/tracer.py wraps these names here
 from .models import model_technology  # noqa: F401
@@ -364,7 +365,7 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
     columns = {
         **model, "t": steps, "s": s, "Y": y, "w_h": w_h, "w_agi": w_agi,
         "p_h_elastic": map(truediv, beta1, map(add, beta1, beta2)),
-        "p_h_transition": power_columns(cfg.transition, s)[2], "wage_bill": wage_bill,
+        "p_h_transition": power_index(cfg.transition, s), "wage_bill": wage_bill,
     }
     fields = map(columns.__getitem__, TimeSeriesRecord._fields)
     return list(map(tuple.__new__, repeat(TimeSeriesRecord), zip(*fields)))

@@ -13,21 +13,24 @@ instead gives w_h(1) / (w_h(1) + w_agi(1)) = exp(-lam) at l = 1; that
 simplified wage-ratio value is surfaced by the diagnostics report, never
 returned by ``human_power``.
 
-``power_columns`` is the only statement of these formulas: it evaluates
-them over a whole column of shares.  ``human_wage``, ``agi_wage`` and
-``human_power`` are its columns at one checked share, ``power_curve`` runs
-it over a uniform grid, or a window of one, and returns the curve by
-column, as a ``PowerCurve`` of tuples, and ``run_scenario`` runs it over a
-scenario's adoption shares.  ``sweep`` takes its grid one window at a
-time, and runs it over its first curve's window for each further decay
-constant, so it holds one window of every curve at any grid size.
+``power_columns`` states the wage columns, decay and rise, over a column of
+shares, and ``_power_kernel`` states p_h at one share by the same
+operations; ``power_index`` maps it over a column.  ``human_wage``,
+``agi_wage`` and ``human_power`` evaluate them at one checked share.
+``power_curve`` runs both over a uniform grid, or a window of one, and
+returns the curve by column, as a ``PowerCurve`` of tuples, and
+``run_scenario`` runs ``power_index`` over a scenario's adoption shares.
+``sweep`` takes its grid one window at a time, and runs ``power_index``
+over its first curve's window for each further decay constant, so it
+holds one window of every curve at any grid size.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import repeat
-from operator import add, mul, sub, truediv
+from operator import mul, sub, truediv
 
 from .errors import ContractViolationError, DomainError, UndefinedIndexError
 from .record import Record
@@ -97,7 +100,7 @@ def human_power(tp: TransitionParams, l_agi: float) -> float:
     positive sum is always in [0, 1].
     """
     l_agi = _check_share(l_agi)
-    p_h = power_columns(tp, [l_agi])[2][0]
+    p_h = _power_kernel(tp)(l_agi)
     if math.isnan(p_h):
         raise UndefinedIndexError(f"no labor income at l_agi={l_agi!r}: power index undefined")
     return p_h
@@ -136,42 +139,52 @@ def _window(name: str, window: range | None, whole: range) -> range:
     return window
 
 
-def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list, list]:
-    """(decay, rise, p_h) over a column of shares in [0, 1], unchecked.
-
-    Entry i is exp(-lam * l), 1 - exp(-lam * l) and the human share of labor
-    income, or NaN where no labor income exists, at l = l_agi[i]: each
-    column is one ``map`` over the shares, from one exp per point.  Both
-    incomes are taken relative to w0, so subnormal wages keep their
-    precision.  The few points with a zero income weight are settled after
-    the maps: then an overflowing w_inf / w0 never meets a zero weight
-    (inf * 0 is nan), and an underflowing one never hides the positive AGI
-    income at l = 1.
+def power_columns(tp: TransitionParams, l_agi) -> tuple[list, list]:
+    """(decay, rise) over a column of shares in [0, 1], unchecked: the wages
+    relative to w0 and w_inf, exp(-lam * l) and 1 - exp(-lam * l), each one
+    ``map`` from one exp per point.  Where exp rounds to 1 although
+    0 < lam * l < about 1.1e-16, 1 - exp is 0, and -expm1 gives the small
+    positive rise (0 at l = 0 too).
     """
-    w0, w_inf = tp.w0, tp.w_inf
     decay = list(map(math.exp, map(mul, repeat(-tp.lam), l_agi)))
     rise = list(map(sub, repeat(1.0), decay))
-    human_income = list(map(mul, decay, map(sub, repeat(1.0), l_agi)))
-    agi_weight = list(map(mul, rise, l_agi))
-    no_agi = _zeros(agi_weight)
-    for i in no_agi:
-        if not rise[i]:
-            # exp rounds to 1 where 0 < lam * l < about 1.1e-16, so 1 - exp is
-            # 0; -expm1 keeps the small positive rise (0 at l = 0 too)
-            rise[i] = -math.expm1(-tp.lam * l_agi[i])
-            agi_weight[i] = rise[i] * l_agi[i]
-    no_agi = [i for i in no_agi if not agi_weight[i]]
-    no_human = _zeros(human_income)
-    for i in no_human:  # nan / nan, where the total could be 0; p_h is set below
-        human_income[i] = math.nan
-    agi_income = map(mul, repeat(w_inf / w0), agi_weight)
-    p_h = list(map(truediv, human_income, map(add, human_income, agi_income)))
-    # the zero-human-income rule comes first, so it is applied last
-    for i in no_agi:
-        p_h[i] = 1.0  # also where an infinite w_inf / w0 made inf * 0 = nan
-    for i in no_human:
-        p_h[i] = math.nan if agi_weight[i] == 0.0 or w_inf == 0.0 else 0.0
-    return decay, rise, p_h
+    for i in _zeros(rise):
+        rise[i] = -math.expm1(-tp.lam * l_agi[i])
+    return decay, rise
+
+
+def _power_kernel(tp: TransitionParams) -> Callable[[float], float]:
+    """``l -> p_h(l)`` for ``tp`` at a share in [0, 1], unchecked; NaN where
+    no labor income exists.
+
+    Its decay and rise are ``power_columns``' entries, by the same
+    operations.  Incomes are relative to w0, so subnormal wages keep their
+    precision, and a zero income weight is settled before the ratio: an
+    overflowing w_inf / w0 never meets it (inf * 0 is nan), and an
+    underflowing one never hides the positive AGI income at l = 1.
+    """
+    neg_lam, w_inf, ratio = -tp.lam, tp.w_inf, tp.w_inf / tp.w0
+    exp, expm1, nan = math.exp, math.expm1, math.nan
+
+    def p_h(l: float) -> float:
+        decay = exp(neg_lam * l)
+        rise = 1.0 - decay
+        if not rise:
+            rise = -expm1(neg_lam * l)
+        human_income = decay * (1.0 - l)
+        agi_weight = rise * l
+        if human_income == 0.0:  # 0 against any AGI income, undefined without one
+            return nan if agi_weight == 0.0 or w_inf == 0.0 else 0.0
+        if agi_weight == 0.0:
+            return 1.0
+        return human_income / (human_income + ratio * agi_weight)
+
+    return p_h
+
+
+def power_index(tp: TransitionParams, l_agi) -> list[float]:
+    """``_power_kernel`` over a column of shares in [0, 1], unchecked."""
+    return list(map(_power_kernel(tp), l_agi))
 
 
 def power_curve(tp: TransitionParams, n_points: int, points: range | None = None) -> PowerCurve:
@@ -183,10 +196,11 @@ def power_curve(tp: TransitionParams, n_points: int, points: range | None = None
     deterministic and golden-file friendly.
 
     Point i is (l_agi, human_wage, agi_wage, human_power or NaN) at
-    l_agi = i / (n_points - 1), by ``power_columns`` over the grid.  The
-    grid needs no share check, since i / (n - 1) lies in [0, 1].  Each call
-    builds its own grid, which lives as long as the curve; another decay
-    constant over the same grid is ``power_columns(tp, curve.l_agi)``.
+    l_agi = i / (n_points - 1), by ``power_columns`` and ``_power_kernel``
+    over the grid.  The grid needs no share check, since i / (n - 1) lies in
+    [0, 1].  Each call builds its own grid, which lives as long as the
+    curve; another decay constant's index over the same grid is
+    ``power_index(tp, curve.l_agi)``.
 
     ``points`` is a range of consecutive grid indices within
     ``range(n_points)``; the curve of a window is those points of the
@@ -195,8 +209,8 @@ def power_curve(tp: TransitionParams, n_points: int, points: range | None = None
     check_n_points(n_points)  # before the grid is allocated
     points = _window("points", points, range(n_points))
     l_agi = tuple(map(truediv, points, repeat(n_points - 1)))
-    decay, rise, p_h = power_columns(tp, l_agi)
+    decay, rise = power_columns(tp, l_agi)
     return PowerCurve(
         l_agi, tuple(map(mul, repeat(tp.w0), decay)), tuple(map(mul, repeat(tp.w_inf), rise)),
-        tuple(p_h),
+        tuple(map(_power_kernel(tp), l_agi)),
     )

@@ -20,7 +20,7 @@ from agiecon import (
     human_wage,
     power_curve,
 )
-from agiecon.transition import _zeros, power_columns
+from agiecon.transition import _zeros, power_columns, power_index
 
 mpmath.mp.dps = 50
 
@@ -271,7 +271,8 @@ def reference_point(tp, l):
 
 
 def scalar_point(tp, l):
-    """One grid point by scalar formulas, written apart from ``power_columns``.
+    """One grid point by scalar formulas, written apart from ``power_columns``
+    and the point kernel.
 
     Where exp rounds to 1 although lam * l > 0, 1 - exp is 0 and -expm1
     gives the rise; the incomes are relative to w0, and the zero income
@@ -331,12 +332,37 @@ shares = st.lists(
 
 @given(wide_transition_params, shares)
 def test_power_columns_match_human_power_on_any_shares(tp, l_agi):
-    # run_scenario takes p_h_transition from these columns over its adoption shares
-    p_h = power_columns(tp, l_agi)[2]
-    want = struct.pack(f"<{len(l_agi)}d", *[scalar_point(tp, l)[3] for l in l_agi])
-    assert struct.pack(f"<{len(l_agi)}d", *p_h) == want
-    public = [reference_point(tp, l)[3] for l in l_agi]
-    assert struct.pack(f"<{len(l_agi)}d", *public) == want
+    # run_scenario takes p_h_transition from power_index over its adoption shares
+    decay, rise = power_columns(tp, l_agi)
+    scalar = [scalar_point(tp, l) for l in l_agi]
+    assert bits([tp.w0 * d for d in decay]) == bits([point[1] for point in scalar])
+    assert bits([tp.w_inf * r for r in rise]) == bits([point[2] for point in scalar])
+    want = bits([point[3] for point in scalar])
+    assert bits(power_index(tp, l_agi)) == want
+    assert bits([reference_point(tp, l)[3] for l in l_agi]) == want
+
+
+# lam <= 20 keeps exp(-lam * l) >= 2e-9, so with these wages no product is
+# subnormal and none overflows, and doubling both wages is exact
+scaled_wages = st.builds(
+    TransitionParams,
+    w0=st.sampled_from([2.0**k for k in range(-20, 21, 5)]) | st.floats(0.1, 10.0),
+    w_inf=st.just(0.0) | st.floats(0.1, 10.0) | st.floats(1e-10, 1e10),
+    lam=st.floats(0.1, 20.0) | st.just(1e-17),
+)
+
+
+@given(scaled_wages, st.integers(2, 300))
+@example(TransitionParams(w0=1, w_inf=0, lam=2), 101)  # p_h is nan at l = 1
+@example(TransitionParams(w0=1, w_inf=1, lam=1e-17), 3)  # the rise from expm1
+def test_doubling_both_wages_keeps_the_index_and_doubles_the_wages(tp, n):
+    # the wage-scale metamorphic relation (R2): scaling by a power of two is
+    # exact in binary floating point, so the relation holds bit for bit
+    curve = power_curve(tp, n)
+    doubled = power_curve(tp._replace(w0=2.0 * tp.w0, w_inf=2.0 * tp.w_inf), n)
+    assert bits(doubled.p_h) == bits(curve.p_h)
+    assert bits(doubled.w_h) == bits([2.0 * w for w in curve.w_h])
+    assert bits(doubled.w_agi) == bits([2.0 * w for w in curve.w_agi])
 
 
 def compress_zeros(column):
