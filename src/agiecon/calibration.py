@@ -269,14 +269,18 @@ def _singular_values(r) -> list[float]:
     """Singular values of the square matrix ``r`` (rows), by one-sided Jacobi
     rotations of its columns until every pair is orthogonal to working
     precision; they are then the column norms (Golub & Van Loan, Matrix
-    Computations, 4th ed., section 8.6)."""
+    Computations, 4th ed., section 8.6).
+
+    Each column's squared norm is its ``fsum`` of squares, kept beside it
+    and taken again only for the two columns a rotation changes."""
     columns = [list(column) for column in zip(*r)]
+    norms = [math.fsum(map(mul, column, column)) for column in columns]
     for _ in range(_JACOBI_SWEEPS):
         rotated = False
         for i, j in combinations(range(len(columns)), 2):
             a, b = columns[i], columns[j]
             gamma = math.fsum(map(mul, a, b))
-            alpha, beta = math.fsum(map(mul, a, a)), math.fsum(map(mul, b, b))
+            alpha, beta = norms[i], norms[j]
             if abs(gamma) <= _EPSILON * math.sqrt(alpha * beta):
                 continue
             rotated = True
@@ -286,9 +290,10 @@ def _singular_values(r) -> list[float]:
             sin = cos * t
             columns[i] = [cos * u - sin * v for u, v in zip(a, b)]
             columns[j] = [sin * u + cos * v for u, v in zip(a, b)]
+            norms[i], norms[j] = (math.fsum(map(mul, c, c)) for c in (columns[i], columns[j]))
         if not rotated:
             break
-    return [math.sqrt(math.fsum(map(mul, column, column))) for column in columns]
+    return list(map(math.sqrt, norms))
 
 
 def _householder(columns, target):

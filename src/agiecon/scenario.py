@@ -40,7 +40,16 @@ raises its own error in the step's check order.  A step whose Y is not
 finite is evaluated once more by ``model_output``, whose error it raises,
 so no term of the model is restated here.
 The adoption path's step-independent terms (horizon checks, the logistic
-end points, the exp-saturating normalizer) are computed once per call.
+end points, the exp-saturating normalizer) are computed once per call, and
+so are Y's: its leading terms whose base and exponent do not move with the
+step (A * K^alpha) are one scalar that starts every step's product, with
+the same operations in the same order, and a field that does not move is
+p0's value repeated, never a list.  Each step check is first one C-level
+reduction: a column whose sum is finite holds no NaN or infinity, so the
+share range can then take its min and max.  Only where that sum is not
+finite (a NaN, an infinity, or finite values whose sum overflows) does the
+check run its exact per-value pass, so every error keeps its type, message
+and step.
 """
 
 from __future__ import annotations
@@ -48,8 +57,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
-from itertools import repeat
-from operator import add, le, mul, neg, sub, truediv
+from itertools import compress, dropwhile, repeat, takewhile
+from operator import add, attrgetter, le, lt, mul, neg, sub, truediv
 from typing import NamedTuple
 
 from .errors import (
@@ -323,28 +332,40 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
         k_agi = list(map(mul, repeat(p0.K_AGI), growth))
     except OverflowError:
         k_agi = [math.inf]
-    if not all(map(math.isfinite, k_agi)):
+    if not _finite(k_agi):
         raise SimulationFailureError(f"step {steps[0]}: AGI capital overflowed")
-    if not (all(map(le, repeat(0.0), s)) and all(map(le, s, repeat(1.0)))):
+    if math.isfinite(sum(s)):  # no NaN, which min and max would skip: min([0.5, nan]) is 0.5
+        in_range = 0.0 <= min(s, default=0.0) and max(s, default=1.0) <= 1.0
+    else:
+        in_range = all(map(le, repeat(0.0), s)) and all(map(le, s, repeat(1.0)))
+    if not in_range:
         raise DomainError(f"step {steps[0]}: adoption share must lie in [0, 1], got {s[0]!r}")
     l_h = list(map(sub, repeat(1.0), s))
     beta1 = list(map(mul, repeat(p0.beta1), l_h))
     beta2 = list(map(add, repeat(p0.beta2), map(mul, repeat(p0.beta1), s)))
     # the step's parameter record by column: the fields that move with the
-    # step, and p0's value in every other
+    # step, and p0's value repeated for every other
     moving = {"K_AGI": k_agi, "L_h": l_h, "L_AGI": s, "beta1": beta1, "beta2": beta2}
-    model = {field: moving.get(field, [getattr(p0, field)] * len(steps)) for field in p0._fields}
+    model = {field: moving.get(field, repeat(getattr(p0, field))) for field in p0._fields}
     # product_of_terms' ordered product over ModelIIIParams.TERMS.  The labor
     # quantities lie in [0, 1] with exponents >= 0, and at a zero quantity
     # x ** e is its convention: 0 ** e = 0 for e > 0, and 0 ** 0 = 1 leaves y.
+    # Its leading terms whose base and exponent do not move are one scalar.
+    def fixed(term):
+        _, (base,), exponent = term
+        return base not in moving and exponent not in moving
+
     try:
-        y = model["A"]
-        for _, (base,), exponent in ModelIIIParams.TERMS:
+        y = p0.A
+        for _, (base,), exponent in takewhile(fixed, ModelIIIParams.TERMS):
+            y *= getattr(p0, base) ** getattr(p0, exponent)
+        y = repeat(y, len(steps))
+        for _, (base,), exponent in dropwhile(fixed, ModelIIIParams.TERMS):
             y = map(mul, y, map(pow, model[base], model[exponent]))
         y = list(y)
     except OverflowError:
         y = [math.inf] * len(steps)
-    if not all(map(math.isfinite, y)):
+    if not _finite(y):
         step = p0._replace(**{field: values[0] for field, values in moving.items()})
         try:
             model_output(step)  # raises for a Y the ordered product leaves non-finite
@@ -356,9 +377,10 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
     )
     wage_bill = list(map(mul, w_h, l_h))
     for label, column, defined in (
-        ("w_h", w_h, all(map(math.isfinite, w_h))),
-        ("wage_bill", wage_bill, all(map(math.isfinite, wage_bill))),
-        ("w_agi", w_agi, not any(map(math.isinf, w_agi))),  # NaN flags a vanished factor
+        ("w_h", w_h, _finite(w_h)),
+        ("wage_bill", wage_bill, _finite(wage_bill)),
+        # NaN flags a vanished factor
+        ("w_agi", w_agi, math.isfinite(sum(w_agi)) or not any(map(math.isinf, w_agi))),
     ):
         if not defined:
             raise SimulationFailureError(f"step {steps[0]}: {label} is not finite ({column[0]!r})")
@@ -369,6 +391,13 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
     }
     fields = map(columns.__getitem__, TimeSeriesRecord._fields)
     return list(map(tuple.__new__, repeat(TimeSeriesRecord), zip(*fields)))
+
+
+def _finite(column: list[float]) -> bool:
+    """Whether every value of ``column`` is finite.  A finite sum, one C-level
+    reduction, says so; any other sum (a NaN, an infinity, or finite values
+    whose sum overflows) falls through to the exact per-value pass."""
+    return math.isfinite(sum(column)) or all(map(math.isfinite, column))
 
 
 def _factor_wages(y: list[float], x: list[float], elasticity: list[float]) -> list[float]:
@@ -407,8 +436,6 @@ def detect_collapse(
         baseline = series[0].w_h
     if baseline == 0.0 or math.isnan(baseline):
         raise UndefinedBaselineError("w_h(0) = 0: collapse threshold has no baseline")
-    cutoff = theta * baseline
-    for record in series:
-        if record.w_h < cutoff:
-            return record.t
-    return None
+    below = compress(series, map(lt, map(attrgetter("w_h"), series), repeat(theta * baseline)))
+    first = next(below, None)
+    return None if first is None else first.t

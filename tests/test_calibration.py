@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -227,6 +228,61 @@ class TestRowKernel:
             assert [r.hex() for r in residual] == [r.hex() for r in reference]
             rss = calibration._rss(columns, target, coefficients)
             assert rss.hex() == calibration._dot(reference, reference).hex()
+
+
+def jacobi_singular_values(r):
+    """``_singular_values`` as it was before it carried the column norms: it
+    takes both norms again by ``fsum`` for every pair.  The reference the
+    routine must match bit for bit."""
+    columns = [list(column) for column in zip(*r)]
+    for _ in range(calibration._JACOBI_SWEEPS):
+        rotated = False
+        for i, j in itertools.combinations(range(len(columns)), 2):
+            a, b = columns[i], columns[j]
+            gamma = math.fsum(map(mul, a, b))
+            alpha, beta = math.fsum(map(mul, a, a)), math.fsum(map(mul, b, b))
+            if abs(gamma) <= sys.float_info.epsilon * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            cos = 1.0 / math.hypot(1.0, t)
+            sin = cos * t
+            columns[i] = [cos * u - sin * v for u, v in zip(a, b)]
+            columns[j] = [sin * u + cos * v for u, v in zip(a, b)]
+        if not rotated:
+            break
+    return [math.sqrt(math.fsum(map(mul, column, column))) for column in columns]
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of 1 to 24 rows, triangular as the fit's R or full,
+    some with repeated columns.  Entries are finite and far below the square
+    root of the float range, as any R of log factors is, with signed zeros
+    and subnormals; each comes from a small drawn pool placed by a drawn seed."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 24]))
+    values = st.one_of(
+        st.sampled_from((0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.0)),
+        st.floats(-1e100, 1e100),
+    )
+    pool = draw(st.lists(values, min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[0.0] * i + row[i:] for i, row in enumerate(rows)]
+    if n > 1 and draw(st.booleans()):
+        for row in rows:
+            row[-1] = row[0]
+    return rows
+
+
+class TestSingularValues:
+    @settings(deadline=None)
+    @given(square_matrices())
+    def test_carried_norms_match_recomputed_norms(self, r):
+        expected = [sigma.hex() for sigma in jacobi_singular_values(r)]
+        assert [sigma.hex() for sigma in calibration._singular_values(r)] == expected
 
 
 class TestSampleValidation:

@@ -1238,17 +1238,29 @@ class TestUnreadableInput:
         assert f"in position {len(samples) - 2}: " in err
 
 
+def entry_calls(monkeypatch):
+    """The order in which the process entry calls ``gc.disable``, ``cli.main``
+    and ``gc.freeze``, filled in as it runs.  The collector calls are fakes,
+    so this test process keeps its collector on and unfrozen."""
+    calls = []
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: (calls.append("main"), main())[1])
+    return calls
+
+
 def test_module_runs_in_process(tmp_path, monkeypatch):
-    # python -m agiecon, with its __main__ module traced like the rest of the
-    # package; the fake freeze keeps this test process's collector unfrozen
+    # python -m agiecon, with its __main__ module traced like the rest of the package
     argv = ["agiecon", "eval", "--config", str(CONFIGS / "eval_model3.ini"), "--out", str(tmp_path)]
     monkeypatch.setattr(sys, "argv", argv)
-    freezes = []
-    monkeypatch.setattr(gc, "freeze", lambda: freezes.append((tmp_path / "eval.csv").exists()))
+    calls = entry_calls(monkeypatch)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append((tmp_path / "eval.csv").exists()))
     with pytest.raises(SystemExit) as exited:
         runpy.run_module("agiecon", run_name="__main__")
     assert exited.value.code == 0
-    assert freezes == [True]  # once, after the command wrote its artifact
+    # the collector goes off before the command, and the freeze comes once,
+    # after the command wrote its artifact
+    assert calls == ["disable", "main", True]
     assert (tmp_path / "eval.csv").read_bytes() == (GOLDEN / "eval.csv").read_bytes()
 
 
@@ -1268,12 +1280,11 @@ def test_help_returns_0_in_process(argv, usage, capsys):
 def test_module_help_freezes_before_exit(monkeypatch, capsys):
     # python -m agiecon --help: the process entry reaches gc.freeze() as any command does
     monkeypatch.setattr(sys, "argv", ["agiecon", "--help"])
-    freezes = []
-    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+    calls = entry_calls(monkeypatch)
     with pytest.raises(SystemExit) as exited:
         runpy.run_module("agiecon", run_name="__main__")
     assert exited.value.code == 0
-    assert freezes == [True]
+    assert calls == ["disable", "main", "freeze"]
     assert capsys.readouterr().out.startswith("usage: agiecon [-h]")
 
 
@@ -1282,6 +1293,39 @@ def test_main_leaves_the_collector_unfrozen(tmp_path):
     frozen = gc.get_freeze_count()
     assert run_cli("eval", "--config", CONFIGS / "eval_model3.ini", "--out", tmp_path) == 0
     assert gc.get_freeze_count() == frozen
+
+
+def garbage_after(argv):
+    """Run ``main(argv)`` in process with the collector off, as the process
+    entry runs it, and return the count of unreachable objects it left."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert run_cli(*argv) == 0
+    finally:
+        if enabled:
+            gc.enable()
+    return gc.collect()
+
+
+def test_commands_leave_no_cycles_that_grow_with_the_run(tmp_path):
+    # the process entry turns the collector off, so a reference cycle per
+    # record, window or point would hold its memory until the process exits
+    demo = (CONFIGS / "simulate_demo.ini").read_text(encoding="utf-8")
+    counts = {}
+    for horizon in (2000, 20000):
+        config = tmp_path / f"simulate_{horizon}.ini"
+        text = demo.replace("horizon = 20", f"horizon = {horizon}")
+        config.write_text(text.replace("growth = 0.05", "growth = 0.0001"), encoding="utf-8")
+        argv = ("simulate", "--config", config, "--out", tmp_path / "simulate")
+        counts["simulate", horizon] = garbage_after(argv)
+    for points in (2000, 20000):
+        argv = ("sweep", "--config", CONFIGS / "sweep_default.ini", "--out", tmp_path / "sweep")
+        counts["sweep", points] = garbage_after((*argv, "--points", points))
+    assert (tmp_path / "simulate" / "series.csv").read_bytes().count(b"\n") == 1 + 20001
+    assert counts["simulate", 20000] <= counts["simulate", 2000]
+    assert counts["sweep", 20000] <= counts["sweep", 2000]
 
 
 def test_console_script_is_the_module_entry():

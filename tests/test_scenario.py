@@ -5,7 +5,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from agiecon import (
@@ -31,7 +31,13 @@ from agiecon import (
     run_scenario,
 )
 from agiecon.config import build_scenario_config, parse_config_file
-from agiecon.scenario import ADOPTION_PARAMS, MAX_HORIZON, TimeSeriesRecord, _step_columns
+from agiecon.scenario import (
+    ADOPTION_PARAMS,
+    MAX_HORIZON,
+    TimeSeriesRecord,
+    _narrowed,
+    _step_columns,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -249,6 +255,12 @@ class TestRunScenario:
         with pytest.raises(DomainError, match=message):
             _step_columns(make_config(), range(3, 4), [1.5])
 
+    def test_a_nan_share_after_a_valid_one_raises_at_its_own_step(self):
+        # min and max skip a NaN that is not first: min([0.5, nan]) is 0.5
+        message = r"^step 4: adoption share must lie in \[0, 1\], got nan$"
+        with pytest.raises(DomainError, match=message):
+            _narrowed(make_config(), range(3, 5), [0.5, math.nan])
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             make_config(horizon=0)
@@ -418,9 +430,9 @@ def reference_step(cfg, t, s):
 
 
 @st.composite
-def scenario_configs(draw):
+def scenario_configs(draw, kinds=tuple(AdoptionKind)):
     horizon = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(AdoptionKind))
+    kind = draw(st.sampled_from(kinds))
     if kind is AdoptionKind.LOGISTIC:
         adoption = AdoptionPath.logistic(
             k=draw(st.floats(0.05, 3.0)), t0=draw(st.floats(0.0, float(horizon)))
@@ -510,6 +522,19 @@ COLUMN_CASES.update(
         "demo-at-14548": demo_config(horizon=14548),
     }
 )
+# every value finite, but a window's sum overflows: K_AGI's in the first, and
+# Y's, w_h's, w_agi's and the wage bill's in the second
+SUM_OVERFLOW_CASES = {
+    "K_AGI-sum-overflows": (
+        with_params(make_config(horizon=50, growth=0.0), K_AGI=1e308),
+        ("K_AGI",),
+    ),
+    "output-and-wage-sums-overflow": (
+        with_params(make_config(horizon=50, growth=0.0), A=1e308),
+        ("Y", "w_h", "w_agi", "wage_bill"),
+    ),
+}
+COLUMN_CASES.update({name: cfg for name, (cfg, _) in SUM_OVERFLOW_CASES.items()})
 FAILING_CASES = {
     "agi-capital-overflow": (demo_config(horizon=15000), "step 14548: AGI capital overflowed"),
     # K_AGI * 1.01**t first passes the largest float at the run's last step
@@ -569,6 +594,15 @@ def test_run_scenario_raises_the_step_loops_first_error(cfg, message):
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("cfg,fields", SUM_OVERFLOW_CASES.values(), ids=SUM_OVERFLOW_CASES.keys())
+def test_a_finite_column_whose_sum_overflows_passes_its_check(cfg, fields):
+    # the checks' reduction is not finite, so the exact per-value pass decides
+    series = run_scenario(cfg)
+    for field in fields:
+        column = [getattr(record, field) for record in series]
+        assert all(map(math.isfinite, column)) and math.isinf(sum(column))
+
+
 @given(scenario_configs(), st.data())
 def test_run_scenario_equals_the_step_loop_on_extreme_params(cfg, data):
     # exponents, scales and growth wide enough that some runs fail part way
@@ -624,3 +658,36 @@ def test_a_window_outside_the_run_breaks_the_contract(steps):
     message = f"steps must be a window of range(0, 11), got {steps!r}"
     with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
         run_scenario(make_config(horizon=10), steps)
+
+
+SCALED = ("Y", "w_h", "w_agi", "wage_bill")
+
+
+def doubles_exactly(value):
+    """Whether 2 * value is exact: value is 0, NaN, or normal and at most
+    half the largest float."""
+    normal = sys.float_info.min <= abs(value) <= sys.float_info.max / 2
+    return value == 0.0 or math.isnan(value) or normal
+
+
+@pytest.mark.parametrize("kind", AdoptionKind, ids=lambda kind: kind.value)
+@given(data=st.data())
+def test_doubling_a_doubles_output_and_wages_and_keeps_every_other_column(kind, data):
+    # R1: Y is linear in A, and scaling by 2 is exact away from subnormals and overflow
+    cfg = data.draw(scenario_configs(kinds=(kind,)))
+    series = run_scenario(cfg)
+    assume(all(doubles_exactly(getattr(record, field)) for record in series for field in SCALED))
+    doubled = run_scenario(with_params(cfg, A=2.0 * cfg.initial_model3.A))
+    twice = [record._replace(**{f: 2.0 * getattr(record, f) for f in SCALED}) for record in series]
+    assert repr(doubled) == repr(twice)
+
+
+@pytest.mark.parametrize("kind", AdoptionKind, ids=lambda kind: kind.value)
+@given(data=st.data())
+def test_folding_k_to_the_alpha_into_a_changes_only_the_k_column(kind, data):
+    # the ordered product starts A * K**alpha, so (A, K) -> (A * K**alpha, 1)
+    # is the same product: 1.0**alpha is 1.0, and multiplying by it is exact
+    cfg = data.draw(scenario_configs(kinds=(kind,)))
+    p0 = cfg.initial_model3
+    folded = run_scenario(with_params(cfg, A=p0.A * p0.K**p0.alpha, K=1.0))
+    assert repr(folded) == repr([record._replace(K=1.0) for record in run_scenario(cfg)])
