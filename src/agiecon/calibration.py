@@ -8,26 +8,28 @@ that goes to Householder QR.  Rank deficiency is detected as
 ``numpy.linalg.lstsq`` detects it, at a relative singular-value cutoff of
 1e-10.  A residual pass maps one lambda, compiled for the coefficients,
 over the rows: ``t - b0 - b1 * x0 - ...``, the operations of y - X b in
-their order.  The refinement keeps its residual as a list; the residual sum
-of squares squares each row's residual in the same lambda and sums it at
-once.  Every long sum is left-to-right float addition, so the fit is
+their order.  The refinement makes its residual a block of rows at a time
+and adds each block into X^T r; the residual sum of squares squares each
+row's residual in the same lambda and sums it at once.  Every long sum is
+left-to-right float addition, carried from block to block where a sum is
+taken in blocks, so the fit is
 deterministic for a fixed sample order and the same bits on every
 supported Python version.  No regularization: the target is exact
 identification on synthetic data, not econometric inference.
 
 The fit reads its samples by column from a ``SampleTable``: the output
-column and one column per named factor, validated once when the table is
-built.  ``read_samples`` reads a sample CSV into one, a chunk of lines at
-a time by a shape check and a JSON number scan unless the file holds a
-``"`` or NUL or either step refuses it; no other module knows the file
-format.  Logs are taken a column at a time by
-``starmap(math.log, zip(column))`` into lists.
+column and one column per named factor.  The table takes each column's
+logs once, a column at a time by ``starmap(math.log, zip(column))`` into a
+list, with their sum; that pass is also the table's check, and the fit
+reads its design, its target and their sums from it.  ``read_samples``
+reads a sample CSV into one, a block of characters at a time by a shape
+check and a JSON number scan unless a block holds a ``"`` or NUL or either
+step refuses it; no other module knows the file format.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import sys
 from collections import Counter
@@ -64,6 +66,30 @@ _EPSILON = sys.float_info.epsilon
 # keeps a fit far below that: more factors are a DomainError, not a traceback.
 MAX_FACTORS = 256
 
+# The most sample rows a file may hold, checked as rows are read, before a
+# row past it is stored.  A table holds about 65 B per value, a float and a
+# pointer to it in its column, then the same again for its log; the fit
+# adds a few bytes per row.  On the fit_large files tracemalloc measured a
+# peak of 198 B per row at 2 factors and 395 B at 5, so 10**6 rows of 5
+# factors need about 0.4 GB of heap.
+MAX_SAMPLES = 1_000_000
+
+
+def _left_sum(values, start=0.0) -> float:
+    return reduce(add, values, start)
+
+
+# Every long sum adds left to right, so a fit has the same bits, and the fit
+# golden the same bytes, on every Python.  ``_left_sum`` adds so on every
+# version.  Before 3.12 the builtin ``sum`` adds the same way, faster
+# (``_left_sum`` cost fit_large 13 % of its items_per_s on 3.11, 245.6k ->
+# 212.6k over 6 rounds, BENCH_14.json); from 3.12 on ``sum`` compensates
+# float rounding.  Both stay defined on every version, so the tests, and the
+# coverage gate with them, run each on any interpreter.  Either takes a
+# float ``start`` and adds on from it, so a sum taken a block at a time,
+# each block's from the last one's, has the bits of the whole sum.
+_sum = _left_sum if sys.version_info >= (3, 12) else sum
+
 
 def _check_row(output: float, names, quantities) -> None:
     """Raise the DomainError of a sample row's first bad value: a factor
@@ -76,24 +102,21 @@ def _check_row(output: float, names, quantities) -> None:
             raise DomainError(f"sample factor {name!r} must be > 0 (log-transformable)")
 
 
-def _all_positive_finite(column: list[float]) -> bool:
-    """A sufficient test that every value is finite and > 0, in C-level passes.
-
-    ``min`` is nan or <= 0 when some value is; the sum is nan or inf when
-    some value is nan or inf.  The sum can also overflow on valid values,
-    so False only means "look row by row".
-    """
-    return not column or (min(column) > 0.0 and math.isfinite(sum(column)))
-
-
 class SampleTable(Record):
     """Samples by column: the output and one column per named factor.
 
     Every value must be finite and > 0, and every factor name a non-empty
-    string (``FactorBundle``'s rule).  Where the column test fails, the rows
-    are checked in order by ``_check_row``; the error is the first bad row's.
-    The columns are kept as tuples, the factors behind a read-only mapping,
-    so a checked table cannot change.
+    string (``FactorBundle``'s rule).  The check is the log pass the fit
+    needs: ``math.log`` refuses a value <= 0 or not a number, and the sum of
+    a column's logs is finite only if every value is.  A table that fails it
+    raises what the column test before the log pass raised: the TypeError
+    of ``min`` over the first column whose ``min`` is not > 0 or whose sum is
+    not finite, where that column holds a value that is not a number, and
+    otherwise the DomainError of the first bad row, the rows checked in
+    order by ``_check_row``.  The columns are kept as tuples, the factors
+    behind a read-only mapping, so a checked table cannot change; the logs
+    and their sums are kept beside them for the fit, outside the fields, so
+    they take no part in equality or ``repr``.
     """
 
     output: tuple[float, ...]
@@ -103,13 +126,25 @@ class SampleTable(Record):
         object.__setattr__(self, "output", tuple(self.output))
         factors = {name: tuple(column) for name, column in self.factors.items()}
         object.__setattr__(self, "factors", MappingProxyType(factors))
-        columns = (self.output, *self.factors.values())
+        columns = (self.output, *factors.values())
         if any(len(column) != len(self.output) for column in columns):
             raise ContractViolationError("sample table columns differ in length")
-        FactorBundle(tuple(zip(self.factors, repeat(1.0))))  # the names, in every table
-        if not all(map(_all_positive_finite, columns)):
+        FactorBundle(tuple(zip(factors, repeat(1.0))))  # the names, in every table
+        try:
+            # map would build an argument tuple per call of math.log; zip reuses its one
+            logs = [list(starmap(math.log, zip(column))) for column in columns]
+        except (TypeError, ValueError):  # a value that is not a number, or not > 0
+            logs = None
+        else:
+            sums = list(map(_sum, logs))
+        if logs is None or not math.isfinite(sum(sums)):  # a log failed, or one is nan or inf
+            for column in columns:  # for the TypeError the column test raised
+                if not (min(column) > 0.0 and math.isfinite(sum(column))):
+                    break
             for output, *quantities in zip(*columns):
-                _check_row(output, self.factors, quantities)
+                _check_row(output, factors, quantities)
+        object.__setattr__(self, "_log_output", (logs[0], sums[0]))
+        object.__setattr__(self, "_log_factors", dict(zip(factors, zip(logs[1:], sums[1:]))))
 
     def __len__(self) -> int:
         return len(self.output)
@@ -155,10 +190,9 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
         if name not in table.factors:
             raise ContractViolationError(f"sample table has no factor {name!r}")
 
-    # map would build an argument tuple per call of math.log; zip reuses its one
-    target = list(starmap(math.log, zip(table.output)))
-    columns = [list(starmap(math.log, zip(table.factors[name]))) for name in factor_names]
-    coefficients = _least_squares(columns, target)
+    target, target_sum = table._log_output
+    columns, column_sums = zip(*map(table._log_factors.__getitem__, factor_names))
+    coefficients = _least_squares(columns, target, (target_sum, *column_sums))
     log_tfp = coefficients[0]
     try:
         tfp = math.exp(log_tfp)
@@ -180,27 +214,8 @@ def fit_cobb_douglas(table: SampleTable, factor_names: list[str] | tuple[str, ..
     )
 
 
-def _left_sum(values) -> float:
-    return reduce(add, values, 0.0)
-
-
-# Every long sum adds left to right, so a fit has the same bits, and the fit
-# golden the same bytes, on every Python.  ``_left_sum`` adds so on every
-# version.  Before 3.12 the builtin ``sum`` adds the same way, faster
-# (``_left_sum`` cost fit_large 13 % of its items_per_s on 3.11, 245.6k ->
-# 212.6k over 6 rounds, BENCH_14.json); from 3.12 on ``sum`` compensates
-# float rounding.  Both stay defined on every version, so the tests, and the
-# coverage gate with them, run each on any interpreter.
-_sum = _left_sum if sys.version_info >= (3, 12) else sum
-
-
-def _dot(a, b) -> float:
-    return _sum(map(mul, a, b))
-
-
-def _transposed_product(columns, v) -> list[float]:
-    """X^T v for the design X = [1, columns]."""
-    return [_sum(v), *(_dot(x, v) for x in columns)]
+def _dot(a, b, start=0.0) -> float:
+    return _sum(map(mul, a, b), start)
 
 
 def _row_kernel(coefficients, squared: bool):
@@ -221,9 +236,26 @@ def _row_kernel(coefficients, squared: bool):
     return eval(f"lambda t, {', '.join(names)}: {body}", values)
 
 
-def _residual(columns, target, coefficients) -> list[float]:
-    """target - X b for the design X = [1, columns], built as one list."""
-    return list(map(_row_kernel(coefficients, False), target, *columns))
+# The refinement makes its residual this many rows at a time.
+_BLOCK_ROWS = 1 << 12
+
+
+def _transposed_residual(columns, target, coefficients) -> list[float]:
+    """X^T (target - X b) for the design X = [1, columns].
+
+    The residual is made ``_BLOCK_ROWS`` rows at a time, and each entry of
+    X^T r adds a block on from the sum of the blocks before it, so it has
+    the bits of the sum over the whole residual without its list."""
+    kernel = _row_kernel(coefficients, False)
+    totals = [0.0] * len(coefficients)
+    for start in range(0, len(target), _BLOCK_ROWS):
+        block = [x[start : start + _BLOCK_ROWS] for x in columns]
+        residual = list(map(kernel, target[start : start + _BLOCK_ROWS], *block))
+        totals = [
+            _sum(residual, totals[0]),
+            *(_dot(x, residual, total) for x, total in zip(block, totals[1:])),
+        ]
+    return totals
 
 
 def _rss(columns, target, coefficients) -> float:
@@ -320,9 +352,11 @@ def _householder(columns, target):
     return r, target[:p]
 
 
-def _least_squares(columns, target) -> list[float]:
+def _least_squares(columns, target, sums) -> list[float]:
     """Coefficients b, intercept first, minimizing |target - X b| for the
     design X = [1, columns]; raises RankDeficiencyError at lstsq's rank rule.
+    ``sums`` holds the sum of ``target`` and then of each column: the
+    intercept's entry of X^T y and the first row of the Gram matrix.
 
     The normal equations X^T X b = X^T y are solved by Cholesky, then
     refined once from the true residual y - X b (Bjorck, Numerical Methods
@@ -332,15 +366,16 @@ def _least_squares(columns, target) -> list[float]:
     breaks down, is solved by Householder QR instead.  X and either R have
     the same singular values, so the rank is that of the QR factor.
     """
-    gram = [[float(len(target)), *map(_sum, columns)]]
+    target_sum, *column_sums = sums
+    gram = [[float(len(target)), *column_sums]]
     gram += [[0.0] * (i + 1) + [_dot(a, b) for b in columns[i:]] for i, a in enumerate(columns)]
     r = _cholesky(gram)
     if r is not None:
         sigma = _singular_values(r)
         if min(sigma) >= _CHOLESKY_RCOND * max(sigma):
-            coefficients = _cholesky_solve(r, _transposed_product(columns, target))
-            residual = _residual(columns, target, coefficients)
-            step = _cholesky_solve(r, _transposed_product(columns, residual))
+            moments = [target_sum, *(_dot(x, target) for x in columns)]
+            coefficients = _cholesky_solve(r, moments)
+            step = _cholesky_solve(r, _transposed_residual(columns, target, coefficients))
             return list(map(add, coefficients, step))
     r, projected = _householder(columns, target)
     sigma = _singular_values(r)
@@ -352,8 +387,9 @@ def _least_squares(columns, target) -> list[float]:
     return _solve_upper(r, projected)
 
 
-# The flat reader splits a file this many characters at a time (a few
-# thousand lines), so it never holds a list of every line or row.
+# The flat reader reads a file this many characters at a time, and on to
+# the end of the line a block stops in (a few thousand lines), so it never
+# holds the whole text or a list of every line or row.
 _CHUNK_CHARS = 1 << 16
 
 
@@ -361,28 +397,54 @@ def read_samples(path: Path, factor_names: tuple[str, ...]) -> SampleTable:
     """The named columns of a sample CSV, read flat if it can be.
 
     A file without ``"`` or NUL, with a good header and only JSON numbers
-    in well-formed rows, is read by ``_flat_values``, whatever its line
-    ends.  Any other file goes through ``csv.reader`` in ``_csv_values``, so
-    its error is the one the first bad row raises.  A leading UTF-8 byte-order
-    mark is dropped.  A bad file raises ``ConfigError``; a bad value,
-    ``DomainError``.
+    in well-formed rows, is read by ``_flat_values`` a block at a time,
+    whatever its line ends.  At the first block the flat reader refuses, the
+    file is read again from the start by ``csv.reader`` in ``_csv_values``,
+    so its error is the one the first bad row raises.  A leading UTF-8
+    byte-order mark is dropped.  A file of more than ``MAX_SAMPLES`` rows
+    is refused as the row past the bound is read, before any value is
+    checked.  The flat list of values is dropped before the table takes its
+    logs.  A bad file raises ``ConfigError``; a bad value, ``DomainError``.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
-    flat = _flat_values(text, factor_names)
-    header, values, problem = flat or _csv_values(path, text, factor_names)
+            read = _flat_values(path, handle, factor_names)
+        header, values, problem = read or _csv_values(path, factor_names)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise _read_error(path, exc) from exc
+    del read  # it holds the flat list too
     width = len(header)
     # one column at a time: each slice is freed once its tuple is made
-    table = SampleTable(  # raises a bad value's DomainError before a later row's error
-        output=tuple(values[0::width]),
-        factors={name: tuple(values[header.index(name) :: width]) for name in factor_names},
-    )
+    output = tuple(values[0::width])
+    factors = {name: tuple(values[header.index(name) :: width]) for name in factor_names}
+    del values
+    # raises a bad value's DomainError before a later row's error
+    table = SampleTable(output=output, factors=factors)
     if problem is not None:
         raise ConfigError(f"sample file {path}: {problem}")
     return table
+
+
+def _read_error(path: Path, exc: Exception) -> ConfigError:
+    """The ConfigError of a sample file read that raised ``exc``.
+
+    The whole file is decoded again, and its decode error, if any, is the one
+    reported: a block's decode error counts its position from the block's
+    start, and a decode error anywhere in the file comes before a csv
+    module error, as when the whole text was decoded before any row was read.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            handle.read()
+    except (OSError, UnicodeDecodeError) as whole:
+        exc = whole
+    if isinstance(exc, csv.Error):
+        return ConfigError(f"sample file {path}: {exc}")
+    return ConfigError(f"cannot read sample file {path}: {exc}")
+
+
+def _too_many_rows(path: Path) -> ConfigError:
+    return ConfigError(f"sample file {path}: more than {MAX_SAMPLES} sample rows")
 
 
 def _header_problem(header: list[str], factor_names: tuple[str, ...]) -> str | None:
@@ -409,46 +471,55 @@ def _shape(chunk: str) -> bytes:
     return chunk.encode("ascii", "replace").translate(None, _NUMBER_BYTES)
 
 
-def _flat_values(text: str, factor_names: tuple[str, ...]):
-    """The header and row-major cells of ``text`` read a chunk of lines at a
-    time, as ``_csv_values`` returns them; None if it holds ``"`` or NUL, or
-    has a bad header, a chunk longer than the csv field size limit, a line
-    of the wrong shape, or a cell that is not a JSON number.
+def _flat_values(path: Path, handle, factor_names: tuple[str, ...]):
+    """The header and row-major cells of the sample file open as ``handle``,
+    as ``_csv_values`` returns them, read ``_CHUNK_CHARS`` characters at a
+    time and on to the end of the line; None if a block holds ``"`` or NUL,
+    or the file has a bad header, a block longer than the csv field size
+    limit, a line of the wrong shape, or a cell that is not a JSON number.
+    Raises the ConfigError of more than ``MAX_SAMPLES`` rows once the block
+    that holds the row past the bound is scanned, before it is stored.
 
     The csv module ends a line at each ``\\r\\n``, ``\\r`` and ``\\n``, so each
-    becomes ``\\n``, and it skips blank lines, so they are squeezed out; no
-    line number is reported here.  A text without ``\\r`` is not copied.
-    A chunk's ``_shape`` must hold, on every line, one comma fewer than the
-    header has cells.  One JSON array scan then reads the chunk without a
-    string per cell: a JSON number is a string ``float`` accepts and is read
-    to the same bits, and ``parse_int=float`` reads an integer as ``float``
-    does.  What either step refuses, such as ``nan``, ``1.``, ``+1``, an
-    empty cell or a cell of spaces, is left to the csv module.
+    becomes ``\\n``, and it skips blank lines, so they are squeezed out; a
+    ``\\r\\n`` split between two blocks leaves one more blank line, squeezed
+    out the same way, and no line number is reported here.  A block without
+    ``\\r`` is not copied.  A block's ``_shape`` must hold, on every line, one
+    comma fewer than the header has cells.  One JSON array scan then reads
+    the block without a string per cell: a JSON number is a string ``float``
+    accepts and is read to the same bits, and ``parse_int=float`` reads an
+    integer as ``float`` does.  What either step refuses, such as ``nan``,
+    ``1.``, ``+1``, an empty cell or a cell of spaces, is left to the csv
+    module.
     """
-    if '"' in text or "\0" in text:
-        return None
     import json  # here, so that only fit pays for its import
 
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    start = text.find("\n") + 1 or len(text) + 1
-    header = [cell.strip() for cell in text[: start - 1].split(",")]
     limit = csv.field_size_limit()
-    if start - 1 > limit or _header_problem(header, factor_names) is not None:
+    line = handle.readline(limit + 1)
+    header_line = line.rstrip("\r\n")
+    header = [cell.strip() for cell in header_line.split(",")]
+    if (
+        '"' in line
+        or "\0" in line
+        or len(header_line) > limit
+        or _header_problem(header, factor_names) is not None
+    ):
         return None
     row_shape = b"," * (len(header) - 1) + b"\n"
+    most_values = MAX_SAMPLES * len(header)
     scan = json.JSONDecoder(parse_int=float).decode
     values: list[float] = []
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS)
-        if end < 0:
-            end = len(text)
-        chunk = text[start:end].strip("\n")
-        start = end + 1
+    while chunk := handle.read(_CHUNK_CHARS):
+        if chunk[-1] not in "\r\n":
+            chunk += handle.readline(limit)
+        # a cell might be longer than the limit too, which the csv module reports
+        if len(chunk) > limit or '"' in chunk or "\0" in chunk:
+            return None
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        chunk = chunk.strip("\n")
         if not chunk:  # only blank lines
             continue
-        if len(chunk) > limit:  # a cell might be too, which the csv module reports
-            return None
         shape = _shape(chunk)
         if b"\n\n" in shape:  # a blank line, or one of only spaces
             while "\n\n" in chunk:
@@ -457,40 +528,53 @@ def _flat_values(text: str, factor_names: tuple[str, ...]):
         if shape + b"\n" != row_shape * (shape.count(b"\n") + 1):
             return None
         try:
-            values += scan("[" + chunk.replace("\n", ",") + "]")
+            cells = scan("[" + chunk.replace("\n", ",") + "]")
         except ValueError:
             return None
+        if len(values) + len(cells) > most_values:
+            raise _too_many_rows(path)
+        values += cells
     return header, values, None
 
 
 def _csv_values(
-    path: Path, text: str, factor_names: tuple[str, ...]
+    path: Path, factor_names: tuple[str, ...]
 ) -> tuple[list[str], list[float], str | None]:
-    """The header and the row-major cells of ``text`` read by ``csv.reader``.
+    """The header and the row-major cells of ``path`` read by ``csv.reader``.
 
-    Raises the header's error.  At the first row of the wrong width or with
-    a cell that is not a number, stops and returns what is wrong with it
+    Reads on to the end of the file whatever it finds, so that a csv module
+    or decode error anywhere in it is raised first, as when every row was
+    read before any was looked at; then raises the header's error.  Raises
+    the ConfigError of more than ``MAX_SAMPLES`` rows before the row past
+    the bound is stored.  At the first row of the wrong width or with a cell
+    that is not a number, stops storing and returns what is wrong with it
     beside the cells of the rows before it, for the caller to raise once
     those rows are checked.
     """
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:
-        raise ConfigError(f"sample file {path}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"sample file {path} is empty")
-    header = [cell.strip() for cell in rows[0]]
-    problem = _header_problem(header, factor_names)
-    if problem is not None:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        rows = csv.reader(handle)
+        first = next(rows, None)
+        if first is None:
+            raise ConfigError(f"sample file {path} is empty")
+        header = [cell.strip() for cell in first]
+        problem = _header_problem(header, factor_names)
+        bad_header = problem is not None
+        width = len(header)
+        values: list[float] = []
+        for line_no, row in enumerate(rows, start=2):
+            if problem is not None or not row:  # past a problem, read on for a later error
+                continue
+            if len(row) != width:
+                problem = f"row {line_no} has {len(row)} cells"
+                continue
+            try:
+                cells = [float(cell) for cell in row]
+            except ValueError as exc:
+                problem = f"row {line_no}: {exc}"
+                continue
+            if len(values) == MAX_SAMPLES * width:
+                raise _too_many_rows(path)
+            values += cells
+    if bad_header:
         raise ConfigError(f"sample file {path}: {problem}")
-    values: list[float] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            return header, values, f"row {line_no} has {len(row)} cells"
-        try:
-            values += [float(cell) for cell in row]
-        except ValueError as exc:
-            return header, values, f"row {line_no}: {exc}"
-    return header, values, None
+    return header, values, problem

@@ -18,6 +18,7 @@ from agiecon import (
     ContractViolationError,
     DomainError,
     EconError,
+    FactorBundle,
     NonFiniteOutputError,
     RankDeficiencyError,
     SampleTable,
@@ -155,6 +156,8 @@ class TestFit:
         samples = generate_samples(300, seed=3, tfp=1.5, elasticities=truth, noise_sigma=0.05)
         first = fit_cobb_douglas(samples, ["K", "L"])
         monkeypatch.setattr(calibration, "_sum", calibration._left_sum)
+        # a table sums its logs when it is built
+        samples = generate_samples(300, seed=3, tfp=1.5, elasticities=truth, noise_sigma=0.05)
         assert fit_cobb_douglas(samples, ["K", "L"]) == first
 
     def test_each_python_sums_left_to_right(self):
@@ -217,15 +220,19 @@ def design_cases(draw):
 class TestRowKernel:
     @pytest.mark.parametrize("left_sum", [False, True], ids=["version_sum", "left_sum"])
     @settings(deadline=None)
-    @given(design_cases())
-    def test_compiled_rows_match_the_nested_maps(self, left_sum, case):
-        # left_sum runs the sum that Python 3.12 and later use on any version
+    @given(design_cases(), st.integers(1, 5))
+    def test_compiled_rows_match_the_nested_maps(self, left_sum, case, block_rows):
+        # left_sum runs the sum that Python 3.12 and later use on any version;
+        # X^T r made block_rows rows at a time has the bits of the whole sums
+        # over the nested-map residual, with one block or several
         columns, target, coefficients = case
         reference = nested_map_residual(columns, target, coefficients)
         summed = calibration._left_sum if left_sum else calibration._sum
-        with mock.patch.object(calibration, "_sum", summed):
-            residual = calibration._residual(columns, target, coefficients)
-            assert [r.hex() for r in residual] == [r.hex() for r in reference]
+        want = [summed(reference), *(summed(map(mul, x, reference)) for x in columns)]
+        with mock.patch.object(calibration, "_sum", summed), \
+                mock.patch.object(calibration, "_BLOCK_ROWS", block_rows):
+            got = calibration._transposed_residual(columns, target, coefficients)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
             rss = calibration._rss(columns, target, coefficients)
             assert rss.hex() == calibration._dot(reference, reference).hex()
 
@@ -333,7 +340,76 @@ _FIRST_BAD_ROW_MESSAGES = {
 }
 
 
+def error_outcome(exc):
+    """An error's type, and its message where it is a DomainError."""
+    return type(exc), str(exc) if isinstance(exc, DomainError) else None
+
+
+def column_test_outcome(output, factors):
+    """What building a table of these columns raised when each column was
+    checked by its ``min`` and sum before any log was taken, and the rows in
+    order by the row rule where a column failed: the reference the table's
+    log pass must match.  None where the table was valid."""
+    try:
+        columns = [tuple(output), *map(tuple, factors.values())]
+        FactorBundle(tuple(zip(factors, repeat(1.0))))
+        if not all(not column or (min(column) > 0.0 and math.isfinite(sum(column)))
+                   for column in columns):
+            for y, *quantities in zip(*columns):
+                FactorBundle(tuple(zip(factors, quantities)))
+                if not math.isfinite(y) or y <= 0.0:
+                    raise DomainError(f"sample output must be > 0 and finite, got {y!r}")
+                for name, value in zip(factors, quantities):
+                    if value <= 0.0:
+                        raise DomainError(f"sample factor {name!r} must be > 0 (log-transformable)")
+    except Exception as exc:
+        return error_outcome(exc)
+    return None
+
+
+# Every kind of value a column test, a log or a row check treats apart: good
+# values, zeros of both signs, negatives, nan, infinities, the float range's
+# ends (two of 1e308 overflow a column's sum), bools, ints, strings and None.
+_TABLE_CELLS = st.one_of(
+    st.floats(0.1, 10.0),
+    st.sampled_from(
+        [0.0, -0.0, -1.5, -1e308, math.nan, math.inf, -math.inf, 5e-324, 1e308,
+         True, False, 3, -2, "2.5", "abc", None]
+    ),
+)
+
+
+@st.composite
+def table_columns(draw):
+    """An output column and 1 to 3 factor columns of one drawn length."""
+    names = draw(st.sampled_from([("K",), ("K", "L"), ("L", "K", "M")]))
+    column = st.lists(_TABLE_CELLS, min_size=(n := draw(st.integers(0, 5))), max_size=n)
+    return draw(column), {name: draw(column) for name in names}
+
+
 class TestSampleTable:
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @given(table_columns())
+    def test_log_pass_raises_what_the_column_test_raised(self, drawn):
+        output, factors = drawn
+        try:
+            SampleTable(output=output, factors=factors)
+        except Exception as exc:
+            got = error_outcome(exc)
+        else:
+            got = None
+        assert got == column_test_outcome(output, factors)
+
+    def test_an_integer_past_the_float_range_takes_its_exact_log(self):
+        # the column test raised a bare OverflowError on a column of such
+        # ints; math.log takes an int's log exactly, so the table is valid
+        factors = {"K": [10**400, 10**410, 10**420]}
+        output = [2e200, 2e205, 2e210]  # Y = 2 * K**0.5
+        assert column_test_outcome(output, factors) == (OverflowError, None)
+        result = fit_cobb_douglas(SampleTable(output=output, factors=factors), ["K"])
+        assert result.tfp_estimate == pytest.approx(2.0, rel=1e-9)
+        assert result.elasticity_estimates["K"] == pytest.approx(0.5, rel=1e-12)
+
     def test_fit_takes_a_table_only(self):
         rows = [(1.0, 1.0, 2.0), (2.0, 3.0, 4.0), (5.0, 4.0, 3.0)]
         wide = sample_table(("K", "L"), rows)

@@ -12,6 +12,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -624,6 +625,50 @@ class TestSampleReader:
         assert len(table) == 20_000
         assert table.output == want.output and table.factors == want.factors
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_reading_holds_less_than_the_file_beside_the_table(self, tmp_path, end):
+        # the reader used to hold the whole text, its CRLF-free copy and the
+        # flat value list at once: 1.7 times the file beside the table
+        rng = random.Random(5)
+        rows = ["Y,K,L,Z"]
+        rows += [",".join(repr(rng.uniform(0.5, 5.0)) for _ in range(4)) for _ in range(20_000)]
+        path = tmp_path / "samples.csv"
+        path.write_text(end.join(rows) + end, encoding="utf-8", newline="")
+        size = path.stat().st_size
+        assert size > 8 * calibration._CHUNK_CHARS
+        calibration.read_samples(path, ("K",))  # json's import is not the reader's to hold
+        tracemalloc.start()
+        try:
+            table = calibration.read_samples(path, ("K", "L"))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 20_000
+        assert peak - held < size
+
+    @pytest.mark.parametrize("chunk_chars", [16, 1 << 16])
+    @pytest.mark.parametrize("reader", ["flat", "csv"])
+    def test_a_file_past_the_row_bound_is_one_error_line(
+        self, tmp_path, monkeypatch, capsys, reader, chunk_chars
+    ):
+        monkeypatch.setattr(calibration, "MAX_SAMPLES", 1000)
+        monkeypatch.setattr(calibration, "_CHUNK_CHARS", chunk_chars)
+        rng = random.Random(9)
+        rows = [",".join(repr(rng.uniform(0.5, 5.0)) for _ in range(3)) for _ in range(1001)]
+        if reader == "csv":  # a quoted cell sends the file to the csv module
+            rows[0] = '"' + rows[0].replace(",", '",', 1)
+        rows[500:500] = [""] * 3  # blank lines are not rows
+        config = write_fit_config(tmp_path, "\n".join(["Y,K,L", *rows[:-1]]) + "\n")
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "at") == 0
+        assert capsys.readouterr().err == ""
+        assert b"n_samples,1000\n" in (tmp_path / "at" / "fit.csv").read_bytes()
+        # one row more, and a bad cell past it: the bound is met first
+        config = write_fit_config(tmp_path, "\n".join(["Y,K,L", *rows, "1.0,abc,2.0"]) + "\n")
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "past") == 1
+        samples = tmp_path / "samples.csv"
+        assert capsys.readouterr().err == f"config error: sample file {samples}: more than 1000 sample rows\n"
+        assert not (tmp_path / "past").exists()
+
 
 def _number(lo, hi):
     return st.floats(lo, hi, allow_nan=False).map(repr)
@@ -1229,6 +1274,26 @@ class TestUnreadableInput:
     def test_undecodable_sample_file_names_the_byte_offset(self, tmp_path, capsys):
         # the position used to count from the start of the last 8 KiB read
         samples = b"Y,K,L\n" + b"1.0,1.0,1.0\n" * 2000 + b"\xff\n"
+        (tmp_path / "samples.csv").write_bytes(samples)
+        config = tmp_path / "fit.ini"
+        config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
+        assert run_cli("fit", "--config", config, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read sample file ") and err.count("\n") == 1
+        assert f"in position {len(samples) - 2}: " in err
+
+    @pytest.mark.parametrize(
+        "first_row",
+        [b'"1.0",1.0,1.0\n', b"1.0,1.0\n", b"1.0,abc,1.0\n", b"1" * 200_000 + b",1.0,1.0\n"],
+        ids=["quoted", "short", "unparsable", "oversized-cell"],
+    )
+    def test_a_decode_error_past_a_refused_row_is_the_one_reported(
+        self, tmp_path, capsys, first_row
+    ):
+        # the file is read on to its end past a row the flat reader refuses,
+        # and past a row or a csv module error the csv module stops at, and
+        # its decode error is reported, counted from the start of the file
+        samples = b"Y,K,L\n" + first_row + b"1.0,1.0,1.0\n" * 2000 + b"\xff\n"
         (tmp_path / "samples.csv").write_bytes(samples)
         config = tmp_path / "fit.ini"
         config.write_text("[fit]\nfactors = K, L\ninput = samples.csv\n")
