@@ -94,10 +94,7 @@ def _parse_model(reader: _SectionReader) -> ModelParams:
         raise ConfigError(f"[model].id: expected one of {choices}, got {raw_id!r}")
     values = {field: reader.take(field, parse=float) for field in param_type._fields}
     reader.finish()
-    try:
-        return param_type(**values)
-    except DomainError as exc:
-        raise ConfigError(f"[model]: {exc}") from exc
+    return param_type(**values)
 
 
 # each [transition] key and the TransitionParams field it sets
@@ -112,11 +109,8 @@ def _parse_transition(reader: _SectionReader) -> tuple[TransitionParams, int]:
     }
     n_points = reader.take("n_points", DEFAULT_N_POINTS, int)
     reader.finish()
-    try:
-        check_n_points(n_points)
-        return TransitionParams(**values), n_points
-    except DomainError as exc:
-        raise ConfigError(f"[transition]: {exc}") from exc
+    check_n_points(n_points)
+    return TransitionParams(**values), n_points
 
 
 def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
@@ -131,11 +125,8 @@ def _parse_scenario(reader: _SectionReader) -> ScenarioSection:
     growth = reader.take("growth", ScenarioConfig.agi_capital_growth, float)
     threshold = reader.take("collapse_threshold", ScenarioConfig.collapse_threshold, float)
     reader.finish()
-    try:
-        adoption = AdoptionPath(kind, **values)
-        growth, threshold = check_run(adoption, horizon, growth, threshold)
-    except DomainError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
+    adoption = AdoptionPath(kind, **values)
+    growth, threshold = check_run(adoption, horizon, growth, threshold)
     return ScenarioSection(
         horizon=horizon, adoption=adoption, growth=growth, collapse_threshold=threshold
     )
@@ -170,7 +161,11 @@ _SECTIONS = {
 
 
 def parse_config_text(text: str) -> ParsedConfig:
-    """Parse and validate a config document; defaults are applied here."""
+    """Parse and validate a config document; defaults are applied here.
+
+    A ``DomainError`` raised while a section is read is reported as a
+    ``ConfigError`` prefixed with that section: ``[name]: message``.
+    """
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#",), interpolation=None, strict=True
     )
@@ -186,10 +181,13 @@ def parse_config_text(text: str) -> ParsedConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"[{section}]: unknown section")
 
-    read = {
-        name: parse(_SectionReader(name, parser[name]))
-        for name, parse in _SECTIONS.items() if parser.has_section(name)
-    }
+    read = {}
+    for name, parse in _SECTIONS.items():
+        if parser.has_section(name):
+            try:
+                read[name] = parse(_SectionReader(name, parser[name]))
+            except DomainError as exc:
+                raise ConfigError(f"[{name}]: {exc}") from exc
     transition, n_points = read.get("transition", (TransitionParams(), DEFAULT_N_POINTS))
     return ParsedConfig(
         model_params=read.get("model"),

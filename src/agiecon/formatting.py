@@ -13,9 +13,6 @@ single cell or of a whole window: one pass drops the sign of a negative
 zero, two ``bytes.replace`` passes that keep the text's length mark each
 exponent's padding zero with ``#``, and one ``bytes.translate`` deletes
 every ``+`` and ``#``.  No pass is skipped or added for large exponents.
-A row that formats to ``nan`` or ``inf`` is rewritten cell by cell with
-``format_number`` and ``format_number_or_nan``, which accept or reject it
-exactly as they would alone.
 """
 
 from __future__ import annotations
@@ -75,20 +72,12 @@ def format_rows(rows: Sequence[Sequence[float]], nan_columns: Container[int] = (
     template = b",".join(b"%d" if isinstance(cell, int) else _NUMBER for cell in rows[0]) + b"\n"
     lines = list(map(mod, repeat(template), rows))
     text = b"".join(lines)
-    # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold an "n"
+    # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold
+    # an "n", and "%.9e" writes every NaN, a negative one too, as "nan"
     if b"n" in text:
-        for i, line in enumerate(lines):
+        for line, row in zip(lines, rows):
             if b"n" in line:
-                lines[i] = _checked_line(rows[i], nan_columns)
-        text = b"".join(lines)
+                for i, value in enumerate(row):
+                    if not (isinstance(value, int) or (i in nan_columns and math.isnan(value))):
+                        format_number(value)
     return _normalize(text)
-
-
-def _checked_line(row, nan_columns) -> bytes:
-    cells = [
-        "%d" % value if isinstance(value, int)
-        else format_number_or_nan(value) if i in nan_columns
-        else format_number(value)
-        for i, value in enumerate(row)
-    ]
-    return (",".join(cells) + "\n").encode()

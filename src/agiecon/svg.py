@@ -7,10 +7,9 @@ mapped affinely into the plot rectangle left after 10% margins on every
 side, and dense curves are decimated per pixel column with C-level passes
 over those columns.  A ``Chart`` is fed its columns one window at a time,
 carrying across windows only each curve's run still open in a pixel column,
-so a caller holds one window of a long grid, never the grid; ``line_chart``
-feeds whole columns as one window.  Within a window the pixel columns of
-the x column are found once per NaN mask: curves with NaN at the same
-points share one partition.
+so a caller holds one window of a long grid, never the grid.  Within a
+window the pixel columns of the x column are found once per NaN mask:
+curves with NaN at the same points share one partition.
 """
 
 from __future__ import annotations
@@ -228,17 +227,3 @@ def draw(chart: Chart, title: str, x_label: str, y_label: str) -> str:
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def line_chart(
-    xs: Sequence[float],
-    curves: list[tuple[str, Sequence[float]]],
-    title: str,
-    x_label: str,
-    y_label: str,
-) -> str:
-    """The SVG text of a ``Chart`` of the (label, ys) curves over the x
-    column xs, fed as one window."""
-    chart = Chart([label for label, _ in curves])
-    chart.add(xs, [ys for _, ys in curves])
-    return draw(chart, title, x_label, y_label)

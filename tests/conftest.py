@@ -14,8 +14,8 @@ from agiecon.diagnostics import _random_instance
 FACTOR_POOL = ("K", "K_AGI", "L_h", "L_AGI", "M")
 ROOT = Path(__file__).resolve().parent.parent
 
-# Deeper runs of the differential properties, loaded only on request with
-# --hypothesis-profile=thorough; CI's "Differential properties" step lists the tests
+# Deeper runs of every property, loaded only on request with
+# --hypothesis-profile=thorough, as a CI step does over the whole suite
 settings.register_profile("thorough", max_examples=1000, deadline=None)
 # scripts/coverage.py's traced run, about three times slower than tier-1:
 # no deadline and no too_slow check, and derandomized draws, so the same

@@ -9,7 +9,9 @@ child caps its own address space (``RLIMIT_AS``) a little above what it
 holds once imported, so a check that ever moved after the allocation, or a
 command that ever held its whole run or grid, would end the child in a
 MemoryError instead of exhausting the machine.  Nothing near a bound is
-built in this process.
+built in this process.  A sample file past ``calibration.MAX_SAMPLES`` rows
+is refused as it is read, before its rows are stored; the child lowers the
+bound, so a file of a few MB crosses it.
 """
 
 import sys
@@ -137,3 +139,29 @@ def test_sweep_streams_a_dense_grid_under_the_cap(tmp_path):
     with open(tmp_path / "power_curve.csv", "rb") as curve:
         lines = sum(chunk.count(b"\n") for chunk in iter(lambda: curve.read(1 << 20), b""))
     assert lines == 300_001  # the header and grid points 0..299999
+
+
+# read_samples in a child with the bound lowered to 10**4 rows
+READ_PAST_THE_BOUND = "from agiecon import calibration\n" + CAP + """
+from pathlib import Path
+
+calibration.MAX_SAMPLES = 10**4
+try:
+    calibration.read_samples(Path(sys.argv[1]), ("K", "L"))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@linux_only
+@pytest.mark.parametrize("header", ["Y,K,L", '"Y",K,L'], ids=["flat", "csv"])
+def test_a_sample_file_past_the_bound_is_refused_before_its_rows_are_stored(tmp_path, header):
+    # a quoted header cell sends the file down the csv reader's path; stored,
+    # the 1.2 million rows would need more than the cap
+    samples = tmp_path / "samples.csv"
+    samples.write_text(header + "\n" + "1,1,1\n" * 1_200_000)
+    child = run_python(READ_PAST_THE_BOUND, samples)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        f"ConfigError sample file {samples}: more than 10000 sample rows"
+    ]

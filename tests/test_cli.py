@@ -1113,6 +1113,10 @@ class TestErrorLines:
              "error: need at least 3 samples for 2 factors, got 2"),
             ("fit", "[fit]\nfactors = K\ninput = tiny_tfp.csv\n", (), 2,
              "error: fitted ln A = -1404.576906725218 underflows a float: A has no positive value"),
+            ("sweep", "[transition]\nn_points = 1\n", (), 1,
+             "config error: [transition]: n_points must be an integer in [2, 10000000], got 1"),
+            ("sweep", "[transition]\nw0 = 0\n", (), 1,
+             "config error: [transition]: w0 must be a positive finite real, got 0.0"),
         ],
         ids=[
             "unknown-adoption", "negative-growth", "threshold-above-1", "negative-steepness",
@@ -1121,7 +1125,7 @@ class TestErrorLines:
             "infinite-capital", "nan-steepness", "infinite-lambda", "one-point",
             "zero-capital", "negative-beta2", "negative-t0", "path-cannot-rise",
             "elasticity-total-overflows", "header-only-samples", "no-more-rows-than-factors",
-            "tfp-underflows",
+            "tfp-underflows", "one-point-config", "zero-w0",
         ],
     )
     def test_one_exact_line(self, tmp_path, capsys, command, config, extra, status, err):

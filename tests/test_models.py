@@ -132,6 +132,40 @@ class TestDelegation:
             assert wages["L_AGI"] * params.L_AGI == pytest.approx(params.beta2 * y, rel=1e-10)
 
 
+# with these draws no product overflows or is subnormal
+_quantities = st.floats(1e-3, 1e3)
+_exponents = st.floats(0.0, 2.0)
+
+
+def _bits(params):
+    """The bits of Y and of each labor factor's wage, in LABOR order."""
+    return [model_output(params).hex(), *(w.hex() for w in model_wages(params).values())]
+
+
+class TestNesting:
+    """The nesting relation (R4): a model with one factor switched off is
+    the smaller model, bit for bit, as x**0.0 == 1.0 and K + 0.0 == K."""
+
+    @given(st.floats(0.1, 10.0), st.just(0.0) | _quantities, st.just(0.0) | _quantities,
+           _quantities, _quantities, _exponents, _exponents, _exponents)
+    def test_model3_without_agi_capital_elasticity_is_model2(
+        self, a, k, k_agi, l_h, l_agi, alpha, beta1, beta2
+    ):
+        m3 = ModelIIIParams(A=a, K=k, K_AGI=k_agi, L_h=l_h, L_AGI=l_agi,
+                            alpha=alpha, gamma=0.0, beta1=beta1, beta2=beta2)
+        m2 = ModelIIParams(A=a, K=k, L1=l_h, L2=l_agi, alpha=alpha, beta1=beta1, beta2=beta2)
+        assert _bits(m3) == _bits(m2)
+
+    @given(st.floats(0.1, 10.0), st.just(0.0) | _quantities, _quantities, _quantities,
+           _exponents, _exponents)
+    def test_model1_without_agi_capital_is_model2_without_agi_labor(
+        self, a, k, l, l2, alpha, beta
+    ):
+        m1 = ModelIParams(A=a, K=k, K_AGI=0.0, L=l, alpha=alpha, beta=beta)
+        m2 = ModelIIParams(A=a, K=k, L1=l, L2=l2, alpha=alpha, beta1=beta, beta2=0.0)
+        assert _bits(m1) == _bits(m2)[:2]
+
+
 class TestPowerIndex:
     def test_elasticity_ratio(self):
         params = ModelIIIParams(

@@ -10,18 +10,24 @@ from hypothesis import strategies as st
 from agiecon import DomainError, TransitionParams, power_curve
 from agiecon import svg
 from agiecon.svg import _partition as partition
-from agiecon.svg import line_chart
 
 # the plot rectangle inside the chart's 10 % margins, by the chart's own expressions
 LEFT, RIGHT = 0.1 * 800, 0.9 * 800
 TOP, BOTTOM = 0.1 * 600, 0.9 * 600
 
 
+def chart_of(xs, curves):
+    """The SVG text of a chart of the (label, ys) curves over xs, fed as one window."""
+    chart = svg.Chart([label for label, _ in curves])
+    chart.add(xs, [ys for _, ys in curves])
+    return svg.draw(chart, "t", "x", "y")
+
+
 def chart_vertices(points):
     """The "x,y" vertices of the one polyline a chart of ``points`` draws."""
     xs, ys = [x for x, _ in points], [y for _, y in points]
-    svg = line_chart(xs=xs, curves=[("c", ys)], title="t", x_label="x", y_label="y")
-    (coords,) = re.findall(r'<polyline class="curve"[^>]* points="([^"]*)"', svg)
+    chart = chart_of(xs, [("c", ys)])
+    (coords,) = re.findall(r'<polyline class="curve"[^>]* points="([^"]*)"', chart)
     return coords.split()
 
 
@@ -133,10 +139,6 @@ def test_dense_power_curve_keeps_at_most_four_vertices_per_column():
     points = list(zip(curve.l_agi, curve.p_h))
     assert_columns_keep_ends_and_extremes(points)
     assert len(chart_vertices(points)) <= 4 * 641
-
-
-def chart_of(xs, curves):
-    return line_chart(xs=xs, curves=curves, title="t", x_label="x", y_label="y")
 
 
 @st.composite
