@@ -32,10 +32,13 @@ from pathlib import Path
 
 from .config import ParsedConfig, build_scenario_config, parse_config_file
 from .errors import ConfigError, DomainError, EconError, UndefinedBaselineError, UsageError
-from .formatting import format_number, format_rows
+from .formatting import format_columns, format_number
 from .models import model_output, model_wages
-from .scenario import TimeSeriesRecord, detect_collapse, run_scenario
+from .scenario import TimeSeriesRecord, collapse_step, run_columns
 from .transition import PowerCurve, check_n_points, power_curve, power_index
+
+# unused by the commands, kept importable: perfbench/tracer.py wraps these names here
+from .scenario import detect_collapse, run_scenario  # noqa: F401
 
 
 class _HelpShown(Exception):
@@ -186,8 +189,9 @@ def _csv_header(fields: tuple[str, ...]) -> bytes:
 _WINDOW = 2048
 # power_curve.csv's rows are PowerCurve points, and p_h may be nan
 _CURVE_NAN = (PowerCurve._fields.index("p_h"),)
-# series.csv's rows are TimeSeriesRecords, and w_agi and p_h_transition may be nan
+# series.csv's columns are TimeSeriesRecord's fields, and w_agi and p_h_transition may be nan
 _SERIES_NAN = tuple(map(TimeSeriesRecord._fields.index, ("w_agi", "p_h_transition")))
+_T, _W_H = map(TimeSeriesRecord._fields.index, ("t", "w_h"))
 
 
 def _cmd_eval(parsed: ParsedConfig, out_dir: Path, args) -> int:
@@ -235,7 +239,7 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
         for start in range(0, n_points, _WINDOW):
             curve = power_curve(params[0], n_points, grid[start:start + _WINDOW])
             chart.add(curve.l_agi, [curve.p_h] + [power_index(tp, curve.l_agi) for tp in params[1:]])
-            yield format_rows(list(zip(*curve._values())), _CURVE_NAN)
+            yield format_columns(curve._values(), _CURVE_NAN)
 
     def drawn() -> Iterator[bytes]:
         yield line_chart(
@@ -252,11 +256,12 @@ def _cmd_sweep(parsed: ParsedConfig, out_dir: Path, args) -> int:
 def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
     """Write series.csv one window of ``_WINDOW`` steps at a time.
 
-    Each window's records are computed, searched for the collapse step,
-    formatted and written before the next is computed, so the command holds
-    one window of the run however long its horizon.  A window that fails,
-    or a collapse line that cannot be printed after the last window, raises
-    inside ``_write_all``, which leaves the out directory as it was.
+    Each window's columns are computed, searched for the collapse step on
+    their w_h column, formatted and written before the next is computed, so
+    the command holds one window of the run however long its horizon, and
+    builds no record.  A window that fails, or a collapse line that cannot
+    be printed after the last window, raises inside ``_write_all``, which
+    leaves the out directory as it was.
     """
     cfg = build_scenario_config(parsed)
     theta = cfg.collapse_threshold
@@ -266,12 +271,12 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
         yield _csv_header(TimeSeriesRecord._fields)
         steps = range(cfg.horizon + 1)
         for start in range(0, len(steps), _WINDOW):
-            window = run_scenario(cfg, steps[start:start + _WINDOW])
+            columns = run_columns(cfg, steps[start:start + _WINDOW])
             if start == 0:
-                baseline = window[0].w_h
+                baseline = columns[_W_H][0]
             if not collapse:
                 try:
-                    step = detect_collapse(window, theta, baseline)
+                    step = collapse_step(columns[_T], columns[_W_H], theta, baseline)
                 except UndefinedBaselineError as exc:
                     collapse.append(f"collapse: undefined: {exc}")
                 else:
@@ -280,7 +285,7 @@ def _cmd_simulate(parsed: ParsedConfig, out_dir: Path, args) -> int:
                             f"collapse: human wage fell below {theta:g} of its initial value"
                             f" at step {step}"
                         )
-            yield format_rows(window, _SERIES_NAN)
+            yield format_columns(columns, _SERIES_NAN)
         _print_all(collapse)  # before _write_all renames anything into place
 
     _write_all({out_dir / "series.csv": rows()})

@@ -4,15 +4,18 @@ Nine digits after the decimal point beat shortest-round-trip printing for
 golden files: shortest-round-trip output differs across language runtimes,
 fixed-digit output does not.
 
-``format_number`` writes one value.  ``format_rows`` writes one window of
-CSV rows with the same definition, as ``bytes`` ready for a file opened in
-binary mode: each row goes through a single bytes ``%``-format (``%d`` per
-``int`` cell, ``%.9e`` per number cell), in place of one Python-level call
-per cell.  One normalizer, ``_normalize``, then rewrites the exponents of a
-single cell or of a whole window: one pass drops the sign of a negative
-zero, two ``bytes.replace`` passes that keep the text's length mark each
-exponent's padding zero with ``#``, and one ``bytes.translate`` deletes
-every ``+`` and ``#``.  No pass is skipped or added for large exponents.
+``format_number`` writes one value.  ``format_columns`` writes one window
+of CSV rows, given by column, with the same definition, as ``bytes`` ready
+for a file opened in binary mode: each row goes through a single bytes
+``%``-format of one row template, in place of one Python-level call per
+cell.  The template converts each distinct number once where that is cheap
+to see: a column of one repeated finite value is in it as text, and a
+column given twice is converted once and filled in as ``%s``.  One
+normalizer, ``_normalize``, then rewrites the exponents of a single cell
+or of a whole window: one pass drops the sign of a negative zero, two
+``bytes.replace`` passes that keep the text's length mark each exponent's
+padding zero with ``#``, and one ``bytes.translate`` deletes every ``+``
+and ``#``.  No pass is skipped or added for large exponents.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Container, Sequence
 from itertools import repeat
-from operator import mod
+from operator import is_, mod
 
 from .errors import SerializationError
 
@@ -57,25 +60,53 @@ def format_number_or_nan(x: float) -> str:
     return "nan" if math.isnan(x) else format_number(x)
 
 
-def format_rows(rows: Sequence[Sequence[float]], nan_columns: Container[int] = ()) -> bytes:
-    """CSV bytes of ``rows``, one ``\\n``-terminated line per row.
+def format_columns(columns: Sequence[Sequence[float]], nan_columns: Container[int] = ()) -> bytes:
+    """CSV bytes of the rows that ``columns`` hold, one ``\\n``-terminated
+    line per row.
 
-    ``rows`` is a non-empty sequence, such as one window of a command's
-    records, and every row has the types of the first.  An ``int`` cell is
-    written with ``%d``; every other cell is written as ``format_number``
-    would write it, or as ``format_number_or_nan`` for a column listed in
-    ``nan_columns``.  Raises SerializationError for an infinite cell, or a
-    NaN cell outside ``nan_columns``: the first such row's.  The bytes end
-    at a ``\\n``, which no ``_normalize`` pattern holds, so the bytes of
-    consecutive windows join to the bytes of all their rows.
+    ``columns`` is a non-empty sequence of equally long, non-empty columns,
+    such as one window of a command's output, and every value of a column
+    has the type of its first.  An ``int`` column is written with ``%d``;
+    every other value is written as ``format_number`` would write it, or as
+    ``format_number_or_nan`` for a column listed in ``nan_columns``.  Raises
+    SerializationError for an infinite value, or a NaN outside
+    ``nan_columns``: the first such row's.  The bytes end at a ``\\n``,
+    which no ``_normalize`` pattern holds, so the bytes of consecutive
+    windows join to the bytes of all their rows.
+
+    Each distinct number is converted once where that is cheap to see.  A
+    column whose values are all equal and finite is written into the row
+    template as its own text; equal floats differ at most in the sign of
+    zero, which ``_normalize`` erases.  A column object given twice is
+    converted once and its text given to both places as ``%s``.
     """
-    template = b",".join(b"%d" if isinstance(cell, int) else _NUMBER for cell in rows[0]) + b"\n"
-    lines = list(map(mod, repeat(template), rows))
+    rows = len(columns[0])
+    cells: list[bytes] = []  # the row template's cells
+    varying: list[Sequence] = []  # the values for its % specifiers, by column
+    shared: dict[int, list[bytes]] = {}  # id of a column given twice -> its text
+    for column in columns:
+        first = column[0]
+        integer = isinstance(first, int)
+        spec = b"%d" if integer else _NUMBER
+        if first == column[-1] and (integer or math.isfinite(first)) and column.count(first) == rows:
+            cells.append(spec % first)
+        elif sum(map(is_, repeat(column), columns)) > 1:
+            text = shared.get(id(column))
+            if text is None:
+                text = shared[id(column)] = list(map(mod, repeat(spec), column))
+            cells.append(b"%s")
+            varying.append(text)
+        else:
+            cells.append(spec)
+            varying.append(column)
+    template = b",".join(cells) + b"\n"
+    # zip hands each row to the template without keeping it
+    lines = list(map(mod, repeat(template), zip(*varying))) if varying else [template] * rows
     text = b"".join(lines)
     # finite cells use only digits, ".", "e", "+" and "-"; "nan" and "inf" hold
     # an "n", and "%.9e" writes every NaN, a negative one too, as "nan"
     if b"n" in text:
-        for line, row in zip(lines, rows):
+        for line, row in zip(lines, zip(*columns)):
             if b"n" in line:
                 for i, value in enumerate(row):
                     if not (isinstance(value, int) or (i in nan_columns and math.isnan(value))):

@@ -19,37 +19,39 @@ literal marginal product has no finite value there).  Because the human
 elasticity and the human labor quantity vanish together at s = 1, w_h is
 always a real number and ends at exactly 0.
 
-``run_scenario`` computes the run by column, without building a parameter
+``run_columns`` computes the run by column, without building a parameter
 record, technology or bundle: each record field is one ``map`` pass over
 the steps, and this kernel is the only statement of the step's formulas
-and checks.  The step takes Model III's structure from ``ModelIIIParams``:
-Y = A K^alpha K_AGI(t)^gamma L_h^beta1_t L_AGI^beta2_t is the ordered
-product over its ``TERMS``, with the zero-quantity convention of
-``production.output``, and each factor in its ``LABOR`` earns the wage
-e * Y / x, the identity ``production.marginal_product`` evaluates.
-p_h_transition is ``transition.power_index`` over the shares, the point
-kernel of ``human_power``, so the records are bit-identical to the generic
-model path.  The record's column order is ``TimeSeriesRecord``'s field
-order.
-Steps are independent, so ``run_scenario`` also computes any window of
-consecutive steps, whose records are the whole run's for those steps: a
-caller that takes a run window by window, as ``simulate`` does, holds one
-window at a time.  The kernel only computes and checks; ``run_scenario``
-alone narrows a failing window, by halves, to its first failing step, which
-raises its own error in the step's check order.  A step whose Y is not
-finite is evaluated once more by ``model_output``, whose error it raises,
-so no term of the model is restated here.
+and checks.  ``run_scenario`` zips those columns into records, and
+``simulate`` formats the columns themselves.  The step takes Model III's
+structure from ``ModelIIIParams``: Y = A K^alpha K_AGI(t)^gamma
+L_h^beta1_t L_AGI^beta2_t is the ordered product over its ``TERMS``, with
+the zero-quantity convention of ``production.output``, and each factor in
+its ``LABOR`` earns the wage e * Y / x, the identity
+``production.marginal_product`` evaluates.  p_h_transition is
+``transition.power_index`` over the shares, the point kernel of
+``human_power``, so the records are bit-identical to the generic model
+path.  The column order is ``TimeSeriesRecord``'s field order.
+Steps are independent, so ``run_columns`` and ``run_scenario`` also
+compute any window of consecutive steps, whose values are the whole run's
+for those steps: a caller that takes a run window by window, as
+``simulate`` does, holds one window at a time.  The kernel only computes
+and checks; ``run_columns`` alone narrows a failing window, by halves, to
+its first failing step, which raises its own error in the step's check
+order.  A step whose Y is not finite is evaluated once more by
+``model_output``, whose error it raises, so no term of the model is
+restated here.
 The adoption path's step-independent terms (horizon checks, the logistic
 end points, the exp-saturating normalizer) are computed once per call, and
 so are Y's: its leading terms whose base and exponent do not move with the
 step (A * K^alpha) are one scalar that starts every step's product, with
-the same operations in the same order, and a field that does not move is
-p0's value repeated, never a list.  Each step check is first one C-level
-reduction: a column whose sum is finite holds no NaN or infinity, so the
-share range can then take its min and max.  Only where that sum is not
-finite (a NaN, an infinity, or finite values whose sum overflows) does the
-check run its exact per-value pass, so every error keeps its type, message
-and step.
+the same operations in the same order, and a parameter that does not move
+is p0's value repeated, not a list, in the product; the K column is one
+list of p0's K.  Each step check is first one C-level reduction: a column
+whose sum is finite holds no NaN or infinity, so the share range can then
+take its min and max.  Only where that sum is not finite (a NaN, an
+infinity, or finite values whose sum overflows) does the check run its
+exact per-value pass, so every error keeps its type, message and step.
 """
 
 from __future__ import annotations
@@ -300,24 +302,36 @@ def run_scenario(cfg: ScenarioConfig, steps: range | None = None) -> list[TimeSe
     serialize byte-identically.  Where a step fails one of the step checks,
     the first failing step raises its own error.
     """
+    return list(map(tuple.__new__, repeat(TimeSeriesRecord), zip(*run_columns(cfg, steps))))
+
+
+def run_columns(cfg: ScenarioConfig, steps: range | None = None) -> list:
+    """``run_scenario(cfg, steps)`` by column: one column per
+    ``TimeSeriesRecord`` field, in field order, each with one value per step.
+
+    The t column is the window's range, the K column holds the one float
+    K at every step, and the L_AGI column is the s column's list itself.
+    """
     steps = _window("steps", steps, range(cfg.horizon + 1))
     return _narrowed(cfg, steps, _adoption_curve(cfg.adoption, cfg.horizon)(steps))
 
 
-def _narrowed(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[TimeSeriesRecord]:
-    """``_step_columns`` of ``steps``; a failing window of several steps is
-    split in halves, left first, so its first failing step raises its own error."""
+def _narrowed(cfg: ScenarioConfig, steps: range, s: list[float]) -> list:
+    """``_step_columns`` of ``steps``.  Every check is per step, so a failing
+    window holds a failing step: a window of several steps is split in
+    halves, left first, until the first failing step raises its own error."""
     try:
         return _step_columns(cfg, steps, s)
     except EconError:
         if len(steps) == 1:
             raise
     half = len(steps) // 2
-    return _narrowed(cfg, steps[:half], s[:half]) + _narrowed(cfg, steps[half:], s[half:])
+    _narrowed(cfg, steps[:half], s[:half])
+    _narrowed(cfg, steps[half:], s[half:])
 
 
-def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[TimeSeriesRecord]:
-    """The records of ``steps`` at shares ``s``, one ``map`` pass per field.
+def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list:
+    """The columns of ``steps`` at shares ``s``, one ``map`` pass per field.
 
     The step checks run in this order: K_AGI finite, s in [0, 1], Y finite
     (with ``model_output``'s errors for the step's record), w_h and the wage
@@ -385,12 +399,11 @@ def _step_columns(cfg: ScenarioConfig, steps: range, s: list[float]) -> list[Tim
         if not defined:
             raise SimulationFailureError(f"step {steps[0]}: {label} is not finite ({column[0]!r})")
     columns = {
-        **model, "t": steps, "s": s, "Y": y, "w_h": w_h, "w_agi": w_agi,
-        "p_h_elastic": map(truediv, beta1, map(add, beta1, beta2)),
+        **moving, "K": [p0.K] * len(steps), "t": steps, "s": s, "Y": y, "w_h": w_h,
+        "w_agi": w_agi, "p_h_elastic": list(map(truediv, beta1, map(add, beta1, beta2))),
         "p_h_transition": power_index(cfg.transition, s), "wage_bill": wage_bill,
     }
-    fields = map(columns.__getitem__, TimeSeriesRecord._fields)
-    return list(map(tuple.__new__, repeat(TimeSeriesRecord), zip(*fields)))
+    return list(map(columns.__getitem__, TimeSeriesRecord._fields))
 
 
 def _finite(column: list[float]) -> bool:
@@ -434,8 +447,14 @@ def detect_collapse(
         if not series:
             raise ContractViolationError("empty series")
         baseline = series[0].w_h
+    t, w_h = map(attrgetter("t"), series), map(attrgetter("w_h"), series)
+    return collapse_step(t, w_h, theta, baseline)
+
+
+def collapse_step(t, w_h, theta: float, baseline: float) -> int | None:
+    """The first step of the column ``t`` whose w_h lies below theta *
+    ``baseline``, or None; raises UndefinedBaselineError where the baseline
+    w_h(0) is 0 or NaN.  ``theta`` is checked by the caller."""
     if baseline == 0.0 or math.isnan(baseline):
         raise UndefinedBaselineError("w_h(0) = 0: collapse threshold has no baseline")
-    below = compress(series, map(lt, map(attrgetter("w_h"), series), repeat(theta * baseline)))
-    first = next(below, None)
-    return None if first is None else first.t
+    return next(compress(t, map(lt, w_h, repeat(theta * baseline))), None)

@@ -31,15 +31,23 @@ from agiecon import (
     calibration,
     cli,
     diagnostics,
+    format_number,
     marginal_product,
 )
 from agiecon.calibration import MAX_FACTORS
 from agiecon.cli import _WINDOW as BLOCK
-from agiecon.cli import _write_all, main
-from agiecon.errors import ConfigError
-from agiecon.formatting import format_rows
+from agiecon.cli import _CSV_NAMES, _write_all, main
+from agiecon.config import build_scenario_config, parse_config_file
+from agiecon.errors import ConfigError, UndefinedBaselineError
+from agiecon.formatting import format_columns, format_number_or_nan
 from agiecon.models import PARAM_TYPES
-from agiecon.scenario import ADOPTION_PARAMS, MAX_HORIZON
+from agiecon.scenario import (
+    ADOPTION_PARAMS,
+    MAX_HORIZON,
+    TimeSeriesRecord,
+    detect_collapse,
+    run_scenario,
+)
 from agiecon.transition import MAX_N_POINTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -311,7 +319,7 @@ class TestSimulate:
         def no_run(*args):
             raise AssertionError("the scenario must not run")
 
-        monkeypatch.setattr(cli, "run_scenario", no_run)
+        monkeypatch.setattr(cli, "run_columns", no_run)
         config = tmp_path / "long.ini"
         text = (CONFIGS / "simulate_demo.ini").read_text()
         config.write_text(text.replace("horizon = 20", f"horizon = {MAX_HORIZON + 1}"))
@@ -320,6 +328,49 @@ class TestSimulate:
         assert err == (
             f"config error: [scenario]: horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}\n"
         )
+
+    # the last window holds BLOCK, 1 and BLOCK rows
+    @pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, 2 * BLOCK - 1])
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            # collapse at the last step; K, a run constant, is not 1
+            (("K = 1.0", "K = 2.5"), ("adoption = logistic\nk = 0.6\nt0 = 10", "adoption = linear"),
+             ("growth = 0.05", "growth = 0.0")),
+            # collapse in the first window
+            (),
+            # no baseline, and w_AGI is nan at step 0
+            (("beta2 = 0.0", "beta2 = 0.1"),),
+        ],
+        ids=["linear", "demo", "b2pos"],
+    )
+    def test_series_is_the_records_at_window_edges(self, tmp_path, capsys, horizon, replacements):
+        config = tmp_path / "run.ini"
+        config.write_text(_demo_scenario(("horizon = 20", f"horizon = {horizon}"), *replacements))
+        assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 0
+        # the oracle: the library's records, each cell formatted on its own
+        cfg = build_scenario_config(parse_config_file(config))
+        records = run_scenario(cfg)
+        nan_fields = {"w_agi", "p_h_transition"}
+        lines = [",".join(map(_CSV_NAMES.get, TimeSeriesRecord._fields, TimeSeriesRecord._fields))]
+        lines += [
+            ",".join(
+                str(value) if name == "t"
+                else format_number_or_nan(value) if name in nan_fields else format_number(value)
+                for name, value in record._asdict().items()
+            )
+            for record in records
+        ]
+        assert (tmp_path / "out" / "series.csv").read_text() == "\n".join(lines) + "\n"
+        theta = cfg.collapse_threshold
+        try:
+            step = detect_collapse(records, theta)
+        except UndefinedBaselineError as exc:
+            want = f"collapse: undefined: {exc}\n"
+        else:
+            assert step is not None
+            want = f"collapse: human wage fell below {theta:g} of its initial value at step {step}\n"
+        assert capsys.readouterr() == (want, "")
 
 
 class TestFit:
@@ -826,13 +877,13 @@ class TestWrite:
         out, before = out_dir
         blocks_given = []
 
-        def failing_rows(*args, **kwargs):
+        def failing_columns(*args, **kwargs):
             if blocks_given:
                 raise SerializationError("cannot serialize non-finite value inf")
             blocks_given.append(1)
-            return format_rows(*args, **kwargs)
+            return format_columns(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "format_rows", failing_rows)
+        monkeypatch.setattr(cli, "format_columns", failing_columns)
         assert self.simulate_long(tmp_path, out) == 2
         assert blocks_given == [1]
         assert capsys.readouterr() == ("", "error: cannot serialize non-finite value inf\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from agiecon import SerializationError, format_number
 from agiecon.cli import _WINDOW as BLOCK
-from agiecon.formatting import format_number_or_nan, format_rows
+from agiecon.formatting import format_columns, format_number_or_nan
 
 PATTERN = re.compile(r"^-?\d\.\d{9}e-?(0|[1-9]\d*)$")
 
@@ -94,6 +94,11 @@ rows_strategy = st.lists(
 )
 
 
+def by_column(rows):
+    """The columns of ``rows``, each a list."""
+    return [list(column) for column in zip(*rows)]
+
+
 def per_cell(rows):
     return "".join(
         ",".join(
@@ -106,7 +111,7 @@ def per_cell(rows):
 
 @given(rows_strategy)
 def test_format_rows_matches_per_cell_formatting(rows):
-    assert format_rows(rows, NAN_COLUMNS) == per_cell(rows).encode("ascii")
+    assert format_columns(by_column(rows), NAN_COLUMNS) == per_cell(rows).encode("ascii")
 
 
 @given(rows_strategy, st.data())
@@ -120,7 +125,110 @@ def test_format_rows_rejects_non_finite_cells(rows, data):
     row[column] = bad
     rows[index] = tuple(row)
     with pytest.raises(SerializationError):
-        format_rows(rows, NAN_COLUMNS)
+        format_columns(by_column(rows), NAN_COLUMNS)
+
+
+def per_cell_columns(columns, nan_columns):
+    """Each cell of ``columns`` by ``format_number`` or ``format_number_or_nan``,
+    row by row, so a bad cell raises the first bad row's error."""
+    return "".join(
+        ",".join(
+            str(value) if isinstance(value, int)
+            else format_number_or_nan(value) if i in nan_columns else format_number(value)
+            for i, value in enumerate(row)
+        ) + "\n"
+        for row in zip(*columns)
+    ).encode("ascii")
+
+
+# equal values that are not one float: both zeros, and the ends of the range
+CONSTANTS = (0.0, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-5, 12.0, math.inf, -math.inf,
+             math.nan)
+
+
+@st.composite
+def column_tables(draw):
+    """(columns, nan_columns) with varying, constant, repeated and int
+    columns, some column objects given twice, and 1 to 20 rows."""
+    n_rows = draw(st.integers(1, 20))
+    columns = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("varying", "constant", "zeros", "int", "again")))
+        if kind == "again" and columns:
+            columns.append(draw(st.sampled_from(columns)))  # the same object again
+        elif kind == "constant":
+            columns.append([draw(st.sampled_from(CONSTANTS))] * n_rows)
+        elif kind == "zeros":
+            columns.append(draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=n_rows,
+                                         max_size=n_rows)))
+        elif kind == "int":
+            start = draw(st.integers(0, 10**6))
+            constant = draw(st.booleans())
+            columns.append([start] * n_rows if constant else range(start, start + n_rows))
+        else:
+            cell = st.one_of(finite, st.sampled_from((math.nan, math.inf, -math.inf)))
+            columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+    nan_columns = draw(st.sets(st.integers(0, len(columns) - 1)))
+    return columns, nan_columns
+
+
+@given(column_tables())
+def test_format_columns_matches_per_cell_formatting_or_its_first_error(table):
+    columns, nan_columns = table
+    want = format_outcome(lambda columns: per_cell_columns(columns, nan_columns), columns)
+    assert format_outcome(lambda columns: format_columns(columns, nan_columns), columns) == want
+
+
+@pytest.mark.parametrize(
+    "column,want",
+    [
+        ([0.0, -0.0, 0.0], b"0.000000000e0"),
+        ([-0.0, 0.0, -0.0], b"0.000000000e0"),
+        ([-0.0] * 3, b"0.000000000e0"),
+        ([-2.5e-5] * 3, b"-2.500000000e-5"),
+        ([7] * 3, b"7"),
+    ],
+    ids=["plus-zero-first", "minus-zero-first", "minus-zeros", "float", "int"],
+)
+def test_a_constant_column_is_written_on_every_row(column, want):
+    assert format_columns([range(3), column]) == b"".join(b"%d,%s\n" % (t, want) for t in range(3))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_constant_non_finite_column_raises_as_each_cell_would(bad):
+    message = f"cannot serialize non-finite value {bad!r}"
+    with pytest.raises(SerializationError, match=re.escape(message)):
+        format_columns([range(4), [1.0, 2.0, 3.0, 4.0], [bad] * 4])
+
+
+def test_a_constant_nan_column_listed_as_nan_is_written_as_nan():
+    assert format_columns([range(2), [math.nan] * 2], nan_columns=(1,)) == b"0,nan\n1,nan\n"
+
+
+def test_a_column_given_twice_is_written_in_both_places():
+    s, t = [0.0, 2.5e-5, -0.0, 1e10], range(5, 9)
+    text = format_columns([t, s, [1.0, 2.0, 3.0, 4.0], s, t])
+    assert text == per_cell_columns([t, s, [1.0, 2.0, 3.0, 4.0], list(s), list(t)], ())
+
+
+def test_a_column_given_twice_keeps_the_first_bad_rows_error():
+    s = [0.5, math.nan, math.inf]
+    with pytest.raises(SerializationError, match="nan"):
+        format_columns([range(3), s, s], nan_columns=(2,))
+    assert format_columns([range(2), s[:2], s[:2]], nan_columns=(1, 2)) == (
+        b"0,5.000000000e-1,5.000000000e-1\n1,nan,nan\n"
+    )
+
+
+@pytest.mark.parametrize("columns", [[[3], [0.5], [-0.0]], [[0.5], [0.5]], [[1e300]]])
+def test_a_one_row_window_is_one_row(columns):
+    # every column of one row is constant, so the template is the whole row
+    assert format_columns(columns) == per_cell_columns(columns, ())
+    assert format_columns(columns).count(b"\n") == 1
+
+
+def test_constant_columns_alone_give_every_row():
+    assert format_columns([[2] * 3, [0.5] * 3]) == b"2,5.000000000e-1\n" * 3
 
 
 def block_table(n_rows, seed, nan_rows=()):
@@ -147,16 +255,16 @@ def format_outcome(render, rows):
 
 
 def in_windows(rows):
-    """``format_rows`` of each window of ``BLOCK`` rows, joined, as a command writes them."""
-    return b"".join(format_rows(rows[start:start + BLOCK], NAN_COLUMNS)
-                   for start in range(0, len(rows), BLOCK))
+    """``format_columns`` of each window of ``BLOCK`` rows, joined, as a command writes them."""
+    return b"".join(format_columns(by_column(rows[start:start + BLOCK]), NAN_COLUMNS)
+                    for start in range(0, len(rows), BLOCK))
 
 
 @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_format_rows_blocks_match_per_cell_formatting(n_rows):
     nan_rows = sorted({0, n_rows // 2, n_rows - 1, min(BLOCK, n_rows - 1)})
     rows = block_table(n_rows, seed=n_rows, nan_rows=nan_rows)
-    assert format_rows(rows, NAN_COLUMNS) == per_cell(rows).encode("ascii")
+    assert format_columns(by_column(rows), NAN_COLUMNS) == per_cell(rows).encode("ascii")
     assert in_windows(rows) == per_cell(rows).encode("ascii")
 
 
@@ -170,15 +278,15 @@ def test_format_rows_blocks_raise_the_first_bad_row(n_rows, first_bad):
         rows[i] = rows[i][:3] + (bad,) + rows[i][4:]
     message = format_outcome(per_cell, rows)
     assert message == f"cannot serialize non-finite value {math.inf!r}"
-    assert format_outcome(lambda rows: format_rows(rows, NAN_COLUMNS), rows) == message
+    assert format_outcome(lambda rows: format_columns(by_column(rows), NAN_COLUMNS), rows) == message
     assert format_outcome(in_windows, rows) == message
 
 
 def test_an_int_cell_is_written_with_d_in_any_column():
     # t last, and a NaN in a NaN column sends the second row cell by cell
-    rows = [(0.5, -0.0, 7), (1e-5, math.nan, 12), (2.0, 3.0, 4096)]
-    assert format_rows(rows, nan_columns=(1,)) == (
-        b"5.000000000e-1,0.000000000e0,7\n1.000000000e-5,nan,12\n2.000000000e0,3.000000000e0,4096\n"
+    columns = [[0.5, 1e-5, 2.0], [-0.0, math.nan, 3.0], range(7, 10)]
+    assert format_columns(columns, nan_columns=(1,)) == (
+        b"5.000000000e-1,0.000000000e0,7\n1.000000000e-5,nan,8\n2.000000000e0,3.000000000e0,9\n"
     )
 
 
@@ -194,7 +302,7 @@ def test_an_int_cell_is_written_with_d_in_any_column():
 )
 def test_format_rows_normalizes_either_branch_as_format_number(cells):
     rows = [(t, *cells[t:], *cells[:t]) for t in range(len(cells))]
-    text = format_rows(rows)
+    text = format_columns(by_column(rows))
     want = "".join(",".join([str(row[0]), *map(format_number, row[1:])]) + "\n" for row in rows)
     assert text == want.encode("ascii")
     # the "#" that marks a padding zero is deleted with every "+"
