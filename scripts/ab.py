@@ -22,10 +22,13 @@ workload, seed and metric it holds each pair's values, both medians, the
 parent's interquartile spread, the change/parent ratio of the medians, the
 number of pairs in which the change was better, and a percentile bootstrap
 95 % interval of the median ratio over resampled pairs, from a seeded
-``random.Random``, so the same pairs give the same interval.  Exits 1 if any
-invocation failed (a non-zero exit on either side, a timed run that is not
-``correct`` or that exits non-zero) or outputs differ, else 0.  Standard
-library only.
+``random.Random``, so the same pairs give the same interval.  Below
+``MIN_CI_PAIRS`` pairs the interval is ``null``: resampling a few pairs
+cannot show more spread than those pairs hold, so the interval is too
+narrow to trust (2 tiny A/A pairs of one commit gave [0.981, 0.989]).
+Exits 1 if any invocation failed (a non-zero exit on either side, a timed
+run that is not ``correct`` or that exits non-zero) or outputs differ,
+else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SCHEMA = "agiecon-ab/1"
 RESAMPLES = 2000  # bootstrap resamples of the pairs
+MIN_CI_PAIRS = 8  # fewer pairs get no bootstrap interval
 
 
 def export(rev: str, into: Path) -> str:
@@ -124,8 +128,9 @@ def timed_run(tree: Path, workload: str, seed: int, seconds: float, size: str) -
 
 
 def summarize(values: dict[str, list[float]], better: str | None) -> dict:
-    """One metric's pairs: medians, parent spread, ratio, sign count and a
-    bootstrap 95 % interval of the median ratio."""
+    """One metric's pairs: medians, parent spread, ratio, sign count and,
+    from ``MIN_CI_PAIRS`` pairs on, a bootstrap 95 % interval of the median
+    ratio."""
     parent, change = values["parent"], values["change"]
     n = len(parent)
     medians = {side: statistics.median(values[side]) for side in SIDES}
@@ -133,13 +138,16 @@ def summarize(values: dict[str, list[float]], better: str | None) -> dict:
     wins = None
     if better is not None:
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
-    rng = random.Random(0)
-    ratios = []
-    for _ in range(RESAMPLES):
-        picks = [rng.randrange(n) for _ in range(n)]
-        base = statistics.median(parent[i] for i in picks)
-        ratios.append(statistics.median(change[i] for i in picks) / base if base else 1.0)
-    ratios.sort()
+    interval = None
+    if n >= MIN_CI_PAIRS:
+        rng = random.Random(0)
+        ratios = []
+        for _ in range(RESAMPLES):
+            picks = [rng.randrange(n) for _ in range(n)]
+            base = statistics.median(parent[i] for i in picks)
+            ratios.append(statistics.median(change[i] for i in picks) / base if base else 1.0)
+        ratios.sort()
+        interval = [ratios[int(0.025 * RESAMPLES)], ratios[int(0.975 * RESAMPLES) - 1]]
     return {
         "better": better,
         "pairs": [[p, c] for p, c in zip(parent, change)],
@@ -150,7 +158,7 @@ def summarize(values: dict[str, list[float]], better: str | None) -> dict:
         "beyond_spread": abs(medians["change"] - medians["parent"]) > q3 - q1,
         "wins": wins,
         "n": n,
-        "ratio_ci95": [ratios[int(0.025 * RESAMPLES)], ratios[int(0.975 * RESAMPLES) - 1]],
+        "ratio_ci95": interval,
     }
 
 

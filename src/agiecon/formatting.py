@@ -8,9 +8,8 @@ fixed-digit output does not.
 of CSV rows, given by column, with the same definition, as ``bytes`` ready
 for a file opened in binary mode: each row goes through a single bytes
 ``%``-format of one row template, in place of one Python-level call per
-cell.  The template converts each distinct number once where that is cheap
-to see: a column of one repeated finite value is in it as text, and a
-column given twice is converted once and filled in as ``%s``.  One
+cell.  A column of one repeated finite value is in the template as its
+text, so it is converted once per window, not once per row.  One
 normalizer, ``_normalize``, then rewrites the exponents of a single cell
 or of a whole window: one pass drops the sign of a negative zero, two
 ``bytes.replace`` passes that keep the text's length mark each exponent's
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Container, Sequence
 from itertools import repeat
-from operator import is_, mod
+from operator import mod
 
 from .errors import SerializationError
 
@@ -74,28 +73,19 @@ def format_columns(columns: Sequence[Sequence[float]], nan_columns: Container[in
     which no ``_normalize`` pattern holds, so the bytes of consecutive
     windows join to the bytes of all their rows.
 
-    Each distinct number is converted once where that is cheap to see.  A
-    column whose values are all equal and finite is written into the row
-    template as its own text; equal floats differ at most in the sign of
-    zero, which ``_normalize`` erases.  A column object given twice is
-    converted once and its text given to both places as ``%s``.
+    A column whose values are all equal and finite is written into the row
+    template as its own text, converted once; equal floats differ at most
+    in the sign of zero, which ``_normalize`` erases.
     """
     rows = len(columns[0])
     cells: list[bytes] = []  # the row template's cells
     varying: list[Sequence] = []  # the values for its % specifiers, by column
-    shared: dict[int, list[bytes]] = {}  # id of a column given twice -> its text
     for column in columns:
         first = column[0]
         integer = isinstance(first, int)
         spec = b"%d" if integer else _NUMBER
         if first == column[-1] and (integer or math.isfinite(first)) and column.count(first) == rows:
             cells.append(spec % first)
-        elif sum(map(is_, repeat(column), columns)) > 1:
-            text = shared.get(id(column))
-            if text is None:
-                text = shared[id(column)] = list(map(mod, repeat(spec), column))
-            cells.append(b"%s")
-            varying.append(text)
         else:
             cells.append(spec)
             varying.append(column)

@@ -18,12 +18,21 @@ def summary(parent, change, better="lower"):
 
 
 def test_equal_runs_give_ratio_one_inside_its_interval():
-    values = [0.25, 0.24, 0.26, 0.25, 0.27]
+    values = [0.25, 0.24, 0.26, 0.25, 0.27, 0.25, 0.24, 0.26]
     result = summary(values, list(values))
     assert result["ratio"] == 1.0 and result["ratio_ci95"] == [1.0, 1.0]
-    assert result["wins"] == 0 and result["n"] == 5
-    assert result["parent_iqr"] == pytest.approx(0.265 - 0.245)  # statistics.quantiles' default
+    assert result["wins"] == 0 and result["n"] == ab.MIN_CI_PAIRS
+    assert result["parent_iqr"] == pytest.approx(0.26 - 0.2425)  # statistics.quantiles' default
     assert not result["beyond_spread"]
+
+
+@pytest.mark.parametrize("n", [1, 2, ab.MIN_CI_PAIRS - 1])
+def test_too_few_pairs_give_no_interval(n):
+    # 2 tiny A/A pairs of one commit gave [0.981, 0.989], which excludes 1
+    parent = [0.25 + 0.01 * i for i in range(n)]
+    result = summary(parent, [0.98 * p for p in parent])
+    assert result["ratio_ci95"] is None
+    assert result["ratio"] == pytest.approx(0.98) and result["n"] == n
 
 
 @pytest.mark.parametrize("better,wins", [("lower", 10), ("higher", 0), (None, None)])
@@ -39,8 +48,11 @@ def test_a_change_a_tenth_lower_in_every_pair(better, wins):
 
 
 def test_the_interval_is_drawn_from_the_seed():
-    parent, change = [1.0, 1.2, 0.9, 1.1, 1.05], [1.1, 1.0, 1.0, 1.3, 0.95]
-    assert summary(parent, change) == summary(parent, change)
+    parent = [1.0, 1.2, 0.9, 1.1, 1.05, 0.95, 1.15, 1.0]
+    change = [1.1, 1.0, 1.0, 1.3, 0.95, 1.05, 1.0, 1.2]
+    result = summary(parent, change)
+    assert result == summary(parent, change)
+    assert result["ratio_ci95"][0] < result["ratio"] < result["ratio_ci95"][1]
 
 
 def copied_tree(rev, into):

@@ -163,8 +163,13 @@ def column_tables(draw):
                                          max_size=n_rows)))
         elif kind == "int":
             start = draw(st.integers(0, 10**6))
-            constant = draw(st.booleans())
-            columns.append([start] * n_rows if constant else range(start, start + n_rows))
+            shape = draw(st.sampled_from(("constant", "range", "list")))
+            if shape == "list":
+                columns.append(draw(st.lists(st.integers(-10**12, 10**12), min_size=n_rows,
+                                             max_size=n_rows)))
+            else:
+                columns.append([start] * n_rows if shape == "constant"
+                               else range(start, start + n_rows))
         else:
             cell = st.one_of(finite, st.sampled_from((math.nan, math.inf, -math.inf)))
             columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
@@ -284,9 +289,9 @@ def test_format_rows_blocks_raise_the_first_bad_row(n_rows, first_bad):
 
 def test_an_int_cell_is_written_with_d_in_any_column():
     # t last, and a NaN in a NaN column sends the second row cell by cell
-    columns = [[0.5, 1e-5, 2.0], [-0.0, math.nan, 3.0], range(7, 10)]
+    columns = [[0.5, 1e-5, 2.0], [-0.0, math.nan, 3.0], [7, 12, 4096]]
     assert format_columns(columns, nan_columns=(1,)) == (
-        b"5.000000000e-1,0.000000000e0,7\n1.000000000e-5,nan,8\n2.000000000e0,3.000000000e0,9\n"
+        b"5.000000000e-1,0.000000000e0,7\n1.000000000e-5,nan,12\n2.000000000e0,3.000000000e0,4096\n"
     )
 
 
